@@ -155,3 +155,59 @@ func TestGoldenMechanismReports(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenMultiCoreReports pins the barrier-parallel multi-core engine: a
+// 4-core pr,mcf,cc,xalancbmk mix at TEMPO, one seed per core, run under both
+// timing engines with invariant auditing on. SimJobs is fixed at 1; the
+// determinism tests hold every other value to the same bytes. The queued
+// variant covers the shared LLC's queued wrapper behind the portals and the
+// per-level backpressure lines; both report the schedule's "parallel" line.
+// Same -update convention as the goldens above.
+func TestGoldenMultiCoreReports(t *testing.T) {
+	for _, timing := range []string{TimingAnalytic, TimingQueued} {
+		timing := timing
+		t.Run(timing, func(t *testing.T) {
+			t.Parallel()
+			var traces []*Trace
+			for i, name := range []string{"pr", "mcf", "cc", "xalancbmk"} {
+				tr, err := NewTrace(name, 25_000, int64(1+i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				traces = append(traces, tr)
+			}
+			cfg := DefaultConfig()
+			cfg.Instructions = 20_000
+			cfg.Warmup = 5_000
+			cfg.Apply(TEMPO)
+			cfg.Timing = timing
+			cfg.SimJobs = 1
+			cfg.CheckInvariants = true
+			res, err := RunMulti(cfg, traces...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Parallel == nil {
+				t.Fatal("multi-core run did not use the barrier-parallel engine")
+			}
+			var buf bytes.Buffer
+			WriteReport(&buf, res)
+
+			path := filepath.Join("testdata", "golden", "multi-"+timing+".golden")
+			if *updateGolden {
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run `go test -update` to create snapshots)", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s multi-core report diverged from %s.\ngot:\n%s\nwant:\n%s\n(rerun with -update if the change is intended)",
+					timing, path, buf.Bytes(), want)
+			}
+		})
+	}
+}

@@ -43,14 +43,16 @@ func TestQueuedRQFullBackpressure(t *testing.T) {
 
 	// Two overlapping misses occupy both RQ slots until their fills land;
 	// the third load must stall for a slot.
+	// The stall counter is the integral of the wait, one per cycle: the
+	// third load waits from cycle 2 until the first slot retires at 111.
 	r1 := q.Access(loadReq(0x0000), 0)
-	q.Access(loadReq(0x4000), 1)
+	r2 := q.Access(loadReq(0x4000), 1)
 	r3 := q.Access(loadReq(0x8000), 2)
-	if got := q.Stats().RQFull; got == 0 {
-		t.Error("rq_full never counted despite overlapping misses")
+	if got := q.Stats().RQFull; got != 109 {
+		t.Errorf("rq_full = %d, want 109 stalled cycles", got)
 	}
-	if r3.Ready <= r1.Ready {
-		t.Errorf("stalled miss ready = %d, want after first fill %d", r3.Ready, r1.Ready)
+	if r1.Ready != 111 || r2.Ready != 112 || r3.Ready != 222 {
+		t.Errorf("ready cycles = %d/%d/%d, want 111/112/222", r1.Ready, r2.Ready, r3.Ready)
 	}
 	if err := q.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -111,13 +113,14 @@ func TestQueuedWQFullStalls(t *testing.T) {
 	q := queuedSmall(t, Config{},
 		QueueConfig{RQ: 4, WQ: 1, PQ: 4, VAPQ: 4, MaxRead: 1, MaxWrite: 1}, lower)
 
+	// The second writeback waits one cycle for the first to drain.
 	a := q.Access(&mem.Request{Addr: 0x100, Kind: mem.Writeback}, 0)
 	b := q.Access(&mem.Request{Addr: 0x200, Kind: mem.Writeback}, 0)
-	if got := q.Stats().WQFull; got == 0 {
-		t.Error("wq_full never counted on a full write queue")
+	if got := q.Stats().WQFull; got != 1 {
+		t.Errorf("wq_full = %d, want 1 stalled cycle", got)
 	}
-	if b.Ready <= a.Ready {
-		t.Errorf("stalled writeback ready = %d, want after %d", b.Ready, a.Ready)
+	if a.Ready != 10 || b.Ready != 11 {
+		t.Errorf("ready cycles = %d/%d, want 10/11", a.Ready, b.Ready)
 	}
 	q.Drain()
 	if !q.Inner().Contains(0x100) || !q.Inner().Contains(0x200) {
@@ -211,11 +214,11 @@ func TestQueuedMSHRFullBlocksHead(t *testing.T) {
 	// The only MSHR holds the first fill; the second miss is blocked
 	// head-of-line until it releases.
 	r2 := q.Access(loadReq(0x4000), 1)
-	if got := q.Stats().MSHRFull; got == 0 {
-		t.Error("mshr_full never counted with saturated MSHRs")
+	if got := q.Stats().MSHRFull; got != 109 {
+		t.Errorf("mshr_full = %d, want 109 blocked cycles", got)
 	}
-	if r2.Ready < r1.Ready+100 {
-		t.Errorf("blocked miss ready = %d, want >= %d (after MSHR release)", r2.Ready, r1.Ready+100)
+	if r1.Ready != 111 || r2.Ready != 221 {
+		t.Errorf("ready cycles = %d/%d, want 111/221 (second miss issues at the MSHR release)", r1.Ready, r2.Ready)
 	}
 }
 
@@ -250,11 +253,11 @@ func TestQueuedLowerStallPropagates(t *testing.T) {
 	// first fill, so the second upper-level miss is backpressured.
 	rA := ql1.Access(loadReq(0x0000), 0)
 	rB := ql1.Access(loadReq(0x10000), 1)
-	if got := ql2.Stats().RQFull; got == 0 {
-		t.Error("lower rq_full never counted")
+	if got := ql2.Stats().RQFull; got != 210 {
+		t.Errorf("lower rq_full = %d, want 210 stalled cycles", got)
 	}
-	if rB.Ready < rA.Ready+100 {
-		t.Errorf("second miss ready = %d, want delayed past first fill %d", rB.Ready, rA.Ready)
+	if rA.Ready != 214 || rB.Ready != 425 {
+		t.Errorf("ready cycles = %d/%d, want 214/425 (second miss delayed past the first fill)", rA.Ready, rB.Ready)
 	}
 	for _, q := range []*Queued{ql1, ql2} {
 		if err := q.CheckInvariants(); err != nil {
