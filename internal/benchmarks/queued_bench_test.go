@@ -74,9 +74,9 @@ func BenchmarkQueuedAccessMissStream(b *testing.B) {
 }
 
 // TestZeroAllocQueuedAccessHit extends the zero-allocation invariant to the
-// queued engine's operate path: once warm, a hit through the full
-// wrapper stack (deque push, per-cycle stepping, retire) must not touch the
-// heap — the rings are preallocated at construction.
+// queued engine's operate path: once warm, a hit through the full wrapper
+// stack (deque push, event-skipping steps, retire) must not touch the heap —
+// the rings are preallocated at construction.
 func TestZeroAllocQueuedAccessHit(t *testing.T) {
 	skipIfInstrumented(t)
 	q := buildQueuedHierarchy(t)

@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"atcsim/internal/mem"
 	"atcsim/internal/repl"
@@ -361,6 +362,23 @@ func (c *Cache) mshrFull(cycle int64) bool {
 	}
 	c.mshr = live
 	return len(c.mshr) >= c.cfg.MSHRs
+}
+
+// mshrFreeAt returns the first cycle at or after cycle at which a new miss
+// finds a free MSHR. Unlike mshrFull it does not prune, so the queued
+// engine can look ahead without touching the occupancy list.
+func (c *Cache) mshrFreeAt(cycle int64) int64 {
+	busy, release := 0, int64(math.MaxInt64)
+	for _, r := range c.mshr {
+		if r > cycle {
+			busy++
+			release = min(release, r)
+		}
+	}
+	if busy < c.cfg.MSHRs {
+		return cycle
+	}
+	return release
 }
 
 // access fills the cache's scratch policy access for req. The returned

@@ -2,12 +2,17 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"atcsim/internal/mem"
 )
 
 // Queued wraps a Cache with ChampSim-style bounded request deques (RQ, WQ,
-// PQ, VAPQ) stepped one cycle at a time. It implements Lower, so a queued
+// PQ, VAPQ) advanced by a per-cycle step(). Cycles in which no step could
+// change anything are skipped: before every step the clock jumps to the
+// cycle before the next possible event (see nextEvent), and the per-cycle
+// stall counters are credited with the skipped cycles, so results are those
+// of stepping every cycle. It implements Lower, so a queued
 // hierarchy is built by interposing one Queued per level: the inner cache's
 // lower pointer is the next level's Queued wrapper, which routes demand
 // misses into the lower RQ and evicted dirty lines into the lower WQ.
@@ -44,6 +49,14 @@ type Queued struct {
 	wq   ring
 	pq   ring
 	vapq ring
+
+	// issued counts the serviced reads at the RQ head. processRQ services
+	// strictly in FIFO order, so serviced entries always form a prefix.
+	issued int
+	// stalled records that the last step found the first unserviced read
+	// blocked on saturated MSHRs: only then does nextEvent look for the
+	// MSHR release, and an unset flag at worst makes its candidate early.
+	stalled bool
 
 	now int64
 	seq uint64
@@ -95,19 +108,67 @@ func (q *Queued) ResetStats() { q.qst = QueueStats{} }
 // entries waiting only for their fill cycle to pass do not count — they
 // retire on their own as time advances.
 func (q *Queued) busy() bool {
-	if !q.wq.empty() || !q.pq.empty() || !q.vapq.empty() {
-		return true
-	}
-	for i := 0; i < q.rq.len(); i++ {
-		if !q.rq.at(i).done {
-			return true
-		}
-	}
-	return false
+	return !q.wq.empty() || !q.pq.empty() || !q.vapq.empty() || q.issued < q.rq.len()
 }
 
-// catchUp advances the engine to cycle: stepping while there is queued work,
-// fast-forwarding across idle gaps.
+// nextEvent returns the earliest cycle at which step() could change a queue
+// or the inner cache. While the first unserviced read is blocked on
+// saturated MSHRs, blockedFrom is the first cycle of that stall (the stall
+// lasts until the returned cycle); otherwise it is 0. A candidate may be
+// early, which only costs an idle step, but it is never late.
+func (q *Queued) nextEvent() (next, blockedFrom int64) {
+	next = math.MaxInt64
+	if q.issued < q.rq.len() {
+		// RQ entries are never enqueued in the future, so the first
+		// unserviced read is due on the next cycle unless it is blocked.
+		e := q.rq.at(q.issued)
+		next = q.now + 1
+		if q.stalled && e.req.Kind != mem.Translation && !q.c.Contains(e.req.Addr) {
+			if free := q.c.mshrFreeAt(next); free > next {
+				next, blockedFrom = free, next
+			}
+		}
+		if blockedFrom == 0 {
+			return next, 0
+		}
+	}
+	if q.issued > 0 {
+		next = min(next, q.rq.at(0).res.Ready) // retire
+	}
+	if !q.wq.empty() {
+		next = min(next, q.wq.at(0).enq+1)
+	}
+	if !q.vapq.empty() && !q.pq.full() {
+		next = min(next, q.vapq.at(0).enq+q.qcfg.VAPQLatency)
+	}
+	if !q.pq.empty() {
+		next = min(next, q.pq.at(0).enq+1)
+	}
+	return next, blockedFrom
+}
+
+// skip jumps the clock across idle cycles to the cycle before the next
+// possible event, never past limit, so the following step() lands at most
+// on that event. Skipped cycles in which the RQ head sat blocked on the
+// MSHRs are credited to mshr_full; the number of skipped cycles is returned
+// so callers stalled on a full RQ or WQ can credit their own counter.
+func (q *Queued) skip(limit int64) int64 {
+	next, blockedFrom := q.nextEvent()
+	to := min(next-1, limit)
+	if to <= q.now {
+		return 0
+	}
+	if blockedFrom > 0 && to >= blockedFrom {
+		q.qst.MSHRFull += uint64(to - blockedFrom + 1)
+	}
+	n := to - q.now
+	q.now = to
+	return n
+}
+
+// catchUp advances the engine to cycle: stepping through queued work,
+// skipping the idle cycles between events, and fast-forwarding once every
+// queue is idle.
 func (q *Queued) catchUp(cycle int64) {
 	for q.now < cycle {
 		if !q.busy() {
@@ -115,6 +176,7 @@ func (q *Queued) catchUp(cycle int64) {
 			q.retire()
 			return
 		}
+		q.skip(cycle - 1)
 		q.step()
 	}
 }
@@ -124,6 +186,7 @@ func (q *Queued) catchUp(cycle int64) {
 // the lockstep differential harness between operations.
 func (q *Queued) Drain() {
 	for q.busy() {
+		q.skip(math.MaxInt64)
 		q.step()
 	}
 	for !q.rq.empty() {
@@ -148,12 +211,9 @@ func (q *Queued) step() {
 
 // retire releases RQ slots whose fills have completed, in FIFO order.
 func (q *Queued) retire() {
-	for !q.rq.empty() {
-		e := q.rq.at(0)
-		if !e.done || e.res.Ready > q.now {
-			return
-		}
+	for q.issued > 0 && q.rq.at(0).res.Ready <= q.now {
 		q.rq.pop()
+		q.issued--
 	}
 }
 
@@ -192,21 +252,20 @@ func (q *Queued) stageVAPQ() {
 // the MSHRs are saturated blocks the whole queue for the cycle.
 func (q *Queued) processRQ() int {
 	budget := q.qcfg.MaxRead
-	for i := 0; i < q.rq.len() && budget > 0; i++ {
-		e := q.rq.at(i)
-		if e.done {
-			continue
-		}
+	q.stalled = false
+	for ; q.issued < q.rq.len() && budget > 0; budget-- {
+		e := q.rq.at(q.issued)
 		if e.enq >= q.now {
 			break
 		}
 		if e.req.Kind != mem.Translation && !q.c.Contains(e.req.Addr) && q.c.mshrFull(q.now) {
 			q.qst.MSHRFull++
+			q.stalled = true
 			break
 		}
 		e.res = q.c.Access(&e.req, q.now)
 		e.done = true
-		budget--
+		q.issued++
 	}
 	return budget
 }
@@ -265,7 +324,7 @@ func (q *Queued) Access(req *mem.Request, cycle int64) Result {
 
 	if req.Kind == mem.Writeback {
 		for q.wq.full() {
-			q.qst.WQFull++
+			q.qst.WQFull += uint64(q.skip(math.MaxInt64)) + 1
 			q.step()
 		}
 		q.seq++
@@ -286,7 +345,7 @@ func (q *Queued) Access(req *mem.Request, cycle int64) Result {
 		q.qst.RQMerged++
 	}
 	for q.rq.full() {
-		q.qst.RQFull++
+		q.qst.RQFull += uint64(q.skip(math.MaxInt64)) + 1
 		q.step()
 	}
 	q.seq++
@@ -295,6 +354,7 @@ func (q *Queued) Access(req *mem.Request, cycle int64) Result {
 	// The slot pointer stays valid while stepping: step() only pops from
 	// the RQ and a pop never moves entries.
 	for !e.done {
+		q.skip(math.MaxInt64)
 		q.step()
 	}
 	return e.res
@@ -302,8 +362,8 @@ func (q *Queued) Access(req *mem.Request, cycle int64) Result {
 
 // CheckInvariants audits the queue structures: bounded occupancy, head
 // indices in range, push/pop conservation (no entry lost or duplicated),
-// FIFO sequence order, entries not from the future, and the inner cache's
-// own invariants.
+// FIFO sequence order, entries not from the future, serviced reads forming
+// the RQ head prefix, and the inner cache's own invariants.
 func (q *Queued) CheckInvariants() error {
 	name := q.c.Name()
 	rings := []struct {
@@ -332,6 +392,14 @@ func (q *Queued) CheckInvariants() error {
 			if (it.r == &q.rq || it.r == &q.wq) && e.enq > q.now {
 				return fmt.Errorf("%s %s: entry enqueued at %d beyond now %d", name, it.label, e.enq, q.now)
 			}
+		}
+	}
+	if q.issued < 0 || q.issued > q.rq.len() {
+		return fmt.Errorf("%s rq: %d serviced reads outside [0,%d]", name, q.issued, q.rq.len())
+	}
+	for i := 0; i < q.rq.len(); i++ {
+		if q.rq.at(i).done != (i < q.issued) {
+			return fmt.Errorf("%s rq: serviced reads are not the %d-entry head prefix (index %d)", name, q.issued, i)
 		}
 	}
 	st := q.Stats()

@@ -339,3 +339,50 @@ func TestQueuedResetStats(t *testing.T) {
 		t.Errorf("counters survive ResetStats: %+v", st)
 	}
 }
+
+// TestQueuedSkipsIdleGaps stages work 2^40 cycles ahead. An engine that
+// stepped through every cycle would not finish this test; this one must
+// jump straight to each event.
+func TestQueuedSkipsIdleGaps(t *testing.T) {
+	const gap = int64(1) << 40
+	lower := &fakeLower{latency: 100}
+	qcfg := DefaultQueueConfig(mem.LvlLLC)
+	q := queuedSmall(t, Config{}, qcfg, lower)
+	c := q.Inner()
+
+	// Drain across the gap: the distant prefetch stages through the VAPQ
+	// and installs, exactly at its staging cycle plus the PQ issue cycle.
+	c.Prefetch(mem.LineAddr(0x9000), gap, true)
+	q.Drain()
+	if !c.Contains(0x9000) {
+		t.Fatal("distant prefetch never installed")
+	}
+	if want := gap + qcfg.VAPQLatency + 1; q.Now() != want {
+		t.Errorf("drained at cycle %d, want %d", q.Now(), want)
+	}
+
+	// catchUp across the gap with work still queued beyond it: the engine
+	// stops at the target without issuing the later prefetch.
+	far := q.Now() + 2*gap
+	c.Prefetch(mem.LineAddr(0xa000), far, true)
+	q.catchUp(q.Now() + gap)
+	if want := far - gap; q.Now() != want {
+		t.Errorf("catchUp stopped at cycle %d, want %d", q.Now(), want)
+	}
+	if c.Contains(0xa000) || q.vapq.len() != 1 {
+		t.Error("prefetch staged for a later cycle issued early")
+	}
+
+	// A demand read behind the same gap is serviced on its own cycle.
+	res := q.Access(loadReq(0xb000), far+10)
+	if res.Ready != far+10+1+c.cfg.Latency+100 {
+		t.Errorf("read after the gap ready at %d, want %d", res.Ready, far+10+1+c.cfg.Latency+100)
+	}
+	q.Drain()
+	if !c.Contains(0xa000) {
+		t.Error("second distant prefetch never installed")
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -2,6 +2,7 @@ package system
 
 import (
 	"runtime"
+	"sync"
 
 	"atcsim/internal/cache"
 	"atcsim/internal/mem"
@@ -81,9 +82,10 @@ func prefault(pt *vm.PageTable, tr *trace.Trace) error {
 	return nil
 }
 
-// parEngine runs one goroutine per core inside cycle-window rounds and
-// resolves every shared-hierarchy request serially, in canonical core-index
-// order, at coordinator waves. The schedule — round windows, wave
+// parEngine runs one worker goroutine per core, started at the beginning of
+// each phase and closed at its end, that steps its core through cycle-window
+// rounds; every shared-hierarchy request is resolved serially, in canonical
+// core-index order, at coordinator waves. The schedule — round windows, wave
 // membership, resolution order — is a pure function of config and traces:
 // SimJobs only caps how many cores compute concurrently between barriers,
 // so reports are byte-identical for every value.
@@ -112,6 +114,10 @@ type parEngine struct {
 	// parkCh carries worker→coordinator transitions: a core id parks on a
 	// shared request, ^id reports the window finished.
 	parkCh chan int
+	// windows hands each core's worker the end cycle of the next round; the
+	// phase closes them to stop the workers, and workers joins their exit.
+	windows []chan int64
+	workers sync.WaitGroup
 
 	portals []*sharedPortal
 	parked  []bool
@@ -203,6 +209,12 @@ func (e *parEngine) phase(target int) {
 	e.target = target
 	e.lastTotal = 0
 	e.active = true
+	e.windows = make([]chan int64, len(s.cores))
+	for i, c := range s.cores {
+		e.windows[i] = make(chan int64, 1)
+		e.workers.Add(1)
+		go e.worker(c, e.windows[i])
+	}
 	for {
 		done := true
 		for _, c := range s.cores {
@@ -216,13 +228,26 @@ func (e *parEngine) phase(target int) {
 		}
 		e.runRound()
 	}
+	for _, w := range e.windows {
+		close(w)
+	}
+	e.workers.Wait()
 	e.active = false
 }
 
-// runRound executes one cycle window: spawn a worker per core, collect
-// parks and finishes, resolve waves whenever every non-finished core is
-// parked, and batch the serial scheduler's per-step bookkeeping at the
-// barrier. Every core ends the round with NextDispatch at or past the
+// worker runs its core through every round window it is handed until the
+// phase closes the channel.
+func (e *parEngine) worker(c *coreCtx, windows <-chan int64) {
+	defer e.workers.Done()
+	for window := range windows {
+		e.runWindow(c, window)
+	}
+}
+
+// runRound executes one cycle window: hand every core's worker the window
+// end, collect parks and finishes, resolve waves whenever every non-finished
+// core is parked, and batch the serial scheduler's per-step bookkeeping at
+// the barrier. Every core ends the round with NextDispatch at or past the
 // window end, so the global minimum strictly advances and phases terminate.
 func (e *parEngine) runRound() {
 	s := e.sim
@@ -235,8 +260,8 @@ func (e *parEngine) runRound() {
 	window += parallelWindow
 
 	running := len(s.cores)
-	for _, c := range s.cores {
-		go e.runWindow(c, window)
+	for _, w := range e.windows {
+		w <- window
 	}
 	finished := 0
 	for finished < len(s.cores) {

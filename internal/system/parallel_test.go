@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+	"time"
 
 	"atcsim/internal/telemetry"
 	"atcsim/internal/trace"
@@ -166,5 +167,48 @@ func TestParallelReportsCoreOrder(t *testing.T) {
 		if r.Cores[i].Mechanism != "revelator" {
 			t.Errorf("core row %d mechanism %q", i, r.Cores[i].Mechanism)
 		}
+	}
+}
+
+// TestParallelWorkersExitWithPhase pins the barrier engine's worker
+// lifecycle: workers live for one phase and are joined when it ends, so a
+// run leaves no goroutine behind. It covers serial barrier
+// execution, fewer jobs than cores, and a run with no warmup phase.
+func TestParallelWorkersExitWithPhase(t *testing.T) {
+	traces := parTraces(t, 20_000)
+	for _, tc := range []struct {
+		name         string
+		jobs, warmup int
+		timing       string
+	}{
+		{"jobs1", 1, 2_000, ""},
+		{"jobs2-of-4", 2, 2_000, "queued"},
+		{"no-warmup", 3, 0, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Instructions = 8_000
+			cfg.Warmup = tc.warmup
+			cfg.Timing = tc.timing
+			cfg.SimJobs = tc.jobs
+			before := runtime.NumGoroutine()
+			r, err := RunMulti(cfg, traces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Parallel == nil || r.Parallel.Rounds == 0 {
+				t.Fatalf("run did not use the barrier engine: %+v", r.Parallel)
+			}
+			// A joined worker may still be unwinding when RunMulti returns;
+			// give it a moment. A leaked one stays blocked for good.
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				after = runtime.NumGoroutine()
+			}
+			if after > before {
+				t.Errorf("%d goroutines after the run, %d before: workers outlived their phase", after, before)
+			}
+		})
 	}
 }

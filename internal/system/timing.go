@@ -3,10 +3,11 @@ package system
 // Timing model names for Config.Timing. The analytic engine is the original
 // latency-composition hierarchy: Access recurses synchronously and returns a
 // closed-form ready cycle. The queued engine interposes a cache.Queued
-// wrapper per level — bounded RQ/WQ/PQ/VAPQ deques stepped cycle by cycle,
-// MSHR occupancy gating, write-forwarding and prefetch merging — and
-// surfaces the backpressure counters in Result.Queues, the report's
-// per-level "queues" lines and the cache_queue_* metric families.
+// wrapper per level — bounded RQ/WQ/PQ/VAPQ deques advanced one cycle per
+// step, with idle cycles skipped up to the next possible event, MSHR
+// occupancy gating, write-forwarding and prefetch merging — and surfaces
+// the backpressure counters in Result.Queues, the report's per-level
+// "queues" lines and the cache_queue_* metric families.
 const (
 	TimingAnalytic = "analytic"
 	TimingQueued   = "queued"
