@@ -83,7 +83,7 @@ func prefault(pt *vm.PageTable, tr *trace.Trace) error {
 }
 
 // parEngine runs one worker goroutine per core, started at the beginning of
-// each phase and closed at its end, that steps its core through cycle-window
+// each phase and stopped at its end, that steps its core through cycle-window
 // rounds; every shared-hierarchy request is resolved serially, in canonical
 // core-index order, at coordinator waves. The schedule — round windows, wave
 // membership, resolution order — is a pure function of config and traces:
