@@ -162,16 +162,17 @@ type Config struct {
 	Telemetry *telemetry.Hub `json:"-"`
 
 	// SimJobs caps the worker goroutines the deterministic intra-simulation
-	// parallel engine runs eligible multi-core simulations on (one goroutine
-	// per core, synchronized by cycle-window barriers with shared LLC/DRAM
+	// parallel engine runs eligible multi-core simulations on (each core a
+	// coroutine, synchronized by cycle-window barriers with shared LLC/DRAM
 	// requests resolved in canonical core order — see DESIGN.md §10). 0 uses
 	// one worker per available CPU; 1 executes the identical barrier
-	// schedule serially. Reports are byte-identical for every value, which
-	// is why the knob is excluded from JSON: it must never influence
-	// experiment run keys or cached results. Ignored (the legacy
-	// interleaved scheduler runs) for single-core and SMT machines, runs
-	// with a request tracer attached, the victima mechanism, or an L1D
-	// prefetcher — configurations whose step path touches shared state.
+	// schedule serially on the caller's goroutine. Reports are
+	// byte-identical for every value, which is why the knob is excluded
+	// from JSON: it must never influence experiment run keys or cached
+	// results. Ignored (the legacy interleaved scheduler runs) for
+	// single-core and SMT machines, runs with a request tracer attached,
+	// the victima mechanism, or an L1D prefetcher — configurations whose
+	// step path touches shared state.
 	SimJobs int `json:"-"`
 }
 

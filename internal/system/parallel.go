@@ -1,6 +1,10 @@
+//go:build go1.23
+
 package system
 
 import (
+	"errors"
+	"iter"
 	"runtime"
 	"sync"
 
@@ -56,25 +60,16 @@ func parallelEligible(cfg Config, nCores int, shareCoreCaches bool) bool {
 // scheduling; pre-faulting each core's footprint in canonical core order
 // pins the frame assignment at build time instead. Interior page-table
 // frames allocate here too, so an eligible run performs no allocator calls
-// at all while cores are concurrent.
+// at all while cores are concurrent. A repeat Translate of a mapped page is
+// a few array loads, so no footprint set is kept.
 func prefault(pt *vm.PageTable, tr *trace.Trace) error {
-	seen := make(map[mem.Addr]struct{}, 1024)
-	touch := func(va mem.Addr) error {
-		pn := mem.PageNumber(va)
-		if _, ok := seen[pn]; ok {
-			return nil
-		}
-		seen[pn] = struct{}{}
-		_, err := pt.Translate(va)
-		return err
-	}
 	for i := range tr.Insts {
 		in := &tr.Insts[i]
-		if err := touch(in.IP); err != nil {
+		if _, err := pt.Translate(in.IP); err != nil {
 			return err
 		}
 		if in.Op == trace.OpLoad || in.Op == trace.OpStore {
-			if err := touch(in.Addr); err != nil {
+			if _, err := pt.Translate(in.Addr); err != nil {
 				return err
 			}
 		}
@@ -82,21 +77,28 @@ func prefault(pt *vm.PageTable, tr *trace.Trace) error {
 	return nil
 }
 
-// parEngine runs one worker goroutine per core, started at the beginning of
-// each phase and stopped at its end, that steps its core through cycle-window
-// rounds; every shared-hierarchy request is resolved serially, in canonical
-// core-index order, at coordinator waves. The schedule — round windows, wave
-// membership, resolution order — is a pure function of config and traces:
-// SimJobs only caps how many cores compute concurrently between barriers,
-// so reports are byte-identical for every value.
+// parEngine runs each core as a coroutine (iter.Pull), created at the
+// beginning of each phase and stopped at its end, that steps its core
+// through cycle-window rounds; every shared-hierarchy request is resolved
+// serially, in canonical core-index order, at coordinator waves. The
+// schedule — round windows, wave membership, resolution order — is a pure
+// function of config and traces: SimJobs only caps how many cores compute
+// concurrently between barriers, so reports are byte-identical for every
+// value.
 //
-// Protocol per round: each core steps until its next dispatch reaches the
-// window end. A core that needs the shared path parks inside its portal and
-// releases its compute slot. Once every core is parked or finished, the
-// coordinator services the parked requests in core order (one wave) and
-// resumes them; the round ends when all cores have finished the window.
-// Wave k+1 only forms after every core resumed in wave k has parked again
-// or finished, which is what makes membership independent of worker timing.
+// Protocol per round: every core is resumed and steps until its next
+// dispatch reaches the window end. A core that needs the shared path parks
+// inside its portal by yielding back to whoever resumed it. Once every
+// resumed core has parked or finished the window, the coordinator services
+// the parked requests in core order (one wave) and resumes exactly those
+// cores; the round ends when no core is parked. Wave k+1 only forms after
+// every core resumed in wave k has parked again or finished, which is what
+// makes membership independent of how resumes are spread over goroutines.
+//
+// At SimJobs 1 the coordinator resumes cores itself, in core order, so a
+// round involves no goroutine hand-off at all. Above that, a per-phase pool
+// of jobs goroutines resumes the cores of a wave while the coordinator
+// waits for them.
 type parEngine struct {
 	sim   *sim
 	lower cache.Lower // real shared path: the LLC or its queued wrapper
@@ -107,21 +109,16 @@ type parEngine struct {
 	// goroutine.
 	active bool
 
-	// slots is the SimJobs semaphore. A worker holds a token while stepping
-	// its core and returns it while parked or finished, so at most jobs
-	// cores compute concurrently and jobs < cores cannot deadlock.
-	slots chan struct{}
-	// parkCh carries worker→coordinator transitions: a core id parks on a
-	// shared request, ^id reports the window finished.
-	parkCh chan int
-	// windows hands each core's worker the end cycle of the next round; the
-	// phase closes them to stop the workers, and workers joins their exit.
-	windows []chan int64
-	workers sync.WaitGroup
-
 	portals []*sharedPortal
-	parked  []bool
-	nParked int
+	window  int64           // end cycle of the current round
+	wave    []*sharedPortal // scratch: cores resumed by the current wave
+
+	// Per-phase resume pool, nil at SimJobs 1. work carries the cores to
+	// resume; a worker answers on done once its core has parked or finished.
+	// Both channels hold one slot per core, the most one wave sends.
+	work    chan *sharedPortal
+	done    chan struct{}
+	workers sync.WaitGroup
 
 	target    int // phase instruction target per core
 	lastTotal int // phaseCount sum at the previous barrier
@@ -129,7 +126,7 @@ type parEngine struct {
 	rounds, waves, sharedReqs, skew uint64
 }
 
-// newParEngine wires portals and the slot semaphore for n cores.
+// newParEngine wires portals for n cores.
 func newParEngine(s *sim, lower cache.Lower, n int) *parEngine {
 	jobs := s.cfg.SimJobs
 	if jobs == 0 {
@@ -142,18 +139,13 @@ func newParEngine(s *sim, lower cache.Lower, n int) *parEngine {
 		jobs = n
 	}
 	e := &parEngine{
-		sim:    s,
-		lower:  lower,
-		jobs:   jobs,
-		slots:  make(chan struct{}, jobs),
-		parkCh: make(chan int, n),
-		parked: make([]bool, n),
-	}
-	for i := 0; i < jobs; i++ {
-		e.slots <- struct{}{}
+		sim:   s,
+		lower: lower,
+		jobs:  jobs,
+		wave:  make([]*sharedPortal, 0, n),
 	}
 	for i := 0; i < n; i++ {
-		e.portals = append(e.portals, &sharedPortal{eng: e, core: i, resume: make(chan struct{})})
+		e.portals = append(e.portals, &sharedPortal{eng: e})
 	}
 	return e
 }
@@ -162,35 +154,44 @@ func newParEngine(s *sim, lower cache.Lower, n int) *parEngine {
 func (e *parEngine) portal(core int) cache.Lower { return e.portals[core] }
 
 // sharedPortal is the cache.Lower each private L2 points at under the
-// parallel engine. During a round it parks the request with the
-// coordinator; outside rounds it is a transparent pass-through.
+// parallel engine, and the handle of its core's coroutine. During a round
+// it parks the request with the coordinator; outside rounds it is a
+// transparent pass-through.
 type sharedPortal struct {
-	eng  *parEngine
-	core int
+	eng *parEngine
 
-	// Parked-request mailbox: req/cycle are written by the core's worker
-	// before it announces the park, res by the coordinator before it
-	// signals resume; the parkCh/resume channel pair orders the handoff.
+	// Per-phase coroutine: next resumes the core until it parks or finishes
+	// its window, stop unwinds it, yield (called inside the coroutine)
+	// suspends it. panicked holds what a pool worker recovered from next.
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
+	panicked any
+
+	// Parked-request mailbox: req/cycle/parked are written by the core
+	// before it yields, res by the coordinator before it resumes the core.
+	parked bool
 	req    *mem.Request
 	cycle  int64
 	res    cache.Result
-	resume chan struct{}
 }
 
+// errCoreStopped unwinds a core that is parked in its portal when its phase
+// ends early because another core (or the coordinator) panicked.
+var errCoreStopped = errors.New("system: parallel core stopped while parked")
+
 // Access implements cache.Lower. Inside a round it parks the request and
-// blocks until the coordinator has serviced it in a wave; the compute slot
-// is released while blocked so another core can run (jobs < cores stays
-// deadlock-free) and reacquired before the window resumes.
+// yields; the core continues once the coordinator has serviced the request
+// in a wave and resumed it.
 func (p *sharedPortal) Access(req *mem.Request, cycle int64) cache.Result {
 	e := p.eng
 	if !e.active {
 		return e.lower.Access(req, cycle)
 	}
-	p.req, p.cycle = req, cycle
-	e.slots <- struct{}{}
-	e.parkCh <- p.core
-	<-p.resume
-	<-e.slots
+	p.req, p.cycle, p.parked = req, cycle, true
+	if !p.yield(struct{}{}) {
+		panic(errCoreStopped)
+	}
 	return p.res
 }
 
@@ -200,6 +201,9 @@ func (p *sharedPortal) Access(req *mem.Request, cycle int64) cache.Result {
 // completion cycles are recorded at the target boundary. Done-ness is only
 // observed at round barriers, so the final round always runs to its window
 // end and the round/wave schedule stays independent of SimJobs.
+//
+// A panic raised inside a core step surfaces here, on the caller's
+// goroutine, after every coroutine is stopped and the pool joined.
 func (e *parEngine) phase(target int) {
 	s := e.sim
 	for _, c := range s.cores {
@@ -209,11 +213,18 @@ func (e *parEngine) phase(target int) {
 	e.target = target
 	e.lastTotal = 0
 	e.active = true
-	e.windows = make([]chan int64, len(s.cores))
+	defer e.endPhase()
 	for i, c := range s.cores {
-		e.windows[i] = make(chan int64, 1)
-		e.workers.Add(1)
-		go e.worker(c, e.windows[i])
+		p := e.portals[i]
+		p.next, p.stop = iter.Pull(e.coreLoop(c, p))
+	}
+	if e.jobs > 1 {
+		e.work = make(chan *sharedPortal, len(s.cores))
+		e.done = make(chan struct{}, len(s.cores))
+		e.workers.Add(e.jobs)
+		for i := 0; i < e.jobs; i++ {
+			go e.worker()
+		}
 	}
 	for {
 		done := true
@@ -228,27 +239,96 @@ func (e *parEngine) phase(target int) {
 		}
 		e.runRound()
 	}
-	for _, w := range e.windows {
-		close(w)
+}
+
+// endPhase joins the resume pool and stops every core coroutine. It runs on
+// the normal path and while a core's panic unwinds phase; in both cases no
+// core is running, so each coroutine is suspended at its window end or
+// parked in its portal, or has already ended by panicking.
+func (e *parEngine) endPhase() {
+	if e.work != nil {
+		close(e.work)
+		e.workers.Wait()
+		e.work, e.done = nil, nil
 	}
-	e.workers.Wait()
+	for _, p := range e.portals {
+		p.unwind()
+	}
 	e.active = false
 }
 
-// worker runs its core through every round window it is handed until the
-// phase closes the channel.
-func (e *parEngine) worker(c *coreCtx, windows <-chan int64) {
-	defer e.workers.Done()
-	for window := range windows {
-		e.runWindow(c, window)
+// unwind stops the core's coroutine, absorbing the errCoreStopped unwind
+// of a parked core; any other panic from the core is re-raised.
+func (p *sharedPortal) unwind() {
+	defer func() {
+		if r := recover(); r != nil && r != errCoreStopped {
+			panic(r)
+		}
+	}()
+	p.stop()
+}
+
+// resumeRecover resumes the core and records what it panicked with, if it
+// did. A panic cannot cross goroutines, so a pool worker hands it back to
+// the coordinator to re-raise.
+func (p *sharedPortal) resumeRecover() {
+	defer func() { p.panicked = recover() }()
+	p.next()
+}
+
+// coreLoop is core c's coroutine body: run one round window per resume,
+// yielding at each window end until the phase stops it.
+func (e *parEngine) coreLoop(c *coreCtx, p *sharedPortal) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p.yield = yield
+		for {
+			e.runWindow(c, e.window)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
 	}
 }
 
-// runRound executes one cycle window: hand every core's worker the window
-// end, collect parks and finishes, resolve waves whenever every non-finished
-// core is parked, and batch the serial scheduler's per-step bookkeeping at
-// the barrier. Every core ends the round with NextDispatch at or past the
-// window end, so the global minimum strictly advances and phases terminate.
+// worker is one resume-pool goroutine: it resumes the cores it is handed
+// until the phase closes work.
+func (e *parEngine) worker() {
+	defer e.workers.Done()
+	for p := range e.work {
+		p.resumeRecover()
+		e.done <- struct{}{}
+	}
+}
+
+// resume runs the cores of e.wave until each has parked or finished its
+// window. A panic inside a core is re-raised on the caller; at SimJobs > 1
+// only once every resumed core has come to rest, taking the lowest
+// panicking core.
+func (e *parEngine) resume() {
+	if e.work == nil {
+		for _, p := range e.wave {
+			p.next()
+		}
+		return
+	}
+	for _, p := range e.wave {
+		e.work <- p
+	}
+	for range e.wave {
+		<-e.done
+	}
+	for _, p := range e.wave {
+		if r := p.panicked; r != nil {
+			panic(r)
+		}
+	}
+}
+
+// runRound executes one cycle window: resume every core with the window
+// end, resolve waves until no core is parked, and batch the serial
+// scheduler's per-step bookkeeping at the barrier. Every core ends the
+// round with NextDispatch at or past the window end, so the global minimum
+// strictly advances and phases terminate.
 func (e *parEngine) runRound() {
 	s := e.sim
 	window := int64(-1)
@@ -257,25 +337,12 @@ func (e *parEngine) runRound() {
 			window = d
 		}
 	}
-	window += parallelWindow
+	e.window = window + parallelWindow
 
-	running := len(s.cores)
-	for _, w := range e.windows {
-		w <- window
-	}
-	finished := 0
-	for finished < len(s.cores) {
-		id := <-e.parkCh
-		running--
-		if id < 0 {
-			finished++
-		} else {
-			e.parked[id] = true
-			e.nParked++
-		}
-		if running == 0 && e.nParked > 0 {
-			running += e.resolveWave()
-		}
+	e.wave = append(e.wave[:0], e.portals...)
+	for len(e.wave) > 0 {
+		e.resume()
+		e.resolveWave()
 	}
 	e.rounds++
 
@@ -297,11 +364,10 @@ func (e *parEngine) runRound() {
 	s.barrierTick(delta)
 }
 
-// runWindow steps one core until its next dispatch reaches the window end,
-// then reports the finish. Only per-core state is touched here; every
-// shared-hierarchy access parks inside the core's portal.
+// runWindow steps one core until its next dispatch reaches the window end.
+// Only per-core state is touched here; every shared-hierarchy access parks
+// inside the core's portal.
 func (e *parEngine) runWindow(c *coreCtx, window int64) {
-	<-e.slots
 	s := e.sim
 	for c.core.NextDispatch() < window {
 		s.step(c)
@@ -311,30 +377,27 @@ func (e *parEngine) runWindow(c *coreCtx, window int64) {
 			c.doneCycle = c.core.Cycle()
 		}
 	}
-	e.slots <- struct{}{}
-	e.parkCh <- ^c.id
 }
 
-// resolveWave services every parked request against the real shared path in
-// ascending core order — the canonical order that makes results independent
-// of worker scheduling — and resumes the owners. A resumed core may park
-// again during the wave; its park buffers in parkCh and joins the next
-// wave. Returns how many workers re-entered the running state.
-func (e *parEngine) resolveWave() int {
-	e.waves++
-	resumed := 0
-	for id, p := range e.portals {
-		if !e.parked[id] {
+// resolveWave services every parked request against the real shared path
+// in ascending core order — the canonical order that makes results
+// independent of resume scheduling — and leaves the owners in e.wave for
+// the next resume. An empty wave means the round is over and is not
+// counted.
+func (e *parEngine) resolveWave() {
+	e.wave = e.wave[:0]
+	for _, p := range e.portals {
+		if !p.parked {
 			continue
 		}
-		e.parked[id] = false
+		p.parked = false
 		p.res = e.lower.Access(p.req, p.cycle)
 		e.sharedReqs++
-		resumed++
-		p.resume <- struct{}{}
+		e.wave = append(e.wave, p)
 	}
-	e.nParked = 0
-	return resumed
+	if len(e.wave) > 0 {
+		e.waves++
+	}
 }
 
 // statsSnapshot exports the engine counters for Result.Parallel. Everything

@@ -2,10 +2,13 @@ package system
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
+	"atcsim/internal/repl"
 	"atcsim/internal/telemetry"
 	"atcsim/internal/trace"
 	"atcsim/internal/workloads"
@@ -199,16 +202,89 @@ func TestParallelWorkersExitWithPhase(t *testing.T) {
 			if r.Parallel == nil || r.Parallel.Rounds == 0 {
 				t.Fatalf("run did not use the barrier engine: %+v", r.Parallel)
 			}
-			// A joined worker may still be unwinding when RunMulti returns;
-			// give it a moment. A leaked one stays blocked for good.
-			after := runtime.NumGoroutine()
-			for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-				after = runtime.NumGoroutine()
+			checkNoLeakedGoroutines(t, before)
+		})
+	}
+}
+
+// checkNoLeakedGoroutines fails the test unless the goroutine count falls
+// back to before. A joined worker may still be unwinding when RunMulti
+// returns, so it gets a moment; a leaked one stays blocked for good.
+func checkNoLeakedGoroutines(t *testing.T, before int) {
+	t.Helper()
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines after the run, %d before: workers outlived their phase", after, before)
+	}
+}
+
+// errPolicyBoom is what the panicking test policy raises.
+var errPolicyBoom = errors.New("test policy: boom")
+
+// panicAfterL2Accesses is how many Hit/Insert calls one panicking-policy
+// instance serves before it panics: past build, inside the warmup phase.
+const panicAfterL2Accesses = 3_000
+
+// panicPolicy is LRU that panics after panicAfterL2Accesses updates. Each
+// cache owns its own instance, so the count is core-local.
+type panicPolicy struct {
+	repl.Policy
+	n int
+}
+
+func (p *panicPolicy) tick() {
+	if p.n++; p.n > panicAfterL2Accesses {
+		panic(errPolicyBoom)
+	}
+}
+
+func (p *panicPolicy) Hit(set, way int, a *repl.Access) {
+	p.tick()
+	p.Policy.Hit(set, way, a)
+}
+
+func (p *panicPolicy) Insert(set, way int, a *repl.Access) {
+	p.tick()
+	p.Policy.Insert(set, way, a)
+}
+
+func init() {
+	repl.Register("test-panic-after", func(sets, ways int) repl.Policy {
+		return &panicPolicy{Policy: repl.MustNew("lru", sets, ways)}
+	})
+}
+
+// TestParallelCorePanicSurfaces pins panic containment under the barrier
+// engine: a panic raised inside a core step — here by the private L2's
+// replacement policy — must arrive on RunMulti's caller, where the
+// experiment runner's recover turns it into a failed point, instead of
+// killing the process from another goroutine. The phase must still stop
+// every core and join its pool, leaving no goroutine behind.
+func TestParallelCorePanicSurfaces(t *testing.T) {
+	traces := parTraces(t, 20_000)
+	for _, jobs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Instructions = 8_000
+			cfg.Warmup = 2_000
+			cfg.SimJobs = jobs
+			cfg.L2.Policy = "test-panic-after"
+			before := runtime.NumGoroutine()
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				if _, err := RunMulti(cfg, traces); err != nil {
+					t.Errorf("RunMulti returned %v, want a panic", err)
+				}
+				return nil
+			}()
+			if got != errPolicyBoom {
+				t.Errorf("recovered %v, want %v", got, errPolicyBoom)
 			}
-			if after > before {
-				t.Errorf("%d goroutines after the run, %d before: workers outlived their phase", after, before)
-			}
+			checkNoLeakedGoroutines(t, before)
 		})
 	}
 }

@@ -89,7 +89,7 @@ type sim struct {
 
 	// par is the deterministic barrier-parallel engine, non-nil only for
 	// eligible multi-core machines (see parallelEligible). When set, phases
-	// run one goroutine per core with shared LLC/DRAM requests resolved in
+	// run each core as a coroutine with shared LLC/DRAM requests resolved in
 	// canonical core order at cycle-window barriers.
 	par *parEngine
 }

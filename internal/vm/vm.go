@@ -119,12 +119,21 @@ func (a *FrameAllocator) AllocHugeData() (mem.Addr, error) {
 // Allocated returns the total number of frames handed out.
 func (a *FrameAllocator) Allocated() uint64 { return a.frameCount }
 
+// ptEntries is the number of slots in one page-table page.
+const ptEntries = 1 << mem.LevelBits
+
+// present marks a populated leaf slot. Data frames are page aligned, so the
+// low bit is free — and needed: with scatter on, the first data frame the
+// allocator hands out is physical frame 0, which must not read as unmapped.
+const present mem.Addr = 1
+
 // node is one page-table page: 512 slots that either point at a child node
-// (levels 5..2) or hold a leaf translation (level 1).
+// (levels 5..2) or hold a leaf translation (level 1). Slots are flat arrays,
+// indexed directly by the VPN chunk, so a walk does no hashing.
 type node struct {
-	frame    mem.Addr // physical base address of this table page
-	children map[uint16]*node
-	leaves   map[uint16]mem.Addr // leaf level: slot -> data frame base
+	frame    mem.Addr             // physical base address of this table page
+	children *[ptEntries]*node    // interior levels
+	leaves   *[ptEntries]mem.Addr // leaf level: data frame base | present
 }
 
 // WalkStep describes one level of a page-table walk: the physical address of
@@ -157,7 +166,7 @@ func NewPageTable(alloc *FrameAllocator) (*PageTable, error) {
 	}
 	return &PageTable{
 		alloc: alloc,
-		root:  &node{frame: rootFrame, children: make(map[uint16]*node)},
+		root:  &node{frame: rootFrame, children: new([ptEntries]*node)},
 	}, nil
 }
 
@@ -194,7 +203,7 @@ func (pt *PageTable) pageMask() mem.Addr {
 func (pt *PageTable) MappedPages() uint64 { return pt.pages }
 
 // pteAddr computes the physical address of slot idx within a table page.
-func pteAddr(n *node, idx uint16) mem.Addr {
+func pteAddr(n *node, idx uint64) mem.Addr {
 	return n.frame + mem.Addr(idx)*mem.PTESize
 }
 
@@ -213,26 +222,26 @@ func (pt *PageTable) frameOf(va mem.Addr) (mem.Addr, error) {
 	leaf := pt.leafLevel()
 	n := pt.root
 	for level := mem.PTLevels; level > leaf; level-- {
-		idx := uint16(mem.VPNChunk(va, level))
-		child, ok := n.children[idx]
-		if !ok {
+		idx := mem.VPNChunk(va, level)
+		child := n.children[idx]
+		if child == nil {
 			frame, err := pt.alloc.AllocPT()
 			if err != nil {
 				return 0, err
 			}
 			child = &node{frame: frame}
 			if level > leaf+1 {
-				child.children = make(map[uint16]*node)
+				child.children = new([ptEntries]*node)
 			} else {
-				child.leaves = make(map[uint16]mem.Addr)
+				child.leaves = new([ptEntries]mem.Addr)
 			}
 			n.children[idx] = child
 		}
 		n = child
 	}
-	idx := uint16(mem.VPNChunk(va, leaf))
-	frame, ok := n.leaves[idx]
-	if !ok {
+	slot := &n.leaves[mem.VPNChunk(va, leaf)]
+	if *slot == 0 {
+		var frame mem.Addr
 		var err error
 		if pt.huge {
 			frame, err = pt.alloc.AllocHugeData()
@@ -242,10 +251,10 @@ func (pt *PageTable) frameOf(va mem.Addr) (mem.Addr, error) {
 		if err != nil {
 			return 0, err
 		}
-		n.leaves[idx] = frame
+		*slot = frame | present
 		pt.pages++
 	}
-	return frame, nil
+	return *slot &^ present, nil
 }
 
 // Walk returns the five PTE reads a hardware walker performs for va, from
@@ -272,13 +281,13 @@ func (pt *PageTable) WalkInto(va mem.Addr, startLevel int, buf []WalkStep) ([]Wa
 	steps := buf
 	n := pt.root
 	for level := mem.PTLevels; level > leaf; level-- {
-		idx := uint16(mem.VPNChunk(va, level))
+		idx := mem.VPNChunk(va, level)
 		if level <= startLevel {
 			steps = append(steps, WalkStep{Level: level, PTEAddr: pteAddr(n, idx)})
 		}
 		n = n.children[idx]
 	}
-	idx := uint16(mem.VPNChunk(va, leaf))
+	idx := mem.VPNChunk(va, leaf)
 	steps = append(steps, WalkStep{Level: leaf, PTEAddr: pteAddr(n, idx), Leaf: true})
 	return steps, frame | va&pt.pageMask(), nil
 }
@@ -293,9 +302,8 @@ func (pt *PageTable) NodeFrame(va mem.Addr, k int) (mem.Addr, bool) {
 	}
 	n := pt.root
 	for level := mem.PTLevels; level >= k; level-- {
-		idx := uint16(mem.VPNChunk(va, level))
-		child, ok := n.children[idx]
-		if !ok {
+		child := n.children[mem.VPNChunk(va, level)]
+		if child == nil {
 			return 0, false
 		}
 		n = child

@@ -105,6 +105,43 @@ func TestTranslateStable(t *testing.T) {
 	}
 }
 
+// TestFrameZeroMapping pins the leaf encoding's one corner: with scatter on,
+// the first data frame handed out is physical frame 0, and a slot holding
+// it must still read as mapped — a second translation may neither move the
+// page nor map it again. Huge mode runs the same sequence.
+func TestFrameZeroMapping(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		pt := newPT(t, true)
+		if err := pt.SetHugePages(huge); err != nil {
+			t.Fatal(err)
+		}
+		va := mem.Addr(0x6000_0123)
+		if _, ok := pt.NodeFrame(va, 3); ok {
+			t.Errorf("huge=%v: NodeFrame on an unmapped VA reported a table", huge)
+		}
+		p1, err := pt.Translate(va)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !huge && mem.PageBase(p1) != 0 {
+			t.Fatalf("first scattered frame is %#x, want frame 0", mem.PageBase(p1))
+		}
+		p2, err := pt.Translate(va)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p1 != p2 {
+			t.Errorf("huge=%v: translation moved: %#x -> %#x", huge, p1, p2)
+		}
+		if n := pt.MappedPages(); n != 1 {
+			t.Errorf("huge=%v: MappedPages = %d after translating one page twice", huge, n)
+		}
+		if _, pa, err := pt.Walk(va, mem.PTLevels); err != nil || pa != p1 {
+			t.Errorf("huge=%v: walk PA %#x (err %v), want %#x", huge, pa, err, p1)
+		}
+	}
+}
+
 func TestDistinctPagesDistinctFrames(t *testing.T) {
 	pt := newPT(t, true)
 	f := func(a, b uint32) bool {
