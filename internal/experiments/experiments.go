@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -102,6 +103,18 @@ func (sc Scale) workloads() []string {
 		return workloads.Names()
 	}
 	return sc.Workloads
+}
+
+// robustnessSeeds returns the trace seeds the robustness experiment sweeps:
+// the primary Seed, then ExtraSeeds or, when none are set, the default
+// extra seeds 7 and 13. The slice is fresh on every call, so callers never
+// alias the (shared) scale's ExtraSeeds.
+func (sc Scale) robustnessSeeds() []int64 {
+	extra := sc.ExtraSeeds
+	if len(extra) == 0 {
+		extra = []int64{7, 13}
+	}
+	return append([]int64{sc.Seed}, extra...)
 }
 
 // Report is one experiment's regenerated data.
@@ -259,10 +272,12 @@ type Options struct {
 	Recorder *metrics.FlightRecorder
 }
 
-// Runner schedules and caches the simulations experiments request. Traces
-// and results are memoized by canonical run key, so experiments sharing a
-// configuration (e.g. the baseline) pay for it once — even when they execute
-// concurrently. All methods are safe for concurrent use.
+// Runner schedules and caches the simulations experiments request. Results
+// are memoized by canonical run key, so experiments sharing a configuration
+// (e.g. the baseline) pay for it once — even when they execute
+// concurrently. Traces are memoized only at the scale's own seeds (see
+// TryTraceSeeded): at most one per registered workload and scale seed. All
+// methods are safe for concurrent use.
 type Runner struct {
 	sc         Scale
 	pool       *runner.Pool
@@ -480,25 +495,34 @@ func (r *Runner) Trace(name string) *trace.Trace {
 	return r.TraceSeeded(name, r.sc.Seed)
 }
 
-// TraceSeeded returns the (cached) trace for a benchmark and seed, aborting
-// the enclosing experiment on failure (e.g. an unregistered name).
+// TraceSeeded returns the trace for a benchmark and seed (memoized at the
+// scale's own seeds, see TryTraceSeeded), aborting the enclosing experiment
+// on failure (e.g. an unregistered name).
 func (r *Runner) TraceSeeded(name string, seed int64) *trace.Trace {
 	return must(r.TryTraceSeeded(name, seed))
 }
 
-// TryTraceSeeded returns the (cached) trace for a benchmark and seed. Trace
-// synthesis is single-flight: concurrent requests for the same trace share
-// one build. An unregistered benchmark name is a permanent error carrying
-// the trace identity.
+// TryTraceSeeded returns the trace for a benchmark and seed. At the scale's
+// own seeds (Scale.Seed and the robustness seeds) the trace is memoized and
+// synthesis is single-flight: concurrent requests share one build and every
+// later call returns the same trace. Any other seed is synthesized afresh on
+// every call and never retained, so one-off seeds (a service's fresh-seed
+// requests) cannot grow the memo; two concurrent runs at such a seed each
+// synthesize their own copy. An unregistered benchmark name is a
+// permanent error carrying the trace identity.
 func (r *Runner) TryTraceSeeded(name string, seed int64) (*trace.Trace, error) {
 	key := fmt.Sprintf("%s@%d", name, seed)
-	t, _, err := r.traces.Do(key, func() (*trace.Trace, error) {
+	build := func() (*trace.Trace, error) {
 		s, err := workloads.ByName(name)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: trace %s: %w", key, err)
 		}
 		return s.Build(r.sc.TraceLen, seed), nil
-	})
+	}
+	if !slices.Contains(r.sc.robustnessSeeds(), seed) {
+		return build()
+	}
+	t, _, err := r.traces.Do(key, build)
 	if err != nil {
 		return nil, err
 	}

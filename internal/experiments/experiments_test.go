@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,38 @@ func TestRunnerCaching(t *testing.T) {
 	}
 	if r.Trace("mcf") != r.Trace("mcf") {
 		t.Error("trace not memoized")
+	}
+}
+
+// TestTraceMemoKeepsScaleSeedsOnly pins the trace memo's bound: runs at
+// seeds outside the scale synthesize their trace and drop it, while the
+// scale's own seeds (Seed and the default robustness seeds 7 and 13) keep
+// one shared trace each. Results stay memoized at every seed.
+func TestTraceMemoKeepsScaleSeedsOnly(t *testing.T) {
+	sc := testScale()
+	sc.TraceLen, sc.Instructions, sc.Warmup = 20_000, 5_000, 1_000
+	r := NewRunner(sc)
+	for seed := int64(100); seed < 105; seed++ {
+		if _, _, err := r.RunOne(context.Background(), "fresh", "xalancbmk", seed, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := r.traces.Len(); n != 0 {
+		t.Fatalf("runs at five non-scale seeds left %d memoized traces, want 0", n)
+	}
+	if _, src, err := r.RunOne(context.Background(), "fresh", "xalancbmk", 100, 0, nil); err != nil || src != SourceShared {
+		t.Fatalf("repeat run at seed 100: source %q, err %v; want the memoized result", src, err)
+	}
+	if r.TraceSeeded("xalancbmk", 100) == r.TraceSeeded("xalancbmk", 100) {
+		t.Error("trace at a non-scale seed was memoized")
+	}
+	for _, seed := range []int64{sc.Seed, 7, 13} {
+		if r.TraceSeeded("xalancbmk", seed) != r.TraceSeeded("xalancbmk", seed) {
+			t.Errorf("trace at scale seed %d not memoized", seed)
+		}
+	}
+	if n := r.traces.Len(); n != 3 {
+		t.Errorf("memo holds %d traces, want 3 (one per scale seed)", n)
 	}
 }
 

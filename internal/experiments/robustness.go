@@ -13,13 +13,7 @@ import (
 // Summary keys: mean (grand mean speedup), worstMin (lowest per-seed
 // speedup across all benchmarks).
 func Robustness(r *Runner) *Report {
-	extra := r.Scale().ExtraSeeds
-	if len(extra) == 0 {
-		// Default: two extra seeds beyond the scale's primary one. Kept
-		// local — the runner's scale is shared and must not be mutated.
-		extra = []int64{7, 13}
-	}
-	seeds := append([]int64{r.Scale().Seed}, extra...)
+	seeds := r.Scale().robustnessSeeds()
 
 	names := r.Scale().workloads()
 	speedups := make([][]float64, len(names))

@@ -76,15 +76,15 @@ func TestCursorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBuilderBlockAccumulation checks that the chunked builder is invisible
-// to consumers: Len/Full track the budget exactly and Build assembles the
-// emitted sequence contiguously regardless of where block boundaries fall.
-func TestBuilderBlockAccumulation(t *testing.T) {
-	limit := 2*BuilderBlock + 77
-	b := MustNewBuilder("blocks", limit)
+// TestBuilderFillsInPlace checks that Len/Full track the budget exactly,
+// that emits past the budget are dropped, and that Build hands the emitted
+// sequence over in the builder's own array, sized exactly to the limit.
+func TestBuilderFillsInPlace(t *testing.T) {
+	const limit = 8269
+	b := MustNewBuilder("inplace", limit)
 	for i := 0; !b.Full(); i++ {
 		b.Load(i%13, mem.Addr(i)*64)
-		if want := i + 1; b.Len() != want && !b.Full() {
+		if want := i + 1; b.Len() != want {
 			t.Fatalf("after %d emits Len=%d", want, b.Len())
 		}
 	}
@@ -93,12 +93,15 @@ func TestBuilderBlockAccumulation(t *testing.T) {
 	}
 	b.ALU(0, 5) // past the budget: dropped
 	tr := b.Build()
-	if len(tr.Insts) != limit {
-		t.Fatalf("built %d insts, want %d", len(tr.Insts), limit)
+	if len(tr.Insts) != limit || cap(tr.Insts) != limit {
+		t.Fatalf("built len %d cap %d, want %d", len(tr.Insts), cap(tr.Insts), limit)
+	}
+	if &tr.Insts[0] != &b.insts[0] {
+		t.Fatal("Build copied the builder's array")
 	}
 	for i := range tr.Insts {
 		if tr.Insts[i].Op != OpLoad || tr.Insts[i].Addr != mem.Addr(i)*64 {
-			t.Fatalf("inst %d corrupted across block boundary: %+v", i, tr.Insts[i])
+			t.Fatalf("inst %d corrupted: %+v", i, tr.Insts[i])
 		}
 	}
 }

@@ -89,21 +89,14 @@ func (t *Trace) Stats() Stats {
 	return s
 }
 
-// BuilderBlock is the fixed instruction-block size the Builder accumulates
-// into. Kernels emit into bounded blocks instead of one contiguous
-// limit-sized slice, so building a trace never commits the full budget's
-// memory up front (kernels routinely emit less than their limit) and the
-// final assembly is one sequential copy per block.
-const BuilderBlock = 4096
-
 // Builder accumulates instructions up to a limit. Workload kernels check
 // Full in their outer loops and stop emitting when the budget is reached.
+// Every kernel emits until Full, so the builder allocates the whole budget
+// once and Build hands that array to the trace without copying it.
 type Builder struct {
 	name   string
-	limit  int
-	n      int
 	ipBase mem.Addr
-	blocks [][]Inst
+	insts  []Inst // cap is the limit
 }
 
 // NewBuilder creates a builder for a trace of at most limit instructions.
@@ -113,8 +106,8 @@ func NewBuilder(name string, limit int) (*Builder, error) {
 	}
 	return &Builder{
 		name:   name,
-		limit:  limit,
 		ipBase: 0x40_0000,
+		insts:  make([]Inst, 0, limit),
 	}, nil
 }
 
@@ -128,10 +121,10 @@ func MustNewBuilder(name string, limit int) *Builder {
 }
 
 // Full reports whether the instruction budget is exhausted.
-func (b *Builder) Full() bool { return b.n >= b.limit }
+func (b *Builder) Full() bool { return len(b.insts) == cap(b.insts) }
 
 // Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return b.n }
+func (b *Builder) Len() int { return len(b.insts) }
 
 // ip converts a small static site label into a distinct instruction
 // pointer. Distinct sites get distinct IPs, which is what IP-signature
@@ -142,16 +135,7 @@ func (b *Builder) emit(i Inst) {
 	if b.Full() {
 		return
 	}
-	if len(b.blocks) == 0 || len(b.blocks[len(b.blocks)-1]) == cap(b.blocks[len(b.blocks)-1]) {
-		size := BuilderBlock
-		if rest := b.limit - b.n; rest < size {
-			size = rest
-		}
-		b.blocks = append(b.blocks, make([]Inst, 0, size))
-	}
-	last := len(b.blocks) - 1
-	b.blocks[last] = append(b.blocks[last], i)
-	b.n++
+	b.insts = append(b.insts, i)
 }
 
 // ALU emits n arithmetic instructions at the given site.
@@ -182,12 +166,8 @@ func (b *Builder) Branch(site int, taken bool) {
 	b.emit(Inst{IP: b.ip(site), Op: OpBranch, Taken: taken})
 }
 
-// Build finalizes the trace: the accumulated blocks are assembled into one
-// contiguous instruction stream sized exactly to what was emitted.
+// Build finalizes the trace. The trace takes over the builder's array, so
+// the builder must not be used afterwards.
 func (b *Builder) Build() *Trace {
-	insts := make([]Inst, 0, b.n)
-	for _, blk := range b.blocks {
-		insts = append(insts, blk...)
-	}
-	return &Trace{Name: b.name, Insts: insts}
+	return &Trace{Name: b.name, Insts: b.insts}
 }

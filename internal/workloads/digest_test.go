@@ -81,3 +81,47 @@ func boolByte(v bool) byte {
 }
 
 func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
+
+// TestBuildGraphMatchesEdgeListReference checks the two-pass builder
+// against the straightforward construction it replaced — buffer the edge
+// list, then counting-sort it into CSR — on small and degenerate shapes.
+func TestBuildGraphMatchesEdgeListReference(t *testing.T) {
+	for _, c := range []struct {
+		logN, degree int
+		seed         int64
+	}{{14, 4, 42}, {14, 8, 1}, {3, 2, 7}, {0, 3, 5}} {
+		got := BuildGraph(c.logN, c.degree, c.seed)
+		want := edgeListGraph(c.logN, c.degree, c.seed)
+		if digestInt32s(got.Offsets) != digestInt32s(want.Offsets) ||
+			digestInt32s(got.Edges) != digestInt32s(want.Edges) {
+			t.Errorf("BuildGraph(%d, %d, %d) differs from the edge-list reference", c.logN, c.degree, c.seed)
+		}
+	}
+}
+
+func edgeListGraph(logN, degree int, seed int64) *Graph {
+	n := 1 << logN
+	m := n * degree
+	r := newRNG(seed)
+	src := make([]int32, m)
+	dst := make([]int32, m)
+	offsets := make([]int32, n+1)
+	for i := 0; i < m; i++ {
+		s, d := r.intn(n), r.skewed(n)
+		if s == d {
+			d = (d + 1) % n
+		}
+		src[i], dst[i] = int32(s), int32(d)
+		offsets[s+1]++
+	}
+	for v := 1; v <= n; v++ {
+		offsets[v] += offsets[v-1]
+	}
+	cursor := append([]int32(nil), offsets[:n]...)
+	edges := make([]int32, m)
+	for i := range src {
+		edges[cursor[src[i]]] = dst[i]
+		cursor[src[i]]++
+	}
+	return &Graph{N: n, M: m, Offsets: offsets, Edges: edges}
+}

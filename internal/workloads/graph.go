@@ -23,10 +23,13 @@ func (g *Graph) edgeVA(e int) mem.Addr   { return baseEdges + mem.Addr(e)*4 }
 
 // prop1VA/prop2VA address the two per-vertex property records. Graph
 // frameworks keep several properties per vertex (rank, degree, flags,
-// shadows), so a vertex record is modelled as 128 bytes: a 2M-vertex graph
-// has a 256MB property footprint per array — 65K pages, 32× the STLB reach,
-// and an 8K-line leaf-PTE working set (512KB) that cannot live in the L2.
-// This is the paper's regime: simulated-region footprints of 200–400MB.
+// shadows), so a vertex record is modelled as 128 bytes: the default
+// 1M-vertex graph has a 128MB property footprint per array — 32K pages, 16×
+// the 8MB reach of the 2048-entry STLB, and a 4K-line leaf-PTE working set
+// (256KB), half the 512KB L2. The two arrays together need 64K pages and
+// 512KB of leaf PTEs, the whole L2. With the 32MB edge array and 4MB of
+// offsets that is about 290MB: the paper's regime of 200–400MB
+// simulated-region footprints.
 const propStride = 128
 
 func prop1VA(v int) mem.Addr { return baseProp1 + mem.Addr(v)*propStride }
@@ -38,8 +41,8 @@ func prop2VA(v int) mem.Addr { return baseProp2 + mem.Addr(v)*propStride }
 // Medium benchmarks from the High ones.
 func prop16VA(v int) mem.Addr { return baseProp2 + mem.Addr(v)*16 }
 
-// Default graph scale: 2^21 vertices, average degree 8 (16M edges, 64MB
-// edge array).
+// Default graph scale: 2^20 vertices, average degree 8 (8M edges, 32MB
+// edge array, 4MB offset array).
 const (
 	defaultLogN   = 20
 	defaultDegree = 8
@@ -47,36 +50,41 @@ const (
 
 // BuildGraph constructs a power-law random graph deterministically from the
 // seed: uniformly random sources, cube-skewed destinations (heavy head).
+//
+// The edge stream is drawn twice from the counter-based generator instead of
+// being buffered: pass 1 counts each source's out-degree into offsets[s+1]
+// (skipping the destination draw), a prefix sum turns the counts into row
+// starts, and pass 2 replays the identical (s, d) stream, writing each
+// destination at its row's cursor offsets[s]. That leaves offsets[v] at the
+// end of row v, so a one-slot shift restores the row starts. Only the two
+// CSR arrays are ever allocated.
 func BuildGraph(logN, degree int, seed int64) *Graph {
 	n := 1 << logN
 	m := n * degree
-	r := newRNG(seed)
 
-	src := make([]int32, m)
-	dst := make([]int32, m)
-	counts := make([]int32, n+1)
-	for i := 0; i < m; i++ {
-		s := int32(r.intn(n))
-		d := int32(r.skewed(n))
-		if s == d {
-			d = int32((int(d) + 1) % n)
-		}
-		src[i] = s
-		dst[i] = d
-		counts[s+1]++
-	}
-	// Counting sort into CSR.
 	offsets := make([]int32, n+1)
-	for v := 1; v <= n; v++ {
-		offsets[v] = offsets[v-1] + counts[v]
-	}
-	cursor := make([]int32, n)
-	copy(cursor, offsets[:n])
-	edges := make([]int32, m)
+	r := newRNG(seed)
 	for i := 0; i < m; i++ {
-		edges[cursor[src[i]]] = dst[i]
-		cursor[src[i]]++
+		offsets[r.intn(n)+1]++
+		r.skip() // the destination draw
 	}
+	for v := 1; v <= n; v++ {
+		offsets[v] += offsets[v-1]
+	}
+
+	edges := make([]int32, m)
+	r = newRNG(seed)
+	for i := 0; i < m; i++ {
+		s := r.intn(n)
+		d := r.skewed(n)
+		if s == d {
+			d = (d + 1) % n
+		}
+		edges[offsets[s]] = int32(d)
+		offsets[s]++
+	}
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
 	return &Graph{N: n, M: m, Offsets: offsets, Edges: edges}
 }
 

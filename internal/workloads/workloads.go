@@ -113,6 +113,10 @@ func (r *rng) next() uint64 {
 	return z ^ z>>31
 }
 
+// skip advances the stream past one value without computing it: splitmix64
+// is counter-based, so drawing and discarding a value only moves the counter.
+func (r *rng) skip() { r.s += 0x9E3779B97F4A7C15 }
+
 // intn returns a uniform value in [0, n).
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
