@@ -41,6 +41,17 @@ func TestSynthesisDigests(t *testing.T) {
 	for _, s := range All() {
 		check(s.Name+".Build(50000, 1)", digestTrace(s.Build(50_000, 1)), want[s.Name])
 	}
+	// A second seed and a 10× longer trace for the kernels whose state is
+	// most easily rewritten (see DESIGN.md §10, "Input memory").
+	long := map[string]string{
+		"pr":    "2f082852c40cb948225fff2756576c58964e68a95060536fde91d1ffdca1aad4",
+		"mcf":   "e9919c4df0e12e509580625ea21808cf301bf92564a9a9d0d0df9164957560d6",
+		"mis":   "e271ea02f005ca852c3437b848bf1e862d858541700ecdd19401b82d7b9f4fd7",
+		"radii": "049013e82c8512d91a07c1f1c77f2e76394f7d835175ab420de4b6a12df5260d",
+	}
+	for name, d := range long {
+		check(name+".Build(500000, 3)", digestTrace(specs[name].Build(500_000, 3)), d)
+	}
 	check("Stream(50000, 1)", digestTrace(Stream(50_000, 1)),
 		"2ad5bd9ff8f7ccfb81d0e36c7d2ab496cd0d18ff55c0102a68427f442b61019f")
 	check("PointerChase(50000, 1)", digestTrace(PointerChase(50_000, 1)),
