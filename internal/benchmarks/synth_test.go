@@ -12,7 +12,8 @@ import (
 
 // These tests pin the memory footprint of input synthesis: the shared Ligra
 // graph and every instruction trace are the largest allocations a run makes,
-// so the builders must allocate their output arrays and nothing else.
+// so the builders must allocate their output arrays and nothing else, and a
+// kernel keeps only the state that decides what it emits.
 
 // allocatedBytes returns the heap bytes f allocates.
 func allocatedBytes(f func()) uint64 {
@@ -68,6 +69,74 @@ func TestFootprintTraceBuilder(t *testing.T) {
 	}
 }
 
+// synthBytes returns the heap bytes one Build(n, seed) of the named kernel
+// allocates, with the shared graph built beforehand.
+func synthBytes(t *testing.T, name string, n int, seed int64) uint64 {
+	t.Helper()
+	spec, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Build(1, 1)
+	var tr *trace.Trace
+	got := allocatedBytes(func() { tr = spec.Build(n, seed) })
+	if len(tr.Insts) != n {
+		t.Fatalf("%s: built %d instructions, want %d", name, len(tr.Insts), n)
+	}
+	return got
+}
+
+// footprintN is the Full scale's trace length.
+const footprintN = 500_000
+
+// traceBytes is the size of a footprintN-instruction trace.
+var traceBytes = uint64(footprintN * unsafe.Sizeof(trace.Inst{}))
+
+// TestFootprintSynthesisPR: PageRank's rank values never reach the trace,
+// so the kernel allocates the trace and nothing graph-sized.
+func TestFootprintSynthesisPR(t *testing.T) {
+	skipIfInstrumented(t)
+	for _, seed := range []int64{1, 3} {
+		if got, limit := synthBytes(t, "pr", footprintN, seed), traceBytes*105/100; got > limit {
+			t.Errorf("seed %d: pr allocated %d B, want ≤ %d (1.05 × the %d B trace)", seed, got, limit, traceBytes)
+		}
+	}
+}
+
+// TestFootprintSynthesisMCF: the pointer chain is the node permutation
+// itself (2M int32s); no next-pointer array.
+func TestFootprintSynthesisMCF(t *testing.T) {
+	skipIfInstrumented(t)
+	const perm = 4 << 21
+	for _, seed := range []int64{1, 3} {
+		if got, limit := synthBytes(t, "mcf", footprintN, seed), traceBytes*105/100+perm; got > limit {
+			t.Errorf("seed %d: mcf allocated %d B, want ≤ %d (1.05 × the %d B trace + the %d B permutation)",
+				seed, got, limit, traceBytes, perm)
+		}
+	}
+}
+
+// TestFootprintSynthesisMIS: priorities are computed on demand and an
+// epoch's first worklist (every vertex) is implicit, so MIS keeps one state
+// byte per vertex of the shared 2^20-vertex graph plus the loser list. A
+// loser emits at least 8 instructions (worklist pop, state load, branch,
+// offsets load, then edge load, neighbour load, compare, branch on the
+// losing edge), so the list never holds more than n/8 int32s. append grows
+// a slice geometrically (×2, then ≥ ×1.25), so every array it allocated
+// sums to under 8× the longest length, size-class rounding included:
+// 8 × 4 B × n/8 = 4n bytes.
+func TestFootprintSynthesisMIS(t *testing.T) {
+	skipIfInstrumented(t)
+	const state = 1 << 20
+	const losers = 4 * footprintN
+	for _, seed := range []int64{1, 3} {
+		if got, limit := synthBytes(t, "mis", footprintN, seed), traceBytes*105/100+state+losers; got > limit {
+			t.Errorf("seed %d: mis allocated %d B, want ≤ %d (1.05 × the %d B trace + %d B state + %d B losers)",
+				seed, got, limit, traceBytes, state, losers)
+		}
+	}
+}
+
 // Benchmark outputs land here so the compiler cannot drop the measured calls.
 var (
 	graphSink *workloads.Graph
@@ -100,4 +169,6 @@ func benchSynth(b *testing.B, name string) {
 }
 
 func BenchmarkTraceSynthPR(b *testing.B)        { benchSynth(b, "pr") }
+func BenchmarkTraceSynthMCF(b *testing.B)       { benchSynth(b, "mcf") }
+func BenchmarkTraceSynthMIS(b *testing.B)       { benchSynth(b, "mis") }
 func BenchmarkTraceSynthXalancbmk(b *testing.B) { benchSynth(b, "xalancbmk") }

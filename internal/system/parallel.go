@@ -60,17 +60,26 @@ func parallelEligible(cfg Config, nCores int, shareCoreCaches bool) bool {
 // scheduling; pre-faulting each core's footprint in canonical core order
 // pins the frame assignment at build time instead. Interior page-table
 // frames allocate here too, so an eligible run performs no allocator calls
-// at all while cores are concurrent. A repeat Translate of a mapped page is
-// a few array loads, so no footprint set is kept.
+// at all while cores are concurrent. A repeat Translate of a mapped page
+// allocates nothing, so a run of instructions on one code page, or of
+// accesses to one data page, translates that page once: the frames come
+// out in the same order as translating every instruction would give.
 func prefault(pt *vm.PageTable, tr *trace.Trace) error {
+	ipPage, dataPage := ^mem.Addr(0), ^mem.Addr(0) // no page number is all ones
 	for i := range tr.Insts {
 		in := &tr.Insts[i]
-		if _, err := pt.Translate(in.IP); err != nil {
-			return err
+		if p := mem.PageNumber(in.IP); p != ipPage {
+			if _, err := pt.Translate(in.IP); err != nil {
+				return err
+			}
+			ipPage = p
 		}
 		if in.Op == trace.OpLoad || in.Op == trace.OpStore {
-			if _, err := pt.Translate(in.Addr); err != nil {
-				return err
+			if p := mem.PageNumber(in.Addr); p != dataPage {
+				if _, err := pt.Translate(in.Addr); err != nil {
+					return err
+				}
+				dataPage = p
 			}
 		}
 	}

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"atcsim/internal/mem"
 	"atcsim/internal/repl"
 	"atcsim/internal/telemetry"
 	"atcsim/internal/trace"
+	"atcsim/internal/vm"
 	"atcsim/internal/workloads"
 )
 
@@ -139,6 +141,75 @@ func TestParallelEligibility(t *testing.T) {
 	traced.Telemetry = &telemetry.Hub{Tracer: telemetry.NewTracer(1024, 64)}
 	if r := multi(traced); r.Parallel != nil {
 		t.Error("request-traced run used the parallel engine")
+	}
+}
+
+// TestPrefaultMatchesPerInstruction checks prefault, which translates a
+// page once per run of same-page instructions, against translating every
+// instruction's IP and data address: the shared allocator must hand out the
+// same frames, in the same order, for the queued-mix cores in core order.
+func TestPrefaultMatchesPerInstruction(t *testing.T) {
+	traces := parTraces(t, 20_000)
+	perInst := func(pt *vm.PageTable, tr *trace.Trace) error {
+		for _, in := range tr.Insts {
+			if _, err := pt.Translate(in.IP); err != nil {
+				return err
+			}
+			if in.Op == trace.OpLoad || in.Op == trace.OpStore {
+				if _, err := pt.Translate(in.Addr); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	for _, huge := range []bool{false, true} {
+		build := func(fault func(*vm.PageTable, *trace.Trace) error) (*vm.FrameAllocator, []*vm.PageTable) {
+			t.Helper()
+			alloc, err := vm.NewFrameAllocator(DefaultConfig().PhysBits, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pts []*vm.PageTable
+			for _, tr := range traces {
+				pt, err := vm.NewPageTable(alloc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pt.SetHugePages(huge); err != nil {
+					t.Fatal(err)
+				}
+				if err := fault(pt, tr); err != nil {
+					t.Fatal(err)
+				}
+				pts = append(pts, pt)
+			}
+			return alloc, pts
+		}
+		gotAlloc, got := build(prefault)
+		wantAlloc, want := build(perInst)
+		if g, w := gotAlloc.Allocated(), wantAlloc.Allocated(); g != w {
+			t.Fatalf("huge=%v: prefault allocated %d frames, per-instruction loop %d", huge, g, w)
+		}
+		for i, tr := range traces {
+			for _, in := range tr.Insts {
+				vas := []mem.Addr{in.IP}
+				if in.Op == trace.OpLoad || in.Op == trace.OpStore {
+					vas = append(vas, in.Addr)
+				}
+				for _, va := range vas {
+					g, _ := got[i].Translate(va)
+					w, _ := want[i].Translate(va)
+					if g != w {
+						t.Fatalf("huge=%v, core %d (%s): %#x translates to %#x, per-instruction loop %#x",
+							huge, i, tr.Name, va, g, w)
+					}
+				}
+			}
+		}
+		if g, w := gotAlloc.Allocated(), wantAlloc.Allocated(); g != w {
+			t.Fatalf("huge=%v: checking translations allocated frames (%d vs %d)", huge, g, w)
+		}
 	}
 }
 

@@ -27,36 +27,32 @@ const (
 // PR is pull-style PageRank: every edge reads the source's rank — a random
 // 8-byte load over the whole vertex set per edge. The paper's highest STLB
 // MPKI benchmark.
+//
+// The rank values never decide an emitted instruction: every address is a
+// function of the vertex or edge index, and the only branch is the edge-loop
+// bound. So the kernel keeps no rank arrays and emits the accesses a rank
+// update performs.
 func PR(n int, seed int64) *trace.Trace {
 	g := sharedLigraGraph()
 	b := trace.MustNewBuilder("pr", n)
-	rank := make([]float64, g.N)
-	next := make([]float64, g.N)
-	for v := range rank {
-		rank[v] = 1 / float64(g.N)
-	}
 	// The seed rotates the vertex scan so different seeds sample different
 	// regions of the iteration space.
 	offset := int(uint64(seed) * 2654435761 % uint64(g.N))
-	for round := 0; !b.Full(); round++ {
+	for !b.Full() {
 		for i := 0; i < g.N && !b.Full(); i++ {
 			v := (i + offset) % g.N
 			lo, hi := g.Neighbors(v)
 			b.Load(sitePR+0, g.offsetVA(v)) // offsets[v] (sequential)
-			sum := 0.0
 			for e := lo; e < hi; e++ {
 				u := int(g.Edges[e])
 				b.Load(sitePR+1, g.edgeVA(e))   // edge target (sequential)
 				b.LoadDep(sitePR+2, prop1VA(u)) // rank[u] (random!)
 				b.ALU(sitePR+3, 2)              // sum += rank[u]/deg[u]
 				b.Branch(sitePR+4, e+1 < hi)    // edge-loop branch
-				sum += rank[u]
 			}
-			next[v] = 0.15/float64(g.N) + 0.85*sum
-			b.ALU(sitePR+5, 1)
+			b.ALU(sitePR+5, 1)            // next[v] = 0.15/N + 0.85*sum
 			b.Store(sitePR+6, prop2VA(v)) // next[v]
 		}
-		rank, next = next, rank
 	}
 	return b.Build()
 }
@@ -169,27 +165,24 @@ func BF(n int, seed int64) *trace.Trace {
 // Radii estimates graph radii with 64-source concurrent BFS over bitmask
 // properties, Ligra-style sparse frontiers: random mask loads and stores
 // per edge while frontiers persist.
-func Radii(n int, seed int64) *trace.Trace {
-	g := sharedLigraGraph()
+func Radii(n int, seed int64) *trace.Trace { return radii(sharedLigraGraph(), n, seed) }
+
+func radii(g *Graph, n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("radii", n)
 	visited := make([]uint64, g.N)
 	inNext := make([]bool, g.N)
 	var frontier, next []int32
 	r := newRNG(seed)
-	restart := func() {
-		for i := range visited {
-			visited[i] = 0
-			inNext[i] = false
-		}
-		frontier = frontier[:0]
-		next = next[:0]
+	// sources starts a search from 64 random vertices over a zero visited
+	// array. inNext needs no reset: every round clears the entries it set.
+	sources := func() {
 		for k := 0; k < 64; k++ {
 			v := r.intn(g.N)
 			visited[v] |= 1 << k
 			frontier = append(frontier, int32(v))
 		}
 	}
-	restart()
+	sources()
 	for !b.Full() {
 		for fi := 0; fi < len(frontier) && !b.Full(); fi++ {
 			v := int(frontier[fi])
@@ -220,7 +213,8 @@ func Radii(n int, seed int64) *trace.Trace {
 		}
 		frontier, next = next, frontier[:0]
 		if len(frontier) == 0 {
-			restart()
+			clear(visited)
+			sources()
 		}
 	}
 	return b.Build()
@@ -229,8 +223,15 @@ func Radii(n int, seed int64) *trace.Trace {
 // MIS computes a maximal independent set with random priorities over a
 // shrinking worklist of undecided vertices — mostly-sequential list scans
 // plus random neighbour-state loads: a Medium benchmark.
-func MIS(n int, seed int64) *trace.Trace {
-	g := sharedLigraGraph()
+//
+// The kernel keeps one byte of state per vertex and the list of the last
+// pass's losers. Every epoch (a run to a maximal set, then a restart) gives
+// vertex v the priority drawn at position epoch·N + v of the seed's stream,
+// computed on demand by rng.at. An epoch's first pass scans every vertex in
+// order, so that worklist is never stored.
+func MIS(n int, seed int64) *trace.Trace { return mis(sharedLigraGraph(), n, seed) }
+
+func mis(g *Graph, n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("mis", n)
 	const (
 		undecided = int8(0)
@@ -238,22 +239,24 @@ func MIS(n int, seed int64) *trace.Trace {
 		outSet    = int8(2)
 	)
 	state := make([]int8, g.N)
-	prio := make([]uint32, g.N)
-	var work, nextWork []int32
 	r := newRNG(seed)
-	restart := func() {
-		work = work[:0]
-		for v := range state {
-			state[v] = undecided
-			prio[v] = uint32(r.next())
-			work = append(work, int32(v))
-		}
-	}
-	restart()
+	epoch := 0
+	prio := func(v int) uint32 { return uint32(r.at(uint64(epoch*g.N + v))) }
+	var work []int32 // the worklist, unless every is set
+	every := true    // the worklist is every vertex, in order
 	for !b.Full() {
-		nextWork = nextWork[:0]
-		for wi := 0; wi < len(work) && !b.Full(); wi++ {
-			v := int(work[wi])
+		m := len(work)
+		if every {
+			m = g.N
+		}
+		// Losers are compacted into work's own array: the write index
+		// never passes the read index.
+		losers := work[:0]
+		for wi := 0; wi < m && !b.Full(); wi++ {
+			v := wi
+			if !every {
+				v = int(work[wi])
+			}
 			b.Load(siteMIS+0, baseAux+mem.Addr(wi)*4) // worklist pop
 			b.Load(siteMIS+1, prop16VA(v))            // state[v] (packed, random)
 			b.Branch(siteMIS+2, state[v] == undecided)
@@ -263,13 +266,17 @@ func MIS(n int, seed int64) *trace.Trace {
 			lo, hi := g.Neighbors(v)
 			b.Load(siteMIS+3, g.offsetVA(v))
 			win := true
+			pv := prio(v)
 			for e := lo; e < hi; e++ {
 				u := int(g.Edges[e])
 				b.Load(siteMIS+4, g.edgeVA(e))
 				b.LoadDep(siteMIS+5, prop16VA(u)) // prio/state of u (packed, random)
 				b.ALU(siteMIS+9, 1)
-				lose := state[u] == inSet ||
-					(state[u] == undecided && (prio[u] > prio[v] || (prio[u] == prio[v] && u > v)))
+				lose := state[u] == inSet
+				if state[u] == undecided {
+					pu := prio(u)
+					lose = pu > pv || (pu == pv && u > v)
+				}
 				b.Branch(siteMIS+6, lose)
 				if lose {
 					win = false
@@ -287,12 +294,15 @@ func MIS(n int, seed int64) *trace.Trace {
 					}
 				}
 			} else {
-				nextWork = append(nextWork, int32(v))
+				losers = append(losers, int32(v))
 			}
 		}
-		work, nextWork = nextWork, work
+		work, every = losers, false
 		if len(work) == 0 {
-			restart()
+			// Restart: a new epoch of priorities over all vertices.
+			epoch++
+			clear(state)
+			every = true
 		}
 	}
 	return b.Build()

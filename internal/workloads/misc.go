@@ -10,6 +10,9 @@ import (
 // each node's fields and occasional cost-array lookups. The dependent chain
 // limits MLP, and every hop lands on a fresh page — the paper's
 // Medium-category SPEC benchmark.
+//
+// The kernel's only state is the 8 MiB node permutation that orders the
+// chain: hop k lands on node perm[k mod 2M].
 func MCF(n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("mcf", n)
 	const nodes = 1 << 21 // 2M nodes × 64B = 128MB pool (32K pages)
@@ -18,7 +21,6 @@ func MCF(n int, seed int64) *trace.Trace {
 
 	// A random permutation forms the pointer chain (a single cycle).
 	r := newRNG(seed)
-	next := make([]int32, nodes)
 	perm := make([]int32, nodes)
 	for i := range perm {
 		perm[i] = int32(i)
@@ -27,12 +29,9 @@ func MCF(n int, seed int64) *trace.Trace {
 		j := r.intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	for i := 0; i < nodes; i++ {
-		next[perm[i]] = perm[(i+1)%nodes]
-	}
 
-	cur := int(perm[0])
-	for !b.Full() {
+	for k := 0; !b.Full(); k = (k + 1) % nodes {
+		cur := int(perm[k])
 		// Chase: node->next (the dependent, page-missing load).
 		b.LoadDep(siteMCF+0, nodeVA(cur))
 		// Work on the node's fields (same line: DTLB/L1 hits).
@@ -47,7 +46,6 @@ func MCF(n int, seed int64) *trace.Trace {
 		if improve {
 			b.Store(siteMCF+7, nodeVA(cur)+48)
 		}
-		cur = int(next[cur])
 	}
 	return b.Build()
 }

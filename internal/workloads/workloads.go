@@ -103,11 +103,18 @@ func ByCategory(c Category) []string {
 // rng is a splitmix64 generator: tiny, fast and deterministic.
 type rng struct{ s uint64 }
 
-func newRNG(seed int64) *rng { return &rng{s: uint64(seed)*0x9E3779B97F4A7C15 + 1} }
+// golden is splitmix64's counter increment.
+const golden = 0x9E3779B97F4A7C15
+
+func newRNG(seed int64) *rng { return &rng{s: uint64(seed)*golden + 1} }
 
 func (r *rng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
+	r.s += golden
+	return mix(r.s)
+}
+
+// mix is splitmix64's output function of the counter.
+func mix(z uint64) uint64 {
 	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
 	z = (z ^ z>>27) * 0x94D049BB133111EB
 	return z ^ z>>31
@@ -115,7 +122,11 @@ func (r *rng) next() uint64 {
 
 // skip advances the stream past one value without computing it: splitmix64
 // is counter-based, so drawing and discarding a value only moves the counter.
-func (r *rng) skip() { r.s += 0x9E3779B97F4A7C15 }
+func (r *rng) skip() { r.s += golden }
+
+// at returns the value the k-th next call from here (counting from 0) would
+// draw, without advancing the stream — the counter-based view of skip.
+func (r *rng) at(k uint64) uint64 { return mix(r.s + (k+1)*golden) }
 
 // intn returns a uniform value in [0, n).
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
