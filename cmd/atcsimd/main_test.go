@@ -70,6 +70,15 @@ type daemon struct {
 	cmd    *exec.Cmd
 	addr   string
 	stderr *syncBuffer
+	eof    chan struct{} // closed once stderr has been read to the end
+}
+
+// wait reaps the daemon after its stderr has been read to the end:
+// exec.Cmd.Wait closes the pipe, so calling it first can drop the final
+// log lines.
+func (d *daemon) wait() error {
+	<-d.eof
+	return d.cmd.Wait()
 }
 
 type syncBuffer struct {
@@ -101,7 +110,7 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	d := &daemon{cmd: cmd, stderr: &syncBuffer{}}
+	d := &daemon{cmd: cmd, stderr: &syncBuffer{}, eof: make(chan struct{})}
 	t.Cleanup(func() {
 		if cmd.Process != nil {
 			cmd.Process.Kill()
@@ -122,6 +131,7 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) *daemon {
 			}
 		}
 		close(lines)
+		close(d.eof)
 	}()
 	deadline := time.After(30 * time.Second)
 	for {
@@ -216,7 +226,7 @@ func TestServeRunAndGracefulShutdown(t *testing.T) {
 	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.cmd.Wait(); err != nil {
+	if err := d.wait(); err != nil {
 		t.Errorf("SIGTERM drain exited non-zero: %v\n%s", err, d.stderr.String())
 	}
 	logs := d.stderr.String()
@@ -254,7 +264,7 @@ func TestKillAndResumeNoTornEntries(t *testing.T) {
 	if err := d.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	d.cmd.Wait()
+	d.wait()
 
 	if bad, _ := filepath.Glob(filepath.Join(dir, "*.bad")); len(bad) != 0 {
 		t.Errorf("quarantine files after SIGKILL: %v", bad)
@@ -286,7 +296,7 @@ func TestKillAndResumeNoTornEntries(t *testing.T) {
 	if err := d2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.cmd.Wait(); err != nil {
+	if err := d2.wait(); err != nil {
 		t.Errorf("drain after resume exited non-zero: %v\n%s", err, d2.stderr.String())
 	}
 }
