@@ -196,3 +196,17 @@ type QueueStats struct {
 	Enqueued uint64
 	Drained  uint64
 }
+
+// Add folds o's counters into s.
+func (s *QueueStats) Add(o QueueStats) {
+	s.RQFull += o.RQFull
+	s.RQMerged += o.RQMerged
+	s.WQFull += o.WQFull
+	s.WQForward += o.WQForward
+	s.PQFull += o.PQFull
+	s.PQMerged += o.PQMerged
+	s.VAPQFull += o.VAPQFull
+	s.MSHRFull += o.MSHRFull
+	s.Enqueued += o.Enqueued
+	s.Drained += o.Drained
+}

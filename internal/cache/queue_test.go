@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"atcsim/internal/mem"
@@ -131,5 +132,24 @@ func TestQueueConfigWithDefaults(t *testing.T) {
 	}
 	if qc.WQ <= 0 || qc.PQ <= 0 || qc.VAPQ <= 0 || qc.MaxRead <= 0 || qc.MaxWrite <= 0 {
 		t.Errorf("unset fields not defaulted: %+v", qc)
+	}
+}
+
+// TestQueueStatsAddCoversEveryField gives every counter a distinct value
+// and checks Add sums each one, so a new field cannot be left out.
+func TestQueueStatsAddCoversEveryField(t *testing.T) {
+	var o QueueStats
+	v := reflect.ValueOf(&o).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum QueueStats
+	sum.Add(o)
+	sum.Add(o)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		if want := 2 * uint64(i+1); got.Field(i).Uint() != want {
+			t.Errorf("%s = %d after two Adds, want %d", v.Type().Field(i).Name, got.Field(i).Uint(), want)
+		}
 	}
 }

@@ -31,14 +31,14 @@ func Queues(r *Runner) *Report {
 		})
 		var q cache.QueueStats
 		for i := range queued.Queues {
-			addQueueStats(&q, queued.Queues[i].Q)
+			q.Add(queued.Queues[i].Q)
 		}
 		ratio := 0.0
 		if analytic.IPC() > 0 {
 			ratio = queued.IPC() / analytic.IPC()
 		}
 		ratios = append(ratios, ratio)
-		addQueueStats(&totals, q)
+		totals.Add(q)
 		t.AddRowf(w, analytic.IPC(), queued.IPC(), ratio,
 			q.RQFull, q.WQForward, q.PQMerged, q.MSHRFull)
 	}
@@ -60,19 +60,4 @@ func Queues(r *Runner) *Report {
 		},
 		Summary: sum,
 	}
-}
-
-// addQueueStats folds one QueueLevel's counters into an aggregate (the
-// system package keeps its own copy for Result assembly).
-func addQueueStats(dst *cache.QueueStats, st cache.QueueStats) {
-	dst.RQFull += st.RQFull
-	dst.RQMerged += st.RQMerged
-	dst.WQFull += st.WQFull
-	dst.WQForward += st.WQForward
-	dst.PQFull += st.PQFull
-	dst.PQMerged += st.PQMerged
-	dst.VAPQFull += st.VAPQFull
-	dst.MSHRFull += st.MSHRFull
-	dst.Enqueued += st.Enqueued
-	dst.Drained += st.Drained
 }

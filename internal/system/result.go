@@ -130,20 +130,6 @@ type QueueLevel struct {
 	Q     cache.QueueStats
 }
 
-// addQueueStats folds one wrapper's counters into an aggregate row.
-func addQueueStats(dst *cache.QueueStats, st cache.QueueStats) {
-	dst.RQFull += st.RQFull
-	dst.RQMerged += st.RQMerged
-	dst.WQFull += st.WQFull
-	dst.WQForward += st.WQForward
-	dst.PQFull += st.PQFull
-	dst.PQMerged += st.PQMerged
-	dst.VAPQFull += st.VAPQFull
-	dst.MSHRFull += st.MSHRFull
-	dst.Enqueued += st.Enqueued
-	dst.Drained += st.Drained
-}
-
 // collect snapshots all component statistics into a Result. Per-core rows
 // are placed by canonical core index, not iteration order, so the Result is
 // identical however the scheduler ordered the cores.
@@ -196,7 +182,7 @@ func (s *sim) collect() *Result {
 		idx := map[string]int{}
 		for _, q := range s.queued {
 			if i, ok := idx[q.Name()]; ok {
-				addQueueStats(&r.Queues[i].Q, q.Stats())
+				r.Queues[i].Q.Add(q.Stats())
 			} else {
 				idx[q.Name()] = len(r.Queues)
 				r.Queues = append(r.Queues, QueueLevel{Name: q.Name(), Level: q.Level(), Q: q.Stats()})
