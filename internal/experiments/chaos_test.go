@@ -84,9 +84,10 @@ func TestChaos(t *testing.T) {
 	// Health and fault accounting (pass A: 2 SMT runs + multi baseline
 	// succeed, multi TEMPO panics once, the transient costs one retry).
 	for name, r := range map[string]*Runner{"jobs=1": rA, "jobs=8": rB} {
-		h := r.Health().Snapshot()
-		if h.Runs != 3 || h.Failures != 1 || h.Panics != 1 || h.Retries < 1 {
-			t.Errorf("%s: health = %+v", name, h)
+		h := r.Health()
+		if h.Runs.Load() != 3 || h.Failures.Load() != 1 || h.Panics.Load() != 1 || h.Retries.Load() < 1 {
+			t.Errorf("%s: health runs=%d failures=%d panics=%d retries=%d", name,
+				h.Runs.Load(), h.Failures.Load(), h.Panics.Load(), h.Retries.Load())
 		}
 	}
 
@@ -110,8 +111,8 @@ func TestChaos(t *testing.T) {
 	if rC.DiskHits() != 2 || rC.Runs() != 2 {
 		t.Errorf("resume DiskHits = %d, Runs = %d, want 2 and 2", rC.DiskHits(), rC.Runs())
 	}
-	if h := rC.Health().Snapshot(); h.Quarantined != 1 || h.DiskHits != 2 {
-		t.Errorf("resume health = %+v", h)
+	if h := rC.Health(); h.Quarantined.Load() != 1 || h.DiskHits.Load() != 2 {
+		t.Errorf("resume health quarantined=%d disk_hits=%d, want 1 and 2", h.Quarantined.Load(), h.DiskHits.Load())
 	}
 }
 
@@ -189,8 +190,8 @@ func TestChaosThreeFaultSweep(t *testing.T) {
 	if got := plan.Fired(faultinject.KindPanic); got != 3 {
 		t.Errorf("panics fired = %d, want 3", got)
 	}
-	if h := r.Health().Snapshot(); h.Panics != 3 || h.Failures != 3 {
-		t.Errorf("health = %+v", h)
+	if h := r.Health(); h.Panics.Load() != 3 || h.Failures.Load() != 3 {
+		t.Errorf("health panics=%d failures=%d, want 3 and 3", h.Panics.Load(), h.Failures.Load())
 	}
 }
 
@@ -234,8 +235,8 @@ func TestCancelMidSweepResumes(t *testing.T) {
 	if rA.Runs() < 2 || rA.Runs() >= total {
 		t.Fatalf("interrupted pass performed %d runs", rA.Runs())
 	}
-	if h := rA.Health().Snapshot(); h.Canceled == 0 {
-		t.Errorf("health = %+v, want canceled runs recorded", h)
+	if rA.Health().Canceled.Load() == 0 {
+		t.Error("health recorded no canceled runs")
 	}
 
 	// Resume: everything the interrupted pass completed comes from disk;

@@ -256,9 +256,6 @@ type Options struct {
 	// Faults, when non-nil, injects deterministic faults at the engine's
 	// hook points (chaos testing). See internal/faultinject.
 	Faults *faultinject.Plan
-	// Health, when non-nil, receives the sweep's retry/failure counters;
-	// when nil the runner allocates its own (see Runner.Health).
-	Health *telemetry.Health
 	// Metrics, when non-nil, is the registry the engine exposes itself on:
 	// health counters, the live per-run-key state table and every
 	// simulation counter family (folded in as runs complete — see
@@ -336,12 +333,9 @@ func NewRunnerWith(sc Scale, opts Options) (*Runner, error) {
 		runTimeout: opts.RunTimeout,
 		retry:      opts.Retry,
 		faults:     opts.Faults,
-		health:     opts.Health,
+		health:     new(telemetry.Health),
 		runsTable:  metrics.NewRunTable(),
 		recorder:   opts.Recorder,
-	}
-	if r.health == nil {
-		r.health = new(telemetry.Health)
 	}
 	if opts.Metrics != nil {
 		r.health.RegisterMetrics(opts.Metrics)

@@ -1,16 +1,13 @@
 package telemetry
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Health aggregates sweep-level fault-tolerance counters: how many runs
 // completed, how many were retried, and how every failure was classified.
 // It complements the per-run heartbeat stream with whole-campaign liveness —
 // a long sweep that is silently burning its retry budget shows up here long
 // before it fails. All fields are atomic, so the experiment engine updates
-// them from any worker goroutine without locking; readers take a Snapshot.
+// them from any worker goroutine without locking; readers load them.
 type Health struct {
 	// Runs counts simulations that completed successfully.
 	Runs atomic.Int64
@@ -33,46 +30,4 @@ type Health struct {
 	DiskErrors atomic.Int64
 	// Quarantined counts corrupt cache entries moved to ".bad" siblings.
 	Quarantined atomic.Int64
-}
-
-// HealthSnapshot is a point-in-time copy of every Health counter.
-type HealthSnapshot struct {
-	Runs        int64 `json:"runs"`
-	Retries     int64 `json:"retries"`
-	Failures    int64 `json:"failures"`
-	Panics      int64 `json:"panics"`
-	Timeouts    int64 `json:"timeouts"`
-	Canceled    int64 `json:"canceled"`
-	DiskHits    int64 `json:"disk_hits"`
-	DiskErrors  int64 `json:"disk_errors"`
-	Quarantined int64 `json:"quarantined"`
-}
-
-// Snapshot copies the counters. Nil-safe (a nil Health reads as all zeros).
-func (h *Health) Snapshot() HealthSnapshot {
-	if h == nil {
-		return HealthSnapshot{}
-	}
-	return HealthSnapshot{
-		Runs:        h.Runs.Load(),
-		Retries:     h.Retries.Load(),
-		Failures:    h.Failures.Load(),
-		Panics:      h.Panics.Load(),
-		Timeouts:    h.Timeouts.Load(),
-		Canceled:    h.Canceled.Load(),
-		DiskHits:    h.DiskHits.Load(),
-		DiskErrors:  h.DiskErrors.Load(),
-		Quarantined: h.Quarantined.Load(),
-	}
-}
-
-// String renders the snapshot as a stable single line for progress output,
-// e.g. "runs=12 retries=1 failures=1 panics=1 timeouts=0 canceled=0
-// disk_hits=3 disk_errors=0 quarantined=1".
-func (h *Health) String() string {
-	s := h.Snapshot()
-	return fmt.Sprintf(
-		"runs=%d retries=%d failures=%d panics=%d timeouts=%d canceled=%d disk_hits=%d disk_errors=%d quarantined=%d",
-		s.Runs, s.Retries, s.Failures, s.Panics, s.Timeouts, s.Canceled,
-		s.DiskHits, s.DiskErrors, s.Quarantined)
 }
