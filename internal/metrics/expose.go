@@ -160,12 +160,14 @@ var (
 // Lint validates an OpenMetrics exposition: every line is either metadata
 // (# HELP / # TYPE), a well-formed sample, or the final # EOF; counter
 // samples end in _total (or histogram series suffixes); each family's TYPE
-// precedes its samples; no series name repeats. It returns every problem
-// found (empty means clean).
+// precedes its samples; each family's samples are contiguous; no series
+// name repeats. It returns every problem found (empty means clean).
 func Lint(exposition []byte) []string {
 	var problems []string
 	typed := make(map[string]string) // family → declared type
 	seen := make(map[string]bool)    // full sample names
+	done := make(map[string]bool)    // families whose samples another family's followed
+	current := ""                    // family of the previous sample
 	lines := strings.Split(string(exposition), "\n")
 	sawEOF := false
 	for n, line := range lines {
@@ -219,6 +221,13 @@ func Lint(exposition []byte) []string {
 		}
 		if typed[family] == "counter" && !strings.HasSuffix(name, "_total") {
 			problems = append(problems, fmt.Sprintf("line %d: counter sample %s lacks _total suffix", n+1, name))
+		}
+		if family != current {
+			if done[family] {
+				problems = append(problems, fmt.Sprintf("line %d: family %s resumes after family %s's samples", n+1, family, current))
+			}
+			done[current] = true
+			current = family
 		}
 	}
 	if !sawEOF {

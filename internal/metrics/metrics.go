@@ -66,6 +66,16 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
+// LabelSets returns one single-label set per value: the label lists of a
+// family whose series differ in one label.
+func LabelSets(key string, values ...string) [][]Label {
+	out := make([][]Label, len(values))
+	for i, v := range values {
+		out[i] = []Label{L(key, v)}
+	}
+	return out
+}
+
 // series is one registered time series. The value is either an atomic word
 // (val) or a read-callback (fn); exactly one is active.
 type series struct {

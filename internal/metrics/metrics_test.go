@@ -136,8 +136,11 @@ func TestLintCatchesMalformed(t *testing.T) {
 	noEOF := "# TYPE x gauge\nx 1\n"                           // missing EOF
 	badCounter := "# TYPE y counter\ny 1\n# EOF\n"             // counter without _total
 	garbled := "# TYPE x gauge\nx{level=llc} one bad\n# EOF\n" // malformed sample
+	interleaved := "# TYPE a counter\n# TYPE b counter\n" +    // a's samples split by b's
+		"a_total{l=\"1\"} 1\nb_total{l=\"1\"} 1\na_total{l=\"2\"} 1\n# EOF\n"
 	for name, in := range map[string]string{"untyped": bad, "dup": dup,
-		"noeof": noEOF, "counter": badCounter, "garbled": garbled} {
+		"noeof": noEOF, "counter": badCounter, "garbled": garbled,
+		"interleaved": interleaved} {
 		if problems := Lint([]byte(in)); len(problems) == 0 {
 			t.Errorf("%s: lint accepted malformed exposition %q", name, in)
 		}

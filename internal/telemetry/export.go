@@ -36,42 +36,59 @@ func (h *Health) RegisterMetrics(reg *metrics.Registry) {
 // goroutine (Hub.OnTick), so a /metrics scrape mid-run sees
 // heartbeat-fresh counters without ever touching the per-request path.
 type SnapshotGauges struct {
-	instructions metrics.Gauge
-	cycle        metrics.Gauge
-	l1dMisses    metrics.Gauge
-	l2Misses     metrics.Gauge
-	llcMisses    metrics.Gauge
-	stlbAccesses metrics.Gauge
-	stlbMisses   metrics.Gauge
-	leafReads    metrics.Gauge
-	leafDRAM     metrics.Gauge
-	stalls       [NumStallKinds]metrics.Gauge
-	dramReads    metrics.Gauge
-	dramRowHits  metrics.Gauge
+	gauges []metrics.Gauge // snapshotGauges' series, family by family
+}
+
+// gaugeFamily declares one sim_* gauge family: its name, help text, one
+// label set per series, and the value of series i in a Snapshot.
+type gaugeFamily struct {
+	name, help string
+	labels     [][]metrics.Label
+	value      func(sn *Snapshot, i int) float64
 }
 
 // stallKindNames label the sim_stall_cycles gauge; mirrors internal/cpu's
 // StallClass order (asserted in sync by the system layer's tests).
 var stallKindNames = [NumStallKinds]string{"translation", "replay", "non-replay", "other"}
 
-// NewSnapshotGauges registers the sim_* gauge set on a registry.
+// snapshotGauges is the live gauge schema, in exposition order.
+var snapshotGauges = []gaugeFamily{
+	{"sim_instructions", "Measured instructions stepped so far (live run).", unlabelled,
+		func(sn *Snapshot, _ int) float64 { return float64(sn.Instructions) }},
+	{"sim_cycle", "Max core cycle since measurement start (live run).", unlabelled,
+		func(sn *Snapshot, _ int) float64 { return float64(sn.Cycle) }},
+	{"sim_cache_demand_misses", "Demand misses so far (live run).", metrics.LabelSets("level", "l1d", "l2", "llc"),
+		func(sn *Snapshot, i int) float64 {
+			m := [...]*[mem.NumClasses]uint64{&sn.L1DMisses, &sn.L2Misses, &sn.LLCMisses}[i]
+			return float64(m[mem.ClassNonReplay] + m[mem.ClassReplay])
+		}},
+	{"sim_stlb_accesses", "STLB accesses so far (live run).", unlabelled,
+		func(sn *Snapshot, _ int) float64 { return float64(sn.STLBAccesses) }},
+	{"sim_stlb_misses", "STLB misses so far (live run).", unlabelled,
+		func(sn *Snapshot, _ int) float64 { return float64(sn.STLBMisses) }},
+	{"sim_leaf_pte_reads", "Leaf PTE reads so far (live run).", unlabelled,
+		func(sn *Snapshot, _ int) float64 { return float64(sn.LeafReads) }},
+	{"sim_leaf_pte_dram", "Leaf PTE reads serviced by DRAM (live run).", unlabelled,
+		func(sn *Snapshot, _ int) float64 { return float64(sn.LeafDRAM) }},
+	{"sim_dram_reads", "DRAM reads so far (live run).", unlabelled,
+		func(sn *Snapshot, _ int) float64 { return float64(sn.DRAMReads) }},
+	{"sim_dram_row_hits", "DRAM row-buffer hits so far (live run).", unlabelled,
+		func(sn *Snapshot, _ int) float64 { return float64(sn.DRAMRowHits) }},
+	{"sim_stall_cycles", "ROB-head stall cycles by class (live run).", metrics.LabelSets("class", stallKindNames[:]...),
+		func(sn *Snapshot, i int) float64 { return float64(sn.Stalls[i]) }},
+}
+
+// unlabelled is the label list of a family with a single, label-free series.
+var unlabelled = [][]metrics.Label{nil}
+
+// NewSnapshotGauges registers the sim_* gauge set on a registry, family by
+// family.
 func NewSnapshotGauges(reg *metrics.Registry) *SnapshotGauges {
-	g := &SnapshotGauges{
-		instructions: reg.Gauge("sim_instructions", "Measured instructions stepped so far (live run)."),
-		cycle:        reg.Gauge("sim_cycle", "Max core cycle since measurement start (live run)."),
-		l1dMisses:    reg.Gauge("sim_cache_demand_misses", "Demand misses so far (live run).", metrics.L("level", "l1d")),
-		l2Misses:     reg.Gauge("sim_cache_demand_misses", "Demand misses so far (live run).", metrics.L("level", "l2")),
-		llcMisses:    reg.Gauge("sim_cache_demand_misses", "Demand misses so far (live run).", metrics.L("level", "llc")),
-		stlbAccesses: reg.Gauge("sim_stlb_accesses", "STLB accesses so far (live run)."),
-		stlbMisses:   reg.Gauge("sim_stlb_misses", "STLB misses so far (live run)."),
-		leafReads:    reg.Gauge("sim_leaf_pte_reads", "Leaf PTE reads so far (live run)."),
-		leafDRAM:     reg.Gauge("sim_leaf_pte_dram", "Leaf PTE reads serviced by DRAM (live run)."),
-		dramReads:    reg.Gauge("sim_dram_reads", "DRAM reads so far (live run)."),
-		dramRowHits:  reg.Gauge("sim_dram_row_hits", "DRAM row-buffer hits so far (live run)."),
-	}
-	for k := 0; k < NumStallKinds; k++ {
-		g.stalls[k] = reg.Gauge("sim_stall_cycles",
-			"ROB-head stall cycles by class (live run).", metrics.L("class", stallKindNames[k]))
+	g := &SnapshotGauges{}
+	for _, f := range snapshotGauges {
+		for _, ls := range f.labels {
+			g.gauges = append(g.gauges, reg.Gauge(f.name, f.help, ls...))
+		}
 	}
 	return g
 }
@@ -82,21 +99,11 @@ func (g *SnapshotGauges) Publish(sn Snapshot) {
 	if g == nil {
 		return
 	}
-	demand := func(m [mem.NumClasses]uint64) uint64 {
-		return m[mem.ClassNonReplay] + m[mem.ClassReplay]
+	next := 0
+	for _, f := range snapshotGauges {
+		for i := range f.labels {
+			g.gauges[next].Set(f.value(&sn, i))
+			next++
+		}
 	}
-	g.instructions.SetUint(sn.Instructions)
-	g.cycle.Set(float64(sn.Cycle))
-	g.l1dMisses.SetUint(demand(sn.L1DMisses))
-	g.l2Misses.SetUint(demand(sn.L2Misses))
-	g.llcMisses.SetUint(demand(sn.LLCMisses))
-	g.stlbAccesses.SetUint(sn.STLBAccesses)
-	g.stlbMisses.SetUint(sn.STLBMisses)
-	g.leafReads.SetUint(sn.LeafReads)
-	g.leafDRAM.SetUint(sn.LeafDRAM)
-	for k := 0; k < NumStallKinds; k++ {
-		g.stalls[k].SetUint(sn.Stalls[k])
-	}
-	g.dramReads.SetUint(sn.DRAMReads)
-	g.dramRowHits.SetUint(sn.DRAMRowHits)
 }
