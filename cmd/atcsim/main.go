@@ -8,7 +8,7 @@
 //	atcsim -workload cc -llc-policy hawkeye -l2-prefetcher spp
 //	atcsim -workload pr -smt xalancbmk
 //	atcsim -multi pr,mcf,cc,xalancbmk                    # one core per workload
-//	atcsim -multi pr,mcf,cc,xalancbmk -sim-jobs 1        # same report, serial engine
+//	atcsim -multi pr,mcf,cc,xalancbmk -sim-jobs 1        # same report, one worker
 //	atcsim -workload pr -mechanism victima               # see docs/TRANSLATION.md
 //	atcsim -workload mcf -timing queued                  # bounded-queue timing engine
 //
@@ -42,7 +42,7 @@ func main() {
 		workload  = flag.String("workload", "pr", "benchmark name ("+strings.Join(atcsim.Benchmarks(), ", ")+")")
 		smt       = flag.String("smt", "", "second benchmark for a 2-way SMT run")
 		multi     = flag.String("multi", "", "comma-separated benchmarks for a multi-core run (one core each, shared LLC/DRAM; overrides -workload)")
-		simJobs   = flag.Int("sim-jobs", 0, "worker goroutines for the intra-simulation parallel engine on multi-core runs (0 = one per CPU, 1 = serial; reports are byte-identical for any value)")
+		simJobs   = flag.Int("sim-jobs", 0, "worker goroutines for the barrier engine on multi-core runs (0 = one per CPU, 1 = all cores on one goroutine; -trace-out, victima and L1D prefetchers use one); reports are byte-identical for any value")
 		insts     = flag.Int("instructions", 300_000, "measured instructions per core")
 		warmup    = flag.Int("warmup", 100_000, "warmup instructions per core")
 		seed      = flag.Int64("seed", 1, "workload synthesis seed")

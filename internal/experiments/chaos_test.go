@@ -117,9 +117,9 @@ func TestChaos(t *testing.T) {
 }
 
 // TestChaosSimJobsDeterminism injects the canonical fault plan into sweeps
-// whose eligible multi-core simulations run on the intra-simulation barrier
-// engine. The degraded report bytes must be identical between serial barrier
-// execution (SimJobs=1) and one worker per CPU (SimJobs=0): faults fire on
+// whose multi-core simulations run on the intra-simulation barrier engine.
+// The degraded report bytes must be identical between one goroutine
+// (SimJobs=1) and one worker per CPU (SimJobs=0): faults fire on
 // run identities, not worker schedules, so parallelism inside a simulation
 // must not change which points fail or what the survivors print. This is the
 // assertion CI's parallel-engine job runs under -race.

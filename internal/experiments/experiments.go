@@ -66,11 +66,11 @@ type Scale struct {
 	// see system.TimingModels). "analytic" is normalized to "" so those
 	// sweeps share run keys and disk-cache entries with legacy sweeps.
 	Timing string
-	// SimJobs caps the intra-simulation barrier-parallel engine's worker
-	// goroutines for every eligible multi-core run in the sweep
-	// (system.Config.SimJobs): 0 = one worker per CPU, 1 = serial execution
-	// of the identical barrier schedule. Reports are byte-identical for any
-	// value, and the knob is excluded from run keys and the disk cache.
+	// SimJobs caps the barrier engine's worker goroutines for every
+	// multi-core run in the sweep (system.Config.SimJobs): 0 = one worker
+	// per CPU, 1 = every core resumed on one goroutine. Reports are
+	// byte-identical for any value, and the knob is excluded from run keys
+	// and the disk cache.
 	SimJobs int
 }
 

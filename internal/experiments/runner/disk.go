@@ -17,10 +17,10 @@ import (
 // different version are ignored (treated as misses), so bumping this after
 // an incompatible change to the result or key layout invalidates stale
 // caches instead of mis-deserializing them. Version 2 added the result
-// checksum. Version 3 invalidates multi-core results computed by the
-// pre-parallel serial scheduler: eligible multi-core machines now prefault
-// their trace footprints and resolve shared accesses at cycle-window
-// barriers, which changes their (still deterministic) numbers.
+// checksum. Version 3 invalidates multi-core results computed before
+// multi-core machines prefaulted their trace footprints and resolved shared
+// accesses at cycle-window barriers, which changed their (still
+// deterministic) numbers.
 const FormatVersion = 3
 
 // Disk is an on-disk result store: one JSON file per run key, named by the

@@ -56,7 +56,7 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 		csvDir      = fs.String("csv", "", "also write one CSV file per experiment into this directory")
 		progress    = fs.Bool("progress", false, "report each simulation run on stderr as the sweep progresses")
 		jobs        = fs.Int("jobs", 0, "concurrent simulations (0 = number of CPUs)")
-		simJobs     = fs.Int("sim-jobs", 1, "worker goroutines per eligible multi-core simulation (0 = number of CPUs); output is byte-identical for any value")
+		simJobs     = fs.Int("sim-jobs", 1, "worker goroutines per multi-core simulation on the barrier engine (0 = number of CPUs; victima and L1D prefetchers use one); output is byte-identical for any value")
 		cacheDir    = fs.String("cache-dir", "", "persist simulation results here and reuse them on later runs")
 		runTimeout  = fs.Duration("run-timeout", 0, "abandon any single simulation after this long (0 = no limit)")
 		sweepBudget = fs.Duration("sweep-budget", 0, "stop starting new simulations after this long (0 = no limit)")
@@ -126,7 +126,7 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 	if *simJobs < 0 {
 		return exitUsage, fmt.Errorf("-sim-jobs must be non-negative, got %d", *simJobs)
 	}
-	// Default to serial intra-simulation execution: the sweep-level -jobs
+	// Default to one intra-simulation worker: the sweep-level -jobs
 	// fan-out already saturates the CPUs, so per-simulation workers would
 	// only add scheduling overhead. -sim-jobs 0 is for profiling a single
 	// experiment (-id with -jobs 1), where intra-simulation parallelism is

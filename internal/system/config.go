@@ -161,18 +161,17 @@ type Config struct {
 	// bit-identical with or without it. Excluded from JSON results.
 	Telemetry *telemetry.Hub `json:"-"`
 
-	// SimJobs caps the worker goroutines the deterministic intra-simulation
-	// parallel engine runs eligible multi-core simulations on (each core a
-	// coroutine, synchronized by cycle-window barriers with shared LLC/DRAM
-	// requests resolved in canonical core order — see DESIGN.md §10). 0 uses
-	// one worker per available CPU; 1 executes the identical barrier
-	// schedule serially on the caller's goroutine. Reports are
-	// byte-identical for every value, which is why the knob is excluded
-	// from JSON: it must never influence experiment run keys or cached
-	// results. Ignored (the legacy interleaved scheduler runs) for
-	// single-core and SMT machines, runs with a request tracer attached,
-	// the victima mechanism, or an L1D prefetcher — configurations whose
-	// step path touches shared state.
+	// SimJobs caps the worker goroutines the deterministic barrier engine
+	// runs multi-core simulations on (each core a coroutine, synchronized
+	// by cycle-window barriers with shared LLC/DRAM requests resolved in
+	// canonical core order — see DESIGN.md §10). 0 uses one worker per
+	// available CPU; 1 resumes every core on the caller's goroutine.
+	// Reports are byte-identical for every value, which is why the knob is
+	// excluded from JSON: it must never influence experiment run keys or
+	// cached results. Runs with a request tracer attached, a shared
+	// mechanism (victima) or an L1D prefetcher — whose step path touches
+	// shared state — use one worker whatever the value. Single-core and SMT
+	// machines are one scheduling unit and ignore it.
 	SimJobs int `json:"-"`
 }
 

@@ -135,8 +135,8 @@ func perQueue(name, help string, v func(q *cache.QueueStats) uint64) sinkFamily 
 	}}
 }
 
-// barrier declares a family read off the barrier-parallel engine's stats
-// (zero under the serial scheduler).
+// barrier declares a family read off the barrier engine's stats (zero for
+// single-core and SMT runs).
 func barrier(name, help string, v func(p *ParallelStats) uint64) sinkFamily {
 	return scalar(name, help, func(r *Result) uint64 {
 		if r.Parallel == nil {

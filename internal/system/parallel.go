@@ -1,3 +1,8 @@
+// iter.Pull needs the go1.23 language version while go.mod says go 1.22.
+// Raising go.mod is not the fix: the benchmark module (perfbench) pins
+// go 1.22, and its build then fails with "go: updates to go.mod needed".
+// Without this line, go vet rejects iter.Pull under the module's go1.22.
+
 //go:build go1.23
 
 package system
@@ -10,6 +15,7 @@ import (
 
 	"atcsim/internal/cache"
 	"atcsim/internal/mem"
+	"atcsim/internal/telemetry"
 	"atcsim/internal/trace"
 	"atcsim/internal/vm"
 	"atcsim/internal/xlat"
@@ -19,39 +25,27 @@ import (
 // until its next dispatch would cross the window end, parking at the
 // coordinator whenever it needs the shared LLC/DRAM path. The window bounds
 // how far core clocks can drift apart between barriers. The constant is part
-// of the timing model for eligible multi-core machines — results are
-// byte-identical across SimJobs values for any window, but changing the
-// window changes which accesses share a wave — so it is a compile-time
-// constant, not a runtime knob.
+// of the timing model for multi-core machines — results are byte-identical
+// across SimJobs values for any window, but changing the window changes
+// which accesses share a wave — so it is a compile-time constant, not a
+// runtime knob.
 const parallelWindow = 2048
 
-// parallelEligible reports whether build may wire the machine for the
-// barrier-parallel engine. The engine requires every core's step path to
-// stay core-local between portal crossings, so configurations that reach
-// shared structures from inside a core step fall back to the serial
-// interleaved scheduler:
+// poolSafe reports whether the engine may resume cores on a worker pool:
+// concurrent cores must touch only core-local state between portal
+// crossings. Runs that reach shared structures from inside a core step
+// resume every core on the coordinator's goroutine whatever SimJobs is:
 //
-//   - single-core machines have nothing to parallelize, and SMT threads
-//     share the entire private hierarchy;
 //   - the sampled request tracer is one sink fed from every level;
 //   - mechanisms marked shared (victima probes and fills the LLC inside
 //     Translate) — see xlat.CoreLocal;
 //   - L1D prefetchers translate through mmu.Known, which walks the page
 //     table backed by the shared frame allocator.
-func parallelEligible(cfg Config, nCores int, shareCoreCaches bool) bool {
-	if nCores < 2 || shareCoreCaches {
-		return false
-	}
-	if cfg.Telemetry.TracerOrNil() != nil {
-		return false
-	}
-	if !xlat.CoreLocal(cfg.Mechanism) {
-		return false
-	}
-	if cfg.L1DPrefetcher != "" && cfg.L1DPrefetcher != "none" {
-		return false
-	}
-	return true
+//
+// The schedule never depends on SimJobs, so this gate cannot change results.
+func poolSafe(cfg Config) bool {
+	return cfg.Telemetry.TracerOrNil() == nil && xlat.CoreLocal(cfg.Mechanism) &&
+		(cfg.L1DPrefetcher == "" || cfg.L1DPrefetcher == "none")
 }
 
 // prefault maps every page a core's trace will touch — instruction and data
@@ -59,8 +53,8 @@ func parallelEligible(cfg Config, nCores int, shareCoreCaches bool) bool {
 // parallel engine demand-paged first-touch order would depend on worker
 // scheduling; pre-faulting each core's footprint in canonical core order
 // pins the frame assignment at build time instead. Interior page-table
-// frames allocate here too, so an eligible run performs no allocator calls
-// at all while cores are concurrent. A repeat Translate of a mapped page
+// frames allocate here too, so a pooled run performs no allocator calls at
+// all while cores are concurrent. A repeat Translate of a mapped page
 // allocates nothing, so a run of instructions on one code page, or of
 // accesses to one data page, translates that page once: the frames come
 // out in the same order as translating every instruction would give.
@@ -129,7 +123,6 @@ type parEngine struct {
 	done    chan struct{}
 	workers sync.WaitGroup
 
-	target    int // phase instruction target per core
 	lastTotal int // phaseCount sum at the previous barrier
 
 	rounds, waves, sharedReqs, skew uint64
@@ -141,7 +134,7 @@ func newParEngine(s *sim, lower cache.Lower, n int) *parEngine {
 	if jobs == 0 {
 		jobs = runtime.NumCPU()
 	}
-	if jobs < 1 {
+	if jobs < 1 || !poolSafe(s.cfg) {
 		jobs = 1
 	}
 	if jobs > n {
@@ -179,10 +172,12 @@ type sharedPortal struct {
 
 	// Parked-request mailbox: req/cycle/parked are written by the core
 	// before it yields, res by the coordinator before it resumes the core.
+	// sample carries the core's in-flight traced request while it is parked.
 	parked bool
 	req    *mem.Request
 	cycle  int64
 	res    cache.Result
+	sample telemetry.Sample
 }
 
 // errCoreStopped unwinds a core that is parked in its portal when its phase
@@ -191,41 +186,37 @@ var errCoreStopped = errors.New("system: parallel core stopped while parked")
 
 // Access implements cache.Lower. Inside a round it parks the request and
 // yields; the core continues once the coordinator has serviced the request
-// in a wave and resumed it.
+// in a wave and resumed it. The core's traced sample is detached while it
+// is parked, so cores stepping in the meantime cannot emit into it.
 func (p *sharedPortal) Access(req *mem.Request, cycle int64) cache.Result {
 	e := p.eng
 	if !e.active {
 		return e.lower.Access(req, cycle)
 	}
 	p.req, p.cycle, p.parked = req, cycle, true
+	p.sample = e.sim.tracer.Suspend()
 	if !p.yield(struct{}{}) {
 		panic(errCoreStopped)
 	}
+	e.sim.tracer.Resume(p.sample)
 	return p.res
 }
 
-// phase is the barrier-parallel counterpart of sim.phase: run every core
-// for target instructions. Cores that reach the target keep running —
-// preserving contention, like the serial scheduler — until all are done;
-// completion cycles are recorded at the target boundary. Done-ness is only
-// observed at round barriers, so the final round always runs to its window
-// end and the round/wave schedule stays independent of SimJobs.
+// phase runs every core, one unit each, for target instructions. Cores that
+// reach the target keep running — preserving contention — until all are
+// done; completion cycles are recorded at the target boundary. Done-ness is
+// only observed at round barriers, so the final round always runs to its
+// window end and the round/wave schedule stays independent of SimJobs.
 //
 // A panic raised inside a core step surfaces here, on the caller's
 // goroutine, after every coroutine is stopped and the pool joined.
 func (e *parEngine) phase(target int) {
 	s := e.sim
-	for _, c := range s.cores {
-		c.phaseCount = 0
-		c.done = false
-	}
-	e.target = target
 	e.lastTotal = 0
 	e.active = true
 	defer e.endPhase()
-	for i, c := range s.cores {
-		p := e.portals[i]
-		p.next, p.stop = iter.Pull(e.coreLoop(c, p))
+	for i, p := range e.portals {
+		p.next, p.stop = iter.Pull(e.coreLoop(s.cores[i:i+1], p, target))
 	}
 	if e.jobs > 1 {
 		e.work = make(chan *sharedPortal, len(s.cores))
@@ -235,17 +226,7 @@ func (e *parEngine) phase(target int) {
 			go e.worker()
 		}
 	}
-	for {
-		done := true
-		for _, c := range s.cores {
-			if !c.done {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
+	for !allDone(s.cores) {
 		e.runRound()
 	}
 }
@@ -285,13 +266,14 @@ func (p *sharedPortal) resumeRecover() {
 	p.next()
 }
 
-// coreLoop is core c's coroutine body: run one round window per resume,
-// yielding at each window end until the phase stops it.
-func (e *parEngine) coreLoop(c *coreCtx, p *sharedPortal) iter.Seq[struct{}] {
+// coreLoop is a one-core unit's coroutine body: run the unit loop up to the
+// round's window end per resume, yielding at each window end until the
+// phase stops it.
+func (e *parEngine) coreLoop(unit []*coreCtx, p *sharedPortal, target int) iter.Seq[struct{}] {
 	return func(yield func(struct{}) bool) {
 		p.yield = yield
 		for {
-			e.runWindow(c, e.window)
+			e.sim.runUnit(unit, target, e.window)
 			if !yield(struct{}{}) {
 				return
 			}
@@ -334,8 +316,8 @@ func (e *parEngine) resume() {
 }
 
 // runRound executes one cycle window: resume every core with the window
-// end, resolve waves until no core is parked, and batch the serial
-// scheduler's per-step bookkeeping at the barrier. Every core ends the
+// end, resolve waves until no core is parked, and batch the per-step
+// bookkeeping the inline unit loop does at the barrier. Every core ends the
 // round with NextDispatch at or past the window end, so the global minimum
 // strictly advances and phases terminate.
 func (e *parEngine) runRound() {
@@ -373,26 +355,12 @@ func (e *parEngine) runRound() {
 	s.barrierTick(delta)
 }
 
-// runWindow steps one core until its next dispatch reaches the window end.
-// Only per-core state is touched here; every shared-hierarchy access parks
-// inside the core's portal.
-func (e *parEngine) runWindow(c *coreCtx, window int64) {
-	s := e.sim
-	for c.core.NextDispatch() < window {
-		s.step(c)
-		c.phaseCount++
-		if !c.done && c.phaseCount >= e.target {
-			c.done = true
-			c.doneCycle = c.core.Cycle()
-		}
-	}
-}
-
 // resolveWave services every parked request against the real shared path
 // in ascending core order — the canonical order that makes results
 // independent of resume scheduling — and leaves the owners in e.wave for
 // the next resume. An empty wave means the round is over and is not
-// counted.
+// counted. Each request's traced sample is attached while it is serviced,
+// so LLC and DRAM events land in it.
 func (e *parEngine) resolveWave() {
 	e.wave = e.wave[:0]
 	for _, p := range e.portals {
@@ -400,7 +368,9 @@ func (e *parEngine) resolveWave() {
 			continue
 		}
 		p.parked = false
+		e.sim.tracer.Resume(p.sample)
 		p.res = e.lower.Access(p.req, p.cycle)
+		p.sample = e.sim.tracer.Suspend()
 		e.sharedReqs++
 		e.wave = append(e.wave, p)
 	}
@@ -421,14 +391,12 @@ func (e *parEngine) statsSnapshot() ParallelStats {
 	}
 }
 
-// barrierTick batches the serial scheduler's per-instruction bookkeeping —
-// invariant-audit cadence, heartbeat ticks, progress — at a round barrier
-// using delta-step accounting, so the cadence follows instruction counts
-// (deterministic) rather than wall-clock or worker timing.
+// barrierTick does the per-instruction bookkeeping — invariant-audit
+// cadence, heartbeat ticks, progress — for delta steps: once per step in
+// the inline unit loop, batched at each round barrier under the engine. The
+// cadence follows instruction counts (deterministic) rather than
+// wall-clock or worker timing.
 func (s *sim) barrierTick(delta int) {
-	if delta <= 0 {
-		return
-	}
 	if s.checking {
 		if s.checkCtr += delta; s.checkCtr >= checkStride {
 			s.checkCtr = 0

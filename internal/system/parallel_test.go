@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,7 +43,7 @@ func resultJSON(t *testing.T, r *Result) string {
 }
 
 // TestParallelEngineDeterminism is the engine's core guarantee at the
-// system level: an eligible multi-core run serializes to byte-identical
+// system level: a multi-core run serializes to byte-identical
 // results for every SimJobs value — serial barrier execution (1), an
 // intermediate worker count, and one worker per CPU (0) — under both the
 // analytic and queued timing engines, with the full enhancement stack and
@@ -67,7 +68,7 @@ func TestParallelEngineDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want.Parallel == nil {
-			t.Fatalf("timing=%q: eligible multi-core run did not use the parallel engine", timing)
+			t.Fatalf("timing=%q: multi-core run did not use the parallel engine", timing)
 		}
 		if want.Parallel.Rounds == 0 || want.Parallel.SharedRequests == 0 || want.Parallel.TraceRefills == 0 {
 			t.Fatalf("timing=%q: degenerate parallel stats %+v", timing, want.Parallel)
@@ -87,60 +88,137 @@ func TestParallelEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelEligibility pins the gate: configurations whose step path
-// touches shared state must fall back to the serial scheduler (nil
-// Result.Parallel), and plain multi-core machines must not.
-func TestParallelEligibility(t *testing.T) {
+// TestParallelPoolGate pins the one-scheduler rule: single-core and SMT
+// machines run inline as one unit (nil Result.Parallel), every multi-core
+// machine runs the barrier engine, and configurations that reach shared
+// state from inside a core step — a shared mechanism, an L1D prefetcher,
+// the tracer — only lose the worker pool, so SimJobs cannot change their
+// results either.
+func TestParallelPoolGate(t *testing.T) {
 	traces := parTraces(t, 20_000)
 	cfg := DefaultConfig()
 	cfg.Instructions = 8_000
 	cfg.Warmup = 2_000
-
-	multi := func(cfg Config) *Result {
-		t.Helper()
-		r, err := RunMulti(cfg, traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	if r := multi(cfg); r.Parallel == nil {
-		t.Error("plain multi-core run did not use the parallel engine")
-	}
 
 	single, err := Run(cfg, traces[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if single.Parallel != nil {
-		t.Error("single-core run used the parallel engine")
+		t.Error("single-core run reported barrier-engine stats")
 	}
-
 	smt, err := RunSMT(cfg, traces[0], traces[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if smt.Parallel != nil {
-		t.Error("SMT run used the parallel engine")
+		t.Error("SMT run reported barrier-engine stats")
 	}
 
-	victima := cfg
-	victima.Mechanism = "victima"
-	if r := multi(victima); r.Parallel != nil {
-		t.Error("victima (shared-LLC translate path) used the parallel engine")
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"victima", func(c *Config) { c.Mechanism = "victima" }},
+		{"ipcp", func(c *Config) { c.L1DPrefetcher = "ipcp" }},
+		{"traced", func(c *Config) {
+			c.Telemetry = &telemetry.Hub{Tracer: telemetry.NewTracer(1024, 64)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want string
+			for _, jobs := range []int{1, 4} {
+				c := cfg
+				tc.set(&c)
+				c.SimJobs = jobs
+				r, err := RunMulti(c, traces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Parallel == nil || r.Parallel.Rounds == 0 {
+					t.Fatalf("SimJobs=%d: multi-core run did not use the barrier engine: %+v", jobs, r.Parallel)
+				}
+				got := resultJSON(t, r)
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Errorf("SimJobs=%d diverged from SimJobs=1", jobs)
+				}
+			}
+		})
 	}
+}
 
-	ipcp := cfg
-	ipcp.L1DPrefetcher = "ipcp"
-	if r := multi(ipcp); r.Parallel != nil {
-		t.Error("L1D-prefetcher run (translate closure into shared page table) used the parallel engine")
+// TestParallelTracerAttribution checks that the tracer's in-flight
+// sample moves with its core when the engine parks the core mid-step: on
+// every core's request lane a sample reads "begin <kind>", at most one
+// replay-issue span inside the request's window, then the enclosing
+// <kind> span starting at the begin cycle. A core stepping while another
+// is parked must not emit into (or close) the parked core's sample.
+func TestParallelTracerAttribution(t *testing.T) {
+	traces := parTraces(t, 20_000)
+	cfg := DefaultConfig()
+	cfg.Instructions = 8_000
+	cfg.Warmup = 2_000
+	tr := telemetry.NewTracer(1<<17, 8)
+	cfg.Telemetry = &telemetry.Hub{Tracer: tr}
+	if _, err := RunMulti(cfg, traces); err != nil {
+		t.Fatal(err)
 	}
-
-	traced := cfg
-	traced.Telemetry = &telemetry.Hub{Tracer: telemetry.NewTracer(1024, 64)}
-	if r := multi(traced); r.Parallel != nil {
-		t.Error("request-traced run used the parallel engine")
+	if tr.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events; enlarge it", tr.Dropped())
+	}
+	type open struct {
+		kind    string
+		begin   int64
+		replays int
+	}
+	pending := map[int32]*open{}
+	samples, replays, shared := 0, 0, 0
+	for _, ev := range tr.Events() {
+		o := pending[ev.Core]
+		if ev.Lane != telemetry.LaneRequest {
+			if ev.Lane == telemetry.LaneStall {
+				continue
+			}
+			if o == nil {
+				t.Fatalf("core %d: %s event %q at seq %d outside any sample", ev.Core, ev.Lane, ev.Name, ev.Seq)
+			}
+			if ev.Name == "LLC" || ev.Lane == telemetry.LaneDRAM {
+				shared++
+			}
+			continue
+		}
+		switch {
+		case ev.Phase == 'i':
+			if o != nil {
+				t.Fatalf("core %d: %q at seq %d while sample %q is open", ev.Core, ev.Name, ev.Seq, o.kind)
+			}
+			kind, ok := strings.CutPrefix(ev.Name, "begin ")
+			if !ok {
+				t.Fatalf("core %d: unexpected instant %q", ev.Core, ev.Name)
+			}
+			pending[ev.Core] = &open{kind: kind, begin: ev.Ts}
+		case o == nil:
+			t.Fatalf("core %d: span %q at seq %d outside any sample", ev.Core, ev.Name, ev.Seq)
+		case ev.Name == "replay-issue":
+			if o.replays++; o.replays > 1 || ev.Ts < o.begin {
+				t.Fatalf("core %d: replay-issue at seq %d (ts %d) does not belong to sample %q begun at %d",
+					ev.Core, ev.Seq, ev.Ts, o.kind, o.begin)
+			}
+			replays++
+		default:
+			if ev.Name != o.kind || ev.Ts != o.begin {
+				t.Fatalf("core %d: sample %q begun at %d closed by %q at %d (seq %d)",
+					ev.Core, o.kind, o.begin, ev.Name, ev.Ts, ev.Seq)
+			}
+			delete(pending, ev.Core)
+			samples++
+		}
+	}
+	if samples == 0 || replays == 0 || shared == 0 || len(pending) != 0 {
+		t.Errorf("degenerate trace: %d samples, %d replay-issue spans, %d LLC/DRAM events, %d left open",
+			samples, replays, shared, len(pending))
 	}
 }
 
@@ -215,8 +293,8 @@ func TestPrefaultMatchesPerInstruction(t *testing.T) {
 
 // TestParallelReportsCoreOrder pins satellite invariants of the barrier
 // engine: core rows come back in canonical core-index order (workload i at
-// index i) no matter how workers interleaved, and revelator — a core-local
-// mechanism — stays eligible.
+// index i) no matter how workers interleaved, and a revelator run — a
+// core-local mechanism — reports barrier-engine stats.
 func TestParallelReportsCoreOrder(t *testing.T) {
 	traces := parTraces(t, 20_000)
 	cfg := DefaultConfig()

@@ -91,9 +91,9 @@ type Result struct {
 	LLCRecallTrans  Recall
 	LLCRecallReplay Recall
 
-	// Parallel reports the barrier-parallel engine's behavior; nil (and
-	// omitted from JSON, keeping serial-scheduler results byte-identical)
-	// when the serial interleaved scheduler ran.
+	// Parallel reports the barrier engine's behavior on a multi-core
+	// machine; nil (and omitted from JSON) for single-core and SMT
+	// machines, which run as one inline unit.
 	Parallel *ParallelStats `json:",omitempty"`
 }
 

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 
 	"atcsim/internal/cache"
 	"atcsim/internal/cpu"
@@ -87,10 +88,11 @@ type sim struct {
 	checking bool
 	checkCtr int
 
-	// par is the deterministic barrier-parallel engine, non-nil only for
-	// eligible multi-core machines (see parallelEligible). When set, phases
-	// run each core as a coroutine with shared LLC/DRAM requests resolved in
-	// canonical core order at cycle-window barriers.
+	// par is the deterministic barrier-parallel engine, non-nil exactly for
+	// multi-core machines: phases run each core as a coroutine with shared
+	// LLC/DRAM requests resolved in canonical core order at cycle-window
+	// barriers. Single-core and SMT machines are one scheduling unit and
+	// run the same unit loop inline (see runPhase).
 	par *parEngine
 }
 
@@ -175,7 +177,6 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 
 	s := &sim{cfg: cfg, llc: llc, channel: channel}
 	s.checking = cfg.CheckInvariants || invariantsDefault
-	parallel := parallelEligible(cfg, len(traces), shareCoreCaches)
 
 	// Under queued timing every level sits behind a cache.Queued wrapper;
 	// lower-pointer chaining goes through the wrappers so evict writebacks
@@ -194,11 +195,11 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		llcPath = q
 	}
 
-	// Eligible multi-core machines run under the barrier-parallel engine:
-	// each core's private L2 then points at a per-core portal instead of
-	// the shared LLC path, so shared accesses park at the coordinator and
+	// Multi-core machines run under the barrier-parallel engine: each
+	// core's private L2 then points at a per-core portal instead of the
+	// shared LLC path, so shared accesses park at the coordinator and
 	// resolve in canonical core order (see parallel.go).
-	if parallel {
+	if len(traces) > 1 && !shareCoreCaches {
 		s.par = newParEngine(s, llcPath, len(traces))
 	}
 
@@ -486,48 +487,49 @@ func (s *sim) step(c *coreCtx) {
 	}
 }
 
-// phase runs every core for target instructions, interleaving cores on the
-// shared virtual clock (least-advanced core first). Cores that reach the
-// target keep running — preserving contention — until all are done; their
-// completion cycle is recorded at the target boundary.
-func (s *sim) phase(target int) {
-	for _, c := range s.cores {
-		c.phaseCount = 0
-		c.done = false
-	}
-	remaining := len(s.cores)
-	for remaining > 0 {
-		// Pick the least-advanced core.
-		var pick *coreCtx
-		var best int64
-		for _, c := range s.cores {
-			if d := c.core.NextDispatch(); pick == nil || d < best {
+// runUnit steps one scheduling unit — a core, or SMT threads that share
+// every private cache — picking its least-advanced thread while that
+// thread's next dispatch is below window. Threads past target keep running,
+// preserving contention; completion cycles are recorded at the target. The
+// barrier engine runs each core as a unit to its round's window end.
+// Inline (window math.MaxInt64) the unit is the whole machine: bookkeeping
+// runs per step, and the loop returns when the last thread reaches target.
+func (s *sim) runUnit(unit []*coreCtx, target int, window int64) {
+	inline := window == math.MaxInt64
+	for {
+		pick := unit[0]
+		best := pick.core.NextDispatch()
+		for _, c := range unit[1:] {
+			if d := c.core.NextDispatch(); d < best {
 				pick, best = c, d
 			}
 		}
+		if best >= window {
+			return
+		}
 		s.step(pick)
 		pick.phaseCount++
-		if s.checking {
-			if s.checkCtr++; s.checkCtr >= checkStride {
-				s.checkCtr = 0
-				s.auditInvariants()
-			}
-		}
-		if s.measuring {
-			s.stepped++
-			if s.hb != nil && s.stepped%s.hbEvery == 0 {
-				s.heartbeatTick()
-			}
-			if s.progress != nil && s.stepped&8191 == 0 {
-				s.progress.Set(s.stepped)
-			}
+		if inline {
+			s.barrierTick(1)
 		}
 		if !pick.done && pick.phaseCount >= target {
 			pick.done = true
 			pick.doneCycle = pick.core.Cycle()
-			remaining--
+			if inline && allDone(unit) {
+				return
+			}
 		}
 	}
+}
+
+// allDone reports whether every thread has reached its phase target.
+func allDone(cores []*coreCtx) bool {
+	for _, c := range cores {
+		if !c.done {
+			return false
+		}
+	}
+	return true
 }
 
 // drainQueued flushes every queued wrapper, upper levels first so their
@@ -629,15 +631,18 @@ func (s *sim) snapshot() telemetry.Snapshot {
 	return sn
 }
 
-// runPhase dispatches one warmup/measurement phase to the active scheduler:
-// the barrier-parallel engine when wired, the serial interleaved phase loop
-// otherwise.
+// runPhase runs one warmup/measurement phase of target instructions per
+// thread: on the barrier engine for multi-core machines, inline otherwise.
 func (s *sim) runPhase(target int) {
+	for _, c := range s.cores {
+		c.phaseCount = 0
+		c.done = false
+	}
 	if s.par != nil {
 		s.par.phase(target)
 		return
 	}
-	s.phase(target)
+	s.runUnit(s.cores, target, math.MaxInt64)
 }
 
 // run executes warmup + measurement and collects results.

@@ -9,50 +9,60 @@ import (
 )
 
 // Telemetry must be a pure observer: attaching the full hub (tracer +
-// heartbeat + progress) must leave every simulated number bit-identical to
-// the bare run.
+// heartbeat + progress) must leave the Result bit-identical to the bare
+// run, on a single core and on a 4-core machine under both timing engines.
 func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
-	cfg := quickCfg()
-	bare, err := Run(cfg, buildTrace(t, "mcf", 90_000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mcf := buildTrace(t, "mcf", 90_000)
+	multi := parTraces(t, 20_000)
+	for _, tc := range []struct {
+		name   string
+		timing string
+		run    func(Config) (*Result, error)
+	}{
+		{"single-core", "", func(cfg Config) (*Result, error) { return Run(cfg, mcf) }},
+		{"4-core", "", func(cfg Config) (*Result, error) {
+			cfg.Instructions, cfg.Warmup = 8_000, 2_000
+			return RunMulti(cfg, multi)
+		}},
+		{"4-core-queued", "queued", func(cfg Config) (*Result, error) {
+			cfg.Instructions, cfg.Warmup = 8_000, 2_000
+			return RunMulti(cfg, multi)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg()
+			cfg.Timing = tc.timing
+			bare, err := tc.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	obs := cfg
-	obs.Telemetry = &telemetry.Hub{
-		Tracer:    telemetry.NewTracer(1<<12, 8),
-		Heartbeat: telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 10_000),
-		Progress:  &telemetry.Progress{},
-	}
-	traced, err := Run(obs, buildTrace(t, "mcf", 90_000))
-	if err != nil {
-		t.Fatal(err)
-	}
+			obs := cfg
+			obs.Telemetry = &telemetry.Hub{
+				Tracer:    telemetry.NewTracer(1<<12, 8),
+				Heartbeat: telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 2_000),
+				Progress:  &telemetry.Progress{},
+			}
+			traced, err := tc.run(obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := resultJSON(t, traced), resultJSON(t, bare); got != want {
+				t.Errorf("Result differs with telemetry attached:\n--- bare ---\n%s\n--- observed ---\n%s", want, got)
+			}
 
-	if bare.Cores[0].Cycles != traced.Cores[0].Cycles {
-		t.Errorf("cycles differ with telemetry: %d vs %d",
-			bare.Cores[0].Cycles, traced.Cores[0].Cycles)
-	}
-	if bare.IPC() != traced.IPC() {
-		t.Errorf("IPC differs with telemetry: %v vs %v", bare.IPC(), traced.IPC())
-	}
-	if bare.LLC.TotalMiss() != traced.LLC.TotalMiss() {
-		t.Errorf("LLC misses differ with telemetry: %d vs %d",
-			bare.LLC.TotalMiss(), traced.LLC.TotalMiss())
-	}
-	if bare.Cores[0].MMU.STLBMisses != traced.Cores[0].MMU.STLBMisses {
-		t.Error("STLB misses differ with telemetry")
-	}
-	if bare.DRAM.Reads != traced.DRAM.Reads || bare.DRAM.RowHits != traced.DRAM.RowHits {
-		t.Error("DRAM activity differs with telemetry")
-	}
-
-	// The observer actually observed something.
-	if obs.Telemetry.Tracer.Sampled() == 0 || len(obs.Telemetry.Tracer.Events()) == 0 {
-		t.Error("tracer recorded nothing")
-	}
-	if got := obs.Telemetry.Progress.Done(); got != uint64(cfg.Instructions) {
-		t.Errorf("progress done = %d, want %d", got, cfg.Instructions)
+			// The observer actually observed something.
+			hub := obs.Telemetry
+			if hub.Tracer.Sampled() == 0 || len(hub.Tracer.Events()) == 0 {
+				t.Error("tracer recorded nothing")
+			}
+			if len(hub.Heartbeat.Rows()) == 0 {
+				t.Error("heartbeat recorded nothing")
+			}
+			if got, want := hub.Progress.Done(), hub.Progress.Total(); got < want || want == 0 {
+				t.Errorf("progress done = %d, want at least total %d", got, want)
+			}
+		})
 	}
 }
 

@@ -25,6 +25,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.SpanOn(1, "c", "n", LaneDRAM, 0, 5)
 	tr.Instant("c", "n", LaneMMU)
 	tr.StallSpan(0, "other", 0, 100)
+	tr.Resume(tr.Suspend())
 	if tr.Sampled() != 0 || tr.Dropped() != 0 || tr.Events() != nil || tr.Now() != 0 {
 		t.Fatal("nil tracer retained state")
 	}
@@ -83,13 +84,40 @@ func TestTracerGatesOnActiveWindow(t *testing.T) {
 	}
 }
 
+// Suspend detaches the in-flight sample so events emitted meanwhile are
+// dropped; Resume reattaches it with its core and dispatch cycle.
+func TestSuspendResumeCarriesSample(t *testing.T) {
+	tr := NewTracer(1024, 1)
+	tr.BeginSample(2, "load", 0x40, 0x1000, 100)
+	s := tr.Suspend()
+	if tr.Active() {
+		t.Fatal("tracer active after Suspend")
+	}
+	tr.Span("cache", "L2C", LaneCache, 100, 110) // another core's step
+	tr.Resume(s)
+	if !tr.Active() || tr.Now() != 100 {
+		t.Fatalf("Resume did not restore the sample: active=%v now=%d", tr.Active(), tr.Now())
+	}
+	tr.Span("cache", "LLC", LaneCache, 110, 140)
+	tr.EndSample("load", 150)
+	evs := tr.Events()
+	if len(evs) != 3 || evs[1].Name != "LLC" || evs[2].Name != "load" {
+		t.Fatalf("events %+v, want begin, LLC, load", evs)
+	}
+	for _, ev := range evs {
+		if ev.Core != 2 {
+			t.Errorf("event %q on core %d, want 2", ev.Name, ev.Core)
+		}
+	}
+}
+
 func TestRingWraparound(t *testing.T) {
 	const capacity = 8
 	tr := NewTracer(capacity, 1) // sample everything
 	const n = 30
 	for i := 0; i < n; i++ {
 		tr.BeginSample(0, "load", 0, 0, int64(i)) // one event per instruction
-		tr.active = false
+		tr.cur.active = false
 	}
 	evs := tr.Events()
 	if len(evs) != capacity {

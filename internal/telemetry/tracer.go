@@ -93,9 +93,7 @@ type Tracer struct {
 	seen        uint64 // memory instructions observed
 	seq         uint64 // events emitted (ever)
 
-	active bool
-	core   int32 // core of the in-flight sampled request
-	now    int64 // dispatch cycle of the in-flight sampled request
+	cur Sample // the in-flight sampled request
 
 	buf   []Event
 	next  int
@@ -124,7 +122,7 @@ func (t *Tracer) Enabled() bool { return t != nil }
 
 // Active reports whether a sampled request is currently in flight; component
 // hooks guard on this so the disabled path is a single nil check.
-func (t *Tracer) Active() bool { return t != nil && t.active }
+func (t *Tracer) Active() bool { return t != nil && t.cur.active }
 
 // BeginSample is called by the pipeline for every memory instruction; one in
 // sampleEvery becomes the tracked request. It returns whether the request is
@@ -137,9 +135,7 @@ func (t *Tracer) BeginSample(core int, kind string, ip, va mem.Addr, cycle int64
 	if t.seen%t.sampleEvery != 0 {
 		return false
 	}
-	t.active = true
-	t.core = int32(core)
-	t.now = cycle
+	t.cur = Sample{active: true, core: int32(core), now: cycle}
 	t.Instant("request", "begin "+kind, LaneRequest,
 		IArg("ip", int64(ip)), IArg("va", int64(va)), IArg("sample", int64(t.seen/t.sampleEvery)))
 	return true
@@ -147,14 +143,39 @@ func (t *Tracer) BeginSample(core int, kind string, ip, va mem.Addr, cycle int64
 
 // EndSample closes the tracked request with its enclosing span.
 func (t *Tracer) EndSample(kind string, complete int64) {
-	if t == nil || !t.active {
+	if t == nil || !t.cur.active {
 		return
 	}
 	t.span(Event{
-		Name: kind, Cat: "request", Core: t.core, Lane: LaneRequest,
-		Ts: t.now, Dur: complete - t.now,
+		Name: kind, Cat: "request", Core: t.cur.core, Lane: LaneRequest,
+		Ts: t.cur.now, Dur: complete - t.cur.now,
 	})
-	t.active = false
+	t.cur.active = false
+}
+
+// Sample is the in-flight sampled request's context. A scheduler that parks
+// a core mid-step carries the core's sample with it (Suspend before parking,
+// Resume on return), so other cores' events never land in it.
+type Sample struct {
+	active bool
+	core   int32
+	now    int64
+}
+
+// Suspend detaches and returns the in-flight sample, leaving none active.
+func (t *Tracer) Suspend() (s Sample) {
+	if t != nil {
+		s, t.cur.active = t.cur, false
+	}
+	return s
+}
+
+// Resume reattaches a sample detached by Suspend.
+func (t *Tracer) Resume(s Sample) {
+	if t == nil {
+		return
+	}
+	t.cur = s
 }
 
 // Now returns the dispatch cycle of the in-flight sampled request; instants
@@ -163,15 +184,15 @@ func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
 	}
-	return t.now
+	return t.cur.now
 }
 
 // Span records a complete event on the active request's core.
 func (t *Tracer) Span(cat, name string, lane Lane, start, end int64, args ...Arg) {
-	if t == nil || !t.active {
+	if t == nil || !t.cur.active {
 		return
 	}
-	ev := Event{Name: name, Cat: cat, Core: t.core, Lane: lane, Ts: start, Dur: end - start}
+	ev := Event{Name: name, Cat: cat, Core: t.cur.core, Lane: lane, Ts: start, Dur: end - start}
 	fillArgs(&ev, args)
 	t.span(ev)
 }
@@ -179,7 +200,7 @@ func (t *Tracer) Span(cat, name string, lane Lane, start, end int64, args ...Arg
 // SpanOn is Span with an explicit core, for shared components (LLC, DRAM)
 // that service several cores.
 func (t *Tracer) SpanOn(core int, cat, name string, lane Lane, start, end int64, args ...Arg) {
-	if t == nil || !t.active {
+	if t == nil || !t.cur.active {
 		return
 	}
 	ev := Event{Name: name, Cat: cat, Core: int32(core), Lane: lane, Ts: start, Dur: end - start}
@@ -190,10 +211,10 @@ func (t *Tracer) SpanOn(core int, cat, name string, lane Lane, start, end int64,
 // Instant records a zero-duration event at the active request's current
 // cycle.
 func (t *Tracer) Instant(cat, name string, lane Lane, args ...Arg) {
-	if t == nil || !t.active {
+	if t == nil || !t.cur.active {
 		return
 	}
-	ev := Event{Name: name, Cat: cat, Core: t.core, Lane: lane, Phase: 'i', Ts: t.now}
+	ev := Event{Name: name, Cat: cat, Core: t.cur.core, Lane: lane, Phase: 'i', Ts: t.cur.now}
 	fillArgs(&ev, args)
 	t.emit(ev)
 }

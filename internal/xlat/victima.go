@@ -9,8 +9,8 @@ import (
 
 func init() {
 	Register("victima", newVictima)
-	// Victima's translate path probes and fills the shared LLC, so it must
-	// run under the serial scheduler even on multi-core machines.
+	// Victima's translate path probes and fills the shared LLC, so a
+	// multi-core victima run resumes every core on one goroutine.
 	MarkShared("victima")
 }
 

@@ -174,8 +174,8 @@ func Register(name string, f Factory) {
 
 // MarkShared records that the named mechanism's translate path touches
 // machine structures shared between cores (victima probes and fills the
-// LLC). The intra-simulation parallel engine refuses such mechanisms and
-// falls back to the serial scheduler; see CoreLocal.
+// LLC). The barrier engine runs such mechanisms without its worker pool,
+// every core on one goroutine; see CoreLocal.
 func MarkShared(name string) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
@@ -184,9 +184,9 @@ func MarkShared(name string) {
 
 // CoreLocal reports whether the named mechanism confines its hot-path
 // state to per-core structures (the per-core L2, STLB and walker), making
-// it safe to run on a core's own goroutine under the parallel engine. The
-// empty name resolves to DefaultName; unknown names report false so
-// callers fail safe into the serial scheduler.
+// it safe to run on a core's own goroutine under the barrier engine's
+// worker pool. The empty name resolves to DefaultName; unknown names report
+// false so callers fail safe to one goroutine.
 func CoreLocal(name string) bool {
 	if name == "" {
 		name = DefaultName
