@@ -13,21 +13,19 @@ import (
 // run, on a single core and on a 4-core machine under both timing engines.
 func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 	mcf := buildTrace(t, "mcf", 90_000)
-	multi := parTraces(t, 20_000)
+	traces := parTraces(t, 20_000)
+	multi := func(cfg Config) (*Result, error) {
+		cfg.Instructions, cfg.Warmup = 8_000, 2_000
+		return RunMulti(cfg, traces)
+	}
 	for _, tc := range []struct {
 		name   string
 		timing string
 		run    func(Config) (*Result, error)
 	}{
 		{"single-core", "", func(cfg Config) (*Result, error) { return Run(cfg, mcf) }},
-		{"4-core", "", func(cfg Config) (*Result, error) {
-			cfg.Instructions, cfg.Warmup = 8_000, 2_000
-			return RunMulti(cfg, multi)
-		}},
-		{"4-core-queued", "queued", func(cfg Config) (*Result, error) {
-			cfg.Instructions, cfg.Warmup = 8_000, 2_000
-			return RunMulti(cfg, multi)
-		}},
+		{"4-core", "", multi},
+		{"4-core-queued", "queued", multi},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickCfg()
