@@ -30,6 +30,10 @@ func reportText(reports []*Report) string {
 
 // TestAllWithDeterministicAcrossJobs is the engine's core guarantee: a
 // parallel sweep produces byte-identical report output to a sequential one.
+// The sequential sweep's text is also pinned byte for byte against
+// testdata/reports.golden (every catalog experiment at engineScale), so a
+// change to any report shows up as a diff to re-snapshot with
+// `go test ./internal/experiments/ -update`.
 func TestAllWithDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep twice")
@@ -43,6 +47,7 @@ func TestAllWithDeterministicAcrossJobs(t *testing.T) {
 		t.Fatalf("Jobs = %d", par.Jobs())
 	}
 	seqOut := reportText(AllWith(seq))
+	checkGolden(t, "reports.golden", seqOut)
 	parOut := reportText(AllWith(par))
 	if seqOut != parOut {
 		t.Errorf("parallel sweep output differs from sequential:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s",
