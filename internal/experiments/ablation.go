@@ -13,82 +13,31 @@ import (
 // the phenomenon, what the OS frame-scatter model is worth, what T-Hawkeye
 // buys over T-SHiP, and what happens to the whole problem under 2MB pages.
 
-// ablationWorkloads picks one benchmark per STLB category present at the
-// scale.
-func (r *Runner) ablationWorkloads() []string {
-	want := map[string]bool{"xalancbmk": true, "mcf": true, "pr": true}
-	var out []string
-	for _, w := range r.Scale().workloads() {
-		if want[w] {
-			out = append(out, w)
-		}
-	}
-	if len(out) == 0 {
-		out = r.Scale().workloads()
-	}
-	return out
-}
+// ablationRows picks one benchmark per STLB category.
+var ablationRows = []string{"xalancbmk", "mcf", "pr"}
 
-// AblationDecompose isolates each enhancement: T-policies without
+// ablationDecompose isolates each enhancement: T-policies without
 // prefetching, ATP without T-policies or TEMPO, TEMPO alone (the original
 // proposal it is borrowed from), and the full stack.
 //
 // Summary keys: tPolicies, atpOnly, tempoOnly, full (geomean speedups).
-func AblationDecompose(r *Runner) *Report {
-	type variant struct {
-		key string
-		mod func(*system.Config)
-	}
-	variants := []variant{
-		{"t-policies", func(c *system.Config) {
-			c.L2.Policy = "t-drrip"
-			c.LLC.Policy = "t-ship"
-		}},
-		{"atp-only", func(c *system.Config) {
+var ablationDecompose = &grid{
+	id:    "ablation-decompose",
+	title: "Each enhancement in isolation vs the full stack",
+	cols: []column{
+		{head: "t-policies", key: "tPolicies", label: "abl:t-policies", mod: tPolicies},
+		{head: "atp-only", key: "atpOnly", label: "abl:atp-only", mod: func(c *system.Config) {
 			c.L2.ATP = true
 			c.LLC.ATP = true
 		}},
-		{"tempo-only", func(c *system.Config) { c.TEMPO = true }},
-		{"full", func(c *system.Config) { c.Apply(system.TEMPO) }},
-	}
-	header := []string{"benchmark"}
-	for _, v := range variants {
-		header = append(header, v.key)
-	}
-	t := stats.NewTable(header...)
-	agg := map[string][]float64{}
-	for _, w := range r.Scale().workloads() {
-		base := r.Baseline(w)
-		row := []interface{}{w}
-		for _, v := range variants {
-			sp := r.Run("abl:"+v.key, w, v.mod).SpeedupOver(base)
-			row = append(row, sp)
-			agg[v.key] = append(agg[v.key], sp)
-		}
-		t.AddRowf(row...)
-	}
-	row := []interface{}{"geomean"}
-	sum := map[string]float64{}
-	for _, v := range variants {
-		g := stats.GeoMean(agg[v.key])
-		row = append(row, g)
-		sum[v.key] = g
-	}
-	t.AddRowf(row...)
-	return &Report{
-		ID:    "ablation-decompose",
-		Title: "Each enhancement in isolation vs the full stack",
-		Table: t,
-		Notes: []string{
-			"ATP needs the T-policies' translation hit rate to trigger; TEMPO needs translations to reach DRAM — the full stack composes them",
-		},
-		Summary: map[string]float64{
-			"tPolicies": sum["t-policies"],
-			"atpOnly":   sum["atp-only"],
-			"tempoOnly": sum["tempo-only"],
-			"full":      sum["full"],
-		},
-	}
+		{head: "tempo-only", key: "tempoOnly", label: "abl:tempo-only", mod: func(c *system.Config) { c.TEMPO = true }},
+		{head: "full", key: "full", label: "abl:full", mod: applied(system.TEMPO)},
+	},
+	cell: speedup,
+	agg:  geomeanRow,
+	notes: []string{
+		"ATP needs the T-policies' translation hit rate to trigger; TEMPO needs translations to reach DRAM — the full stack composes them",
+	},
 }
 
 // AblationWalkers sweeps the number of concurrent page walks: fewer walkers
@@ -99,7 +48,8 @@ func AblationDecompose(r *Runner) *Report {
 func AblationWalkers(r *Runner) *Report {
 	t := stats.NewTable("benchmark", "IPC 1w", "IPC 2w", "IPC 4w", "gain 1w", "gain 2w", "gain 4w")
 	sum := map[string]float64{}
-	for _, w := range r.ablationWorkloads() {
+	wls := r.Scale().pick(ablationRows...)
+	for _, w := range wls {
 		row := []interface{}{w}
 		var ipcs, gains []interface{}
 		for _, n := range []int{1, 2, 4} {
@@ -122,7 +72,7 @@ func AblationWalkers(r *Runner) *Report {
 		t.AddRowf(row...)
 	}
 	for k := range sum {
-		sum[k] /= float64(len(r.ablationWorkloads()))
+		sum[k] /= float64(len(wls))
 	}
 	return &Report{
 		ID:    "ablation-walkers",
@@ -135,41 +85,28 @@ func AblationWalkers(r *Runner) *Report {
 	}
 }
 
-// AblationReplayDelay sweeps the pipeline replay window — the latency ATP's
+// ablationReplayDelay sweeps the pipeline replay window — the latency ATP's
 // prefetch hides. At 0 the replay arrives with the walk and ATP has no
 // window; larger windows grow ATP's benefit.
 //
 // Summary keys: atpGain:<d> for d in {0,15,30,60}.
-func AblationReplayDelay(r *Runner) *Report {
-	t := stats.NewTable("benchmark", "d=0", "d=15", "d=30", "d=60")
-	sum := map[string]float64{}
-	wls := r.ablationWorkloads()
-	for _, w := range wls {
-		row := []interface{}{w}
-		for _, d := range []int64{0, 15, 30, 60} {
-			d := d
-			base := r.Run(fmt.Sprintf("abl:rd%d:base", d), w, func(c *system.Config) {
-				c.ReplayIssueDelay = d
-			})
-			enh := r.Run(fmt.Sprintf("abl:rd%d:atp", d), w, func(c *system.Config) {
-				c.ReplayIssueDelay = d
-				c.Apply(system.ATP)
-			})
-			gain := enh.SpeedupOver(base)
-			row = append(row, gain)
-			sum[fmt.Sprintf("atpGain:%d", d)] += gain / float64(len(wls))
-		}
-		t.AddRowf(row...)
-	}
-	return &Report{
-		ID:    "ablation-replaydelay",
-		Title: "ATP gain vs the replay re-issue window (cycles)",
-		Table: t,
-		Notes: []string{
-			"ATP hides the walk-to-replay window; the gain should grow with the window",
-		},
-		Summary: sum,
-	}
+var ablationReplayDelay = &grid{
+	id:    "ablation-replaydelay",
+	title: "ATP gain vs the replay re-issue window (cycles)",
+	rows:  ablationRows,
+	cols:  []column{replayDelay(0), replayDelay(15), replayDelay(30), replayDelay(60)},
+	cell:  speedup,
+	agg:   aggregate{of: shareMean},
+	notes: []string{
+		"ATP hides the walk-to-replay window; the gain should grow with the window",
+	},
+}
+
+// replayDelay is the ablationReplayDelay column of window d.
+func replayDelay(d int64) column {
+	return paired(fmt.Sprintf("d=%d", d), fmt.Sprintf("atpGain:%d", d),
+		fmt.Sprintf("abl:rd%d:base", d), fmt.Sprintf("abl:rd%d:atp", d),
+		system.ATP, func(c *system.Config) { c.ReplayIssueDelay = d })
 }
 
 // AblationScatter compares the scattered OS frame allocator against
@@ -179,7 +116,7 @@ func AblationReplayDelay(r *Runner) *Report {
 func AblationScatter(r *Runner) *Report {
 	t := stats.NewTable("benchmark", "IPC scattered", "IPC contiguous", "row-hit scattered", "row-hit contiguous")
 	var sIPC, cIPC, sRH, cRH float64
-	wls := r.ablationWorkloads()
+	wls := r.Scale().pick(ablationRows...)
 	for _, w := range wls {
 		sc := r.Baseline(w)
 		co := r.Run("abl:contig", w, func(c *system.Config) { c.NoScatterFrames = true })
@@ -210,45 +147,30 @@ func AblationScatter(r *Runner) *Report {
 	}
 }
 
-// AblationTHawkeye runs the T-policy ladder with Hawkeye as the LLC
+// ablationTHawkeye runs the T-policy ladder with Hawkeye as the LLC
 // baseline instead of SHiP — the paper's secondary configuration.
 //
-// Summary keys: hawkeye, tHawkeye (geomean speedups over the SHiP
+// Summary keys: hawkeye, tHawkeye, full (geomean speedups over the SHiP
 // baseline).
-func AblationTHawkeye(r *Runner) *Report {
-	t := stats.NewTable("benchmark", "hawkeye", "t-hawkeye", "t-hawkeye+ATP+TEMPO")
-	agg := map[string][]float64{}
-	for _, w := range r.Scale().workloads() {
-		base := r.Baseline(w)
-		hk := r.Run("abl:hawkeye", w, func(c *system.Config) { c.LLC.Policy = "hawkeye" })
-		thk := r.Run("abl:t-hawkeye", w, func(c *system.Config) {
+var ablationTHawkeye = &grid{
+	id:    "ablation-t-hawkeye",
+	title: "Hawkeye LLC: baseline vs T-Hawkeye vs T-Hawkeye with ATP+TEMPO (normalized to SHiP baseline)",
+	cols: []column{
+		{head: "hawkeye", key: "hawkeye", label: "abl:hawkeye", mod: func(c *system.Config) { c.LLC.Policy = "hawkeye" }},
+		{head: "t-hawkeye", key: "tHawkeye", label: "abl:t-hawkeye", mod: func(c *system.Config) {
 			c.L2.Policy = "t-drrip"
 			c.LLC.Policy = "t-hawkeye"
-		})
-		full := r.Run("abl:t-hawkeye-full", w, func(c *system.Config) {
+		}},
+		{head: "t-hawkeye+ATP+TEMPO", key: "full", label: "abl:t-hawkeye-full", mod: func(c *system.Config) {
 			c.Apply(system.TEMPO)
 			c.LLC.Policy = "t-hawkeye"
-		})
-		a, b, c := hk.SpeedupOver(base), thk.SpeedupOver(base), full.SpeedupOver(base)
-		t.AddRowf(w, a, b, c)
-		agg["hawkeye"] = append(agg["hawkeye"], a)
-		agg["t-hawkeye"] = append(agg["t-hawkeye"], b)
-		agg["full"] = append(agg["full"], c)
-	}
-	t.AddRowf("geomean", stats.GeoMean(agg["hawkeye"]), stats.GeoMean(agg["t-hawkeye"]), stats.GeoMean(agg["full"]))
-	return &Report{
-		ID:    "ablation-t-hawkeye",
-		Title: "Hawkeye LLC: baseline vs T-Hawkeye vs T-Hawkeye with ATP+TEMPO (normalized to SHiP baseline)",
-		Table: t,
-		Notes: []string{
-			"the paper's signature fix applies to Hawkeye the same way it applies to SHiP",
-		},
-		Summary: map[string]float64{
-			"hawkeye":  stats.GeoMean(agg["hawkeye"]),
-			"tHawkeye": stats.GeoMean(agg["t-hawkeye"]),
-			"full":     stats.GeoMean(agg["full"]),
-		},
-	}
+		}},
+	},
+	cell: speedup,
+	agg:  geomeanRow,
+	notes: []string{
+		"the paper's signature fix applies to Hawkeye the same way it applies to SHiP",
+	},
 }
 
 // AblationHugePages maps all data with 2MB pages: the STLB problem — and
@@ -259,7 +181,7 @@ func AblationTHawkeye(r *Runner) *Report {
 func AblationHugePages(r *Runner) *Report {
 	t := stats.NewTable("benchmark", "STLB MPKI 4K", "STLB MPKI 2M", "gain 4K", "gain 2M")
 	var m4, m2, g4, g2 float64
-	wls := r.ablationWorkloads()
+	wls := r.Scale().pick(ablationRows...)
 	for _, w := range wls {
 		b4 := r.Baseline(w)
 		e4 := r.Enhanced(w, system.TEMPO)

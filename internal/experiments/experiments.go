@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each FigN/TableN function runs the simulations it needs and
-// returns a Report containing the rows/series the paper plots plus headline
-// summary numbers.
+// evaluation, plus this repository's ablations. Each experiment runs the
+// simulations it needs and returns a Report containing the rows/series the
+// paper plots plus headline summary numbers. Most are declared as grid specs
+// (workloads × named configurations, see grid.go) and run by one executor;
+// the rest are hand-written FigN/TableN-style functions.
 //
 // Simulations are scheduled through a parallel experiment engine
 // (internal/experiments/runner): every run is identified by a canonical run
@@ -105,6 +107,39 @@ func (sc Scale) workloads() []string {
 	return sc.Workloads
 }
 
+// pick returns the scale's workloads that are among want, in scale order.
+// With no wanted names, or none of them at this scale, it returns every
+// workload of the scale.
+func (sc Scale) pick(want ...string) []string {
+	var out []string
+	for _, w := range sc.workloads() {
+		if slices.Contains(want, w) {
+			out = append(out, w)
+		}
+	}
+	if len(out) == 0 {
+		return sc.workloads()
+	}
+	return out
+}
+
+// mixes returns the candidate mixes (one workload per hardware thread or
+// core) whose every workload is at this scale, in candidate order.
+func (sc Scale) mixes(candidates [][]string) [][]string {
+	have := sc.workloads()
+	var out [][]string
+next:
+	for _, mix := range candidates {
+		for _, w := range mix {
+			if !slices.Contains(have, w) {
+				continue next
+			}
+		}
+		out = append(out, mix)
+	}
+	return out
+}
+
 // robustnessSeeds returns the trace seeds the robustness experiment sweeps:
 // the primary Seed, then ExtraSeeds or, when none are set, the default
 // extra seeds 7 and 13. The slice is fresh on every call, so callers never
@@ -153,20 +188,12 @@ func (r *Report) String() string {
 		for k := range r.Summary {
 			keys = append(keys, k)
 		}
-		sortStrings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
 			fmt.Fprintf(&b, "summary %s = %.4f\n", k, r.Summary[k])
 		}
 	}
 	return b.String()
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // RunError identifies one simulation's permanent failure: which experiment
@@ -723,7 +750,7 @@ func (r *Runner) Baseline(name string) *system.Result {
 
 // Enhanced runs the given cumulative enhancement level.
 func (r *Runner) Enhanced(name string, e system.Enhancement) *system.Result {
-	return r.Run("enh:"+e.String(), name, func(c *system.Config) { c.Apply(e) })
+	return r.Run("enh:"+e.String(), name, applied(e))
 }
 
 // SeededSpeedups measures the full-stack speedup of one benchmark across
@@ -759,19 +786,19 @@ type catalogEntry struct {
 // derive from it, so an experiment registered here is automatically listed,
 // runnable and covered by the documentation-coverage test.
 var catalog = []catalogEntry{
-	{"fig1", Fig1}, {"fig2", Fig2}, {"fig3", Fig3}, {"fig4", Fig4},
-	{"fig5", Fig5}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8},
-	{"fig10", Fig10}, {"fig12", Fig12}, {"fig14", Fig14}, {"fig15", Fig15},
-	{"fig16", Fig16}, {"fig17", Fig17}, {"fig18", Fig18}, {"fig19", Fig19},
-	{"fig20", Fig20}, {"fig21", Fig21}, {"table1", TableI}, {"table2", TableII},
+	{"fig1", Fig1}, fig2.entry(), {"fig3", Fig3}, fig4.entry(),
+	{"fig5", Fig5}, fig6.entry(), {"fig7", Fig7}, fig8.entry(),
+	fig10.entry(), fig12.entry(), fig14.entry(), fig15.entry(),
+	{"fig16", Fig16}, {"fig17", Fig17}, {"fig18", Fig18}, fig19.entry(),
+	fig20.entry(), fig21.entry(), {"table1", TableI}, {"table2", TableII},
 	{"multicore", MultiCore},
-	{"ablation-decompose", AblationDecompose},
+	ablationDecompose.entry(),
 	{"ablation-walkers", AblationWalkers},
-	{"ablation-replaydelay", AblationReplayDelay},
+	ablationReplayDelay.entry(),
 	{"ablation-scatter", AblationScatter},
-	{"ablation-t-hawkeye", AblationTHawkeye},
+	ablationTHawkeye.entry(),
 	{"ablation-hugepages", AblationHugePages},
-	{"comparison", Comparison},
+	comparison.entry(),
 	{"robustness", Robustness},
 	{"mechanisms", Mechanisms},
 	{"queues", Queues},

@@ -11,11 +11,13 @@ import (
 // stall cycles per STLB-missing translation, per replay load and per
 // non-replay load, on the baseline machine.
 //
-// Summary keys: avgTrans, avgReplay, avgNonReplay, maxReplay.
+// Summary keys: avgTrans, avgReplay, avgNonReplay, maxReplay, and
+// totalTrans, totalReplay (translation and replay stall cycles summed over
+// the benchmarks).
 func Fig1(r *Runner) *Report {
 	t := stats.NewTable("benchmark", "avg T", "max T", "avg R", "max R", "avg NR", "max NR")
 	var aT, aR, aN []float64
-	var maxR uint64
+	var maxR, totT, totR uint64
 	for _, w := range r.Scale().workloads() {
 		res := r.Baseline(w)
 		c := res.Cores[0].CPU
@@ -29,10 +31,7 @@ func Fig1(r *Runner) *Report {
 		if c.ReplayStall.Max() > maxR {
 			maxR = c.ReplayStall.Max()
 		}
-	}
-	var totT, totR uint64
-	for _, w := range r.Scale().workloads() {
-		tt, tr := stallTotals(r.Baseline(w))
+		tt, tr := stallTotals(res)
 		totT += tt
 		totR += tr
 	}
@@ -56,69 +55,39 @@ func Fig1(r *Runner) *Report {
 	}
 }
 
-// Fig2 is the limit study: normalized performance with ideal L2C/LLC for
+// fig2 is the limit study: normalized performance with ideal L2C/LLC for
 // leaf translations (T), replay loads (R) and both (TR).
 //
 // Summary keys: llcT, llcR, llcTR, bothTR (geomean speedups).
-func Fig2(r *Runner) *Report {
-	type mode struct {
-		key string
-		mod func(*system.Config)
-	}
-	modes := []mode{
-		{"LLC(T)", func(c *system.Config) { c.LLC.IdealTranslations = true }},
-		{"LLC(R)", func(c *system.Config) { c.LLC.IdealReplays = true }},
-		{"LLC(TR)", func(c *system.Config) { c.LLC.IdealTranslations = true; c.LLC.IdealReplays = true }},
-		{"L2C(T)", func(c *system.Config) { c.L2.IdealTranslations = true }},
-		{"L2C(R)", func(c *system.Config) { c.L2.IdealReplays = true }},
-		{"L2C(TR)", func(c *system.Config) { c.L2.IdealTranslations = true; c.L2.IdealReplays = true }},
-		{"L2C+LLC(TR)", func(c *system.Config) {
+var fig2 = &grid{
+	id:    "fig2",
+	title: "Normalized performance with ideal L2C/LLC for translations (T), replays (R), both (TR)",
+	cols: []column{
+		ideal("LLC(T)", "llcT", func(c *system.Config) { c.LLC.IdealTranslations = true }),
+		ideal("LLC(R)", "llcR", func(c *system.Config) { c.LLC.IdealReplays = true }),
+		ideal("LLC(TR)", "llcTR", func(c *system.Config) { c.LLC.IdealTranslations = true; c.LLC.IdealReplays = true }),
+		ideal("L2C(T)", "", func(c *system.Config) { c.L2.IdealTranslations = true }),
+		ideal("L2C(R)", "", func(c *system.Config) { c.L2.IdealReplays = true }),
+		ideal("L2C(TR)", "", func(c *system.Config) { c.L2.IdealTranslations = true; c.L2.IdealReplays = true }),
+		ideal("L2C+LLC(TR)", "bothTR", func(c *system.Config) {
 			c.L2.IdealTranslations = true
 			c.L2.IdealReplays = true
 			c.LLC.IdealTranslations = true
 			c.LLC.IdealReplays = true
-		}},
-	}
-	header := []string{"benchmark"}
-	for _, m := range modes {
-		header = append(header, m.key)
-	}
-	t := stats.NewTable(header...)
-	speedups := make(map[string][]float64)
-	for _, w := range r.Scale().workloads() {
-		base := r.Baseline(w)
-		row := []interface{}{w}
-		for _, m := range modes {
-			res := r.Run("ideal:"+m.key, w, m.mod)
-			sp := res.SpeedupOver(base)
-			row = append(row, sp)
-			speedups[m.key] = append(speedups[m.key], sp)
-		}
-		t.AddRowf(row...)
-	}
-	row := []interface{}{"geomean"}
-	sum := map[string]float64{}
-	for _, m := range modes {
-		g := stats.GeoMean(speedups[m.key])
-		row = append(row, g)
-		sum[m.key] = g
-	}
-	t.AddRowf(row...)
-	return &Report{
-		ID:    "fig2",
-		Title: "Normalized performance with ideal L2C/LLC for translations (T), replays (R), both (TR)",
-		Table: t,
-		Notes: []string{
-			"paper: ideal LLC(TR) +30.7%, ideal L2C+LLC(TR) +37.6%, L2C(T) +4.7%, L2C(R) +30.2%",
-			"shape target: R-idealization ≫ T-idealization; combined largest",
-		},
-		Summary: map[string]float64{
-			"llcT":   sum["LLC(T)"],
-			"llcR":   sum["LLC(R)"],
-			"llcTR":  sum["LLC(TR)"],
-			"bothTR": sum["L2C+LLC(TR)"],
-		},
-	}
+		}),
+	},
+	cell: speedup,
+	agg:  geomeanRow,
+	notes: []string{
+		"paper: ideal LLC(TR) +30.7%, ideal L2C+LLC(TR) +37.6%, L2C(T) +4.7%, L2C(R) +30.2%",
+		"shape target: R-idealization ≫ T-idealization; combined largest",
+	},
+}
+
+// ideal is a Fig. 2 column: a cache level that serves some request class
+// ideally.
+func ideal(head, key string, mod func(*system.Config)) column {
+	return column{head: head, key: key, label: "ideal:" + head, mod: mod}
 }
 
 // Fig3 reports which hierarchy level services leaf translations and replay
@@ -172,66 +141,47 @@ func Fig3(r *Runner) *Report {
 	}
 }
 
-// policySweep runs the LLC replacement-policy comparison shared by Figs. 4
-// and 6, returning MPKI tables for one access class.
-func (r *Runner) policySweep(class mem.Class, policies []string) (*stats.Table, map[string]float64) {
-	header := []string{"benchmark"}
-	header = append(header, policies...)
-	t := stats.NewTable(header...)
-	agg := map[string][]float64{}
-	for _, w := range r.Scale().workloads() {
-		row := []interface{}{w}
-		for _, p := range policies {
-			p := p
-			res := r.Run("llc:"+p, w, func(c *system.Config) { c.LLC.Policy = p })
-			m := res.LLCMPKI(class)
-			row = append(row, m)
-			agg[p] = append(agg[p], m)
-		}
-		t.AddRowf(row...)
-	}
-	row := []interface{}{"mean"}
-	sum := map[string]float64{}
-	for _, p := range policies {
-		m := mean(agg[p])
-		row = append(row, m)
-		sum[p] = m
-	}
-	t.AddRowf(row...)
-	return t, sum
-}
-
 var baselinePolicies = []string{"lru", "srrip", "drrip", "ship", "hawkeye"}
 
-// Fig4 compares leaf-translation MPKI at the LLC across replacement
+// llcPolicy is the column that swaps the LLC replacement policy.
+func llcPolicy(p, key string) column {
+	return column{head: p, key: key, label: "llc:" + p, mod: func(c *system.Config) { c.LLC.Policy = p }}
+}
+
+// llcPolicies are llcPolicy columns, each summarized under its policy name.
+func llcPolicies(policies []string) []column {
+	cols := make([]column, len(policies))
+	for i, p := range policies {
+		cols[i] = llcPolicy(p, p)
+	}
+	return cols
+}
+
+// fig4 compares leaf-translation MPKI at the LLC across replacement
 // policies.
 //
 // Summary keys: one per policy (mean leaf-translation LLC MPKI).
-func Fig4(r *Runner) *Report {
-	t, sum := r.policySweep(mem.ClassTransLeaf, baselinePolicies)
-	return &Report{
-		ID:    "fig4",
-		Title: "Leaf-level translation MPKI at the LLC by replacement policy",
-		Table: t,
-		Notes: []string{
-			"paper: vs LRU — SRRIP −14.7%, DRRIP −27.5%, SHiP −33.3%, Hawkeye +44.1% (IP-signature mistraining)",
-		},
-		Summary: sum,
-	}
+var fig4 = &grid{
+	id:    "fig4",
+	title: "Leaf-level translation MPKI at the LLC by replacement policy",
+	cols:  llcPolicies(baselinePolicies),
+	cell:  llcMPKI(mem.ClassTransLeaf),
+	agg:   meanRow,
+	notes: []string{
+		"paper: vs LRU — SRRIP −14.7%, DRRIP −27.5%, SHiP −33.3%, Hawkeye +44.1% (IP-signature mistraining)",
+	},
 }
 
-// Fig6 compares replay-load MPKI at the LLC across the same policies.
-func Fig6(r *Runner) *Report {
-	t, sum := r.policySweep(mem.ClassReplay, baselinePolicies)
-	return &Report{
-		ID:    "fig6",
-		Title: "Replay-load MPKI at the LLC by replacement policy",
-		Table: t,
-		Notes: []string{
-			"paper: replacement policy has essentially no effect — replay blocks are dead",
-		},
-		Summary: sum,
-	}
+// fig6 compares replay-load MPKI at the LLC across the same policies.
+var fig6 = &grid{
+	id:    "fig6",
+	title: "Replay-load MPKI at the LLC by replacement policy",
+	cols:  llcPolicies(baselinePolicies),
+	cell:  llcMPKI(mem.ClassReplay),
+	agg:   meanRow,
+	notes: []string{
+		"paper: replacement policy has essentially no effect — replay blocks are dead",
+	},
 }
 
 // recallRow renders a recall-distance CDF over all evicted blocks (blocks
@@ -303,55 +253,38 @@ func Fig7(r *Runner) *Report {
 	}
 }
 
-// Fig8 measures LLC replay MPKI with and without data prefetchers.
+// prefetchers configures the data prefetchers at the L1D and the L2C
+// ("none" disables one).
+func prefetchers(l1d, l2 string) func(*system.Config) {
+	return func(c *system.Config) {
+		c.L1DPrefetcher = l1d
+		c.L2Prefetcher = l2
+	}
+}
+
+// prefetcher is the Fig. 8 column of one prefetcher setup.
+func prefetcher(name, l1d, l2 string) column {
+	return column{head: name, key: name, label: "pf:" + name, mod: prefetchers(l1d, l2)}
+}
+
+// fig8 measures LLC replay MPKI with and without data prefetchers.
 //
 // Summary keys: one per prefetcher setup (mean replay LLC MPKI).
-func Fig8(r *Runner) *Report {
-	type setup struct{ name, l1d, l2 string }
-	setups := []setup{
-		{"none", "none", "none"},
-		{"ipcp", "ipcp", "none"},
-		{"spp", "none", "spp"},
-		{"bingo", "none", "bingo"},
-		{"isb", "none", "isb"},
-	}
-	header := []string{"benchmark"}
-	for _, s := range setups {
-		header = append(header, s.name)
-	}
-	t := stats.NewTable(header...)
-	agg := map[string][]float64{}
-	for _, w := range r.Scale().workloads() {
-		row := []interface{}{w}
-		for _, s := range setups {
-			s := s
-			res := r.Run("pf:"+s.name, w, func(c *system.Config) {
-				c.L1DPrefetcher = s.l1d
-				c.L2Prefetcher = s.l2
-			})
-			m := res.LLCMPKI(mem.ClassReplay)
-			row = append(row, m)
-			agg[s.name] = append(agg[s.name], m)
-		}
-		t.AddRowf(row...)
-	}
-	row := []interface{}{"mean"}
-	sum := map[string]float64{}
-	for _, s := range setups {
-		m := mean(agg[s.name])
-		row = append(row, m)
-		sum[s.name] = m
-	}
-	t.AddRowf(row...)
-	return &Report{
-		ID:    "fig8",
-		Title: "LLC replay MPKI with and without data prefetchers",
-		Table: t,
-		Notes: []string{
-			"paper: spatial prefetchers leave replay MPKI essentially unchanged (<1% improvement); ISB helps some benchmarks",
-		},
-		Summary: sum,
-	}
+var fig8 = &grid{
+	id:    "fig8",
+	title: "LLC replay MPKI with and without data prefetchers",
+	cols: []column{
+		prefetcher("none", "none", "none"),
+		prefetcher("ipcp", "ipcp", "none"),
+		prefetcher("spp", "none", "spp"),
+		prefetcher("bingo", "none", "bingo"),
+		prefetcher("isb", "none", "isb"),
+	},
+	cell: llcMPKI(mem.ClassReplay),
+	agg:  meanRow,
+	notes: []string{
+		"paper: spatial prefetchers leave replay MPKI essentially unchanged (<1% improvement); ISB helps some benchmarks",
+	},
 }
 
 func mean(xs []float64) float64 {

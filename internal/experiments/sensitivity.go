@@ -7,65 +7,22 @@ import (
 	"atcsim/internal/system"
 )
 
-// sensitivityWorkloads picks the benchmarks the paper's sensitivity figures
-// plot (xalancbmk, canneal, mcf plus one High) intersected with the scale.
-func (r *Runner) sensitivityWorkloads() []string {
-	want := map[string]bool{"xalancbmk": true, "canneal": true, "mcf": true, "pr": true}
-	var out []string
-	for _, w := range r.Scale().workloads() {
-		if want[w] {
-			out = append(out, w)
-		}
-	}
-	if len(out) == 0 {
-		out = r.Scale().workloads()
-	}
-	return out
-}
+// sensitivityRows are the benchmarks the paper's sensitivity figures plot
+// (xalancbmk, canneal, mcf plus one High).
+var sensitivityRows = []string{"xalancbmk", "canneal", "mcf", "pr"}
 
-// sweep runs a size-sensitivity experiment: for every parameter value, the
-// geomean speedup of the full enhancement stack over the same-size
-// baseline, per benchmark.
-func (r *Runner) sweep(id, title, unit string, values []int, mod func(*system.Config, int), paperNote string) *Report {
-	wls := r.sensitivityWorkloads()
-	header := []string{"benchmark"}
-	for _, v := range values {
-		header = append(header, fmt.Sprintf("%d%s", v, unit))
+// sizeSweep is a size-sensitivity grid: for every parameter value, the
+// speedup of the full enhancement stack over the same-size baseline, per
+// benchmark, and its geomean.
+func sizeSweep(id, title, unit string, values []int, mod func(*system.Config, int), paperNote string) *grid {
+	cols := make([]column, len(values))
+	for i, v := range values {
+		head := fmt.Sprintf("%d%s", v, unit)
+		cols[i] = paired(head, head, fmt.Sprintf("%s:base:%d", id, v), fmt.Sprintf("%s:enh:%d", id, v),
+			system.TEMPO, func(c *system.Config) { mod(c, v) })
 	}
-	t := stats.NewTable(header...)
-	agg := make(map[int][]float64)
-	for _, w := range wls {
-		row := []interface{}{w}
-		for _, v := range values {
-			v := v
-			base := r.Run(fmt.Sprintf("%s:base:%d", id, v), w, func(c *system.Config) {
-				mod(c, v)
-			})
-			enh := r.Run(fmt.Sprintf("%s:enh:%d", id, v), w, func(c *system.Config) {
-				mod(c, v)
-				c.Apply(system.TEMPO)
-			})
-			sp := enh.SpeedupOver(base)
-			row = append(row, sp)
-			agg[v] = append(agg[v], sp)
-		}
-		t.AddRowf(row...)
-	}
-	row := []interface{}{"geomean"}
-	sum := map[string]float64{}
-	for _, v := range values {
-		g := stats.GeoMean(agg[v])
-		row = append(row, g)
-		sum[fmt.Sprintf("%d%s", v, unit)] = g
-	}
-	t.AddRowf(row...)
-	return &Report{
-		ID:      id,
-		Title:   title,
-		Table:   t,
-		Notes:   []string{paperNote},
-		Summary: sum,
-	}
+	return &grid{id: id, title: title, rows: sensitivityRows, cols: cols,
+		cell: speedup, agg: geomeanRow, notes: []string{paperNote}}
 }
 
 // Fig18 reports the recall distance of translations at the STLB itself.
@@ -94,37 +51,31 @@ func Fig18(r *Runner) *Report {
 	}
 }
 
-// Fig19 sweeps the STLB size (512–4096 entries).
-func Fig19(r *Runner) *Report {
-	return r.sweep("fig19",
-		"STLB sensitivity: speedup of the full enhancements at each STLB size",
-		"e", []int{512, 1024, 2048, 4096},
-		func(c *system.Config, v int) { c.STLB.Entries = v },
-		"paper: gains persist across STLB sizes and shrink as the STLB grows (lower STLB MPKI)")
-}
+// fig19 sweeps the STLB size (512–4096 entries).
+var fig19 = sizeSweep("fig19",
+	"STLB sensitivity: speedup of the full enhancements at each STLB size",
+	"e", []int{512, 1024, 2048, 4096},
+	func(c *system.Config, v int) { c.STLB.Entries = v },
+	"paper: gains persist across STLB sizes and shrink as the STLB grows (lower STLB MPKI)")
 
-// Fig20 sweeps the L2C size (256KB–1MB).
-func Fig20(r *Runner) *Report {
-	return r.sweep("fig20",
-		"L2C sensitivity: speedup of the full enhancements at each L2 size",
-		"KB", []int{256, 512, 768, 1024},
-		func(c *system.Config, v int) {
-			c.L2.SizeBytes = v << 10
-			if v == 768 {
-				c.L2.Ways = 12 // keep a power-of-two set count
-			}
-			if v == 1024 {
-				c.L2.Latency = 12 // larger L2 is slower (paper notes this)
-			}
-		},
-		"paper: gains similar at 768KB, slightly lower at 1MB; xalancbmk keeps gaining")
-}
+// fig20 sweeps the L2C size (256KB–1MB).
+var fig20 = sizeSweep("fig20",
+	"L2C sensitivity: speedup of the full enhancements at each L2 size",
+	"KB", []int{256, 512, 768, 1024},
+	func(c *system.Config, v int) {
+		c.L2.SizeBytes = v << 10
+		if v == 768 {
+			c.L2.Ways = 12 // keep a power-of-two set count
+		}
+		if v == 1024 {
+			c.L2.Latency = 12 // larger L2 is slower (paper notes this)
+		}
+	},
+	"paper: gains similar at 768KB, slightly lower at 1MB; xalancbmk keeps gaining")
 
-// Fig21 sweeps the LLC size (1MB–8MB).
-func Fig21(r *Runner) *Report {
-	return r.sweep("fig21",
-		"LLC sensitivity: speedup of the full enhancements at each LLC size",
-		"MB", []int{1, 2, 4, 8},
-		func(c *system.Config, v int) { c.LLC.SizeBytes = v << 20 },
-		"paper: 6.3% at 1MB declining to 4.2% at 8MB")
-}
+// fig21 sweeps the LLC size (1MB–8MB).
+var fig21 = sizeSweep("fig21",
+	"LLC sensitivity: speedup of the full enhancements at each LLC size",
+	"MB", []int{1, 2, 4, 8},
+	func(c *system.Config, v int) { c.LLC.SizeBytes = v << 20 },
+	"paper: 6.3% at 1MB declining to 4.2% at 8MB")

@@ -11,7 +11,7 @@ import (
 
 // smtMixes are the 2-thread combinations the paper highlights, covering all
 // STLB-MPKI category pairs.
-var smtMixes = [][2]string{
+var smtMixes = [][]string{
 	{"xalancbmk", "xalancbmk"}, // Low-Low
 	{"canneal", "xalancbmk"},   // Medium-Low
 	{"mcf", "mis"},             // Medium-Medium
@@ -20,36 +20,14 @@ var smtMixes = [][2]string{
 	{"tc", "pr"},               // Medium-High
 }
 
-// availableMixes filters the mixes to benchmarks present at this scale.
-func (r *Runner) availableMixes(mixes [][2]string) [][2]string {
-	have := map[string]bool{}
-	for _, w := range r.Scale().workloads() {
-		have[w] = true
-	}
-	var out [][2]string
-	for _, m := range mixes {
-		if have[m[0]] && have[m[1]] {
-			out = append(out, m)
-		}
-	}
-	if len(out) == 0 {
-		// Quick scales may not contain any canonical pair; fall back to
-		// self-mixes of whatever is available.
-		for _, w := range r.Scale().workloads() {
-			out = append(out, [2]string{w, w})
-		}
-	}
-	return out
-}
-
 // runSMT simulates a 2-thread mix under the given enhancement level. Like
 // single-core runs, SMT results are keyed canonically (the run kind keeps
 // them distinct from a single-core run of the same configuration) and cached.
-func (r *Runner) runSMT(mix [2]string, e system.Enhancement) *system.Result {
+func (r *Runner) runSMT(mix []string, e system.Enhancement) *system.Result {
 	cfg := r.baseConfig()
 	cfg.Apply(e)
 	res, _, err := r.cached(r.ctx, r.runTimeout, "smt:"+e.String(), mix[0]+"-"+mix[1],
-		runner.KindSMT, mix[:], []int64{r.sc.Seed}, cfg,
+		runner.KindSMT, mix, []int64{r.sc.Seed}, cfg,
 		func() (*system.Result, error) {
 			t0, err := r.TryTraceSeeded(mix[0], r.sc.Seed)
 			if err != nil {
@@ -93,7 +71,14 @@ func (r *Runner) runMulti(mix []string, e system.Enhancement) *system.Result {
 //
 // Summary keys: mean (average harmonic speedup), max.
 func Fig17(r *Runner) *Report {
-	mixes := r.availableMixes(smtMixes)
+	mixes := r.Scale().mixes(smtMixes)
+	if len(mixes) == 0 {
+		// Quick scales may not contain any canonical pair; fall back to
+		// self-mixes of whatever is available.
+		for _, w := range r.Scale().workloads() {
+			mixes = append(mixes, []string{w, w})
+		}
+	}
 	sp := make([]float64, len(mixes))
 	forEachIndex(len(mixes), func(i int) {
 		base := r.runSMT(mixes[i], system.Baseline)
@@ -135,23 +120,7 @@ var multiMixes = [][]string{
 //
 // Summary keys: mean (average harmonic speedup over mixes).
 func MultiCore(r *Runner) *Report {
-	have := map[string]bool{}
-	for _, w := range r.Scale().workloads() {
-		have[w] = true
-	}
-	var mixes [][]string
-	for _, mix := range multiMixes {
-		ok := true
-		for _, w := range mix {
-			if !have[w] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			mixes = append(mixes, mix)
-		}
-	}
+	mixes := r.Scale().mixes(multiMixes)
 	if len(mixes) == 0 {
 		// Quick scale: one mix over whatever benchmarks exist.
 		mixes = [][]string{r.Scale().workloads()}
