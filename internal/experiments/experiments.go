@@ -320,7 +320,6 @@ type Runner struct {
 
 	mu       sync.Mutex
 	runs     int
-	diskHits int
 	cacheErr error
 
 	// OnRun, when non-nil, is invoked after every simulation the runner
@@ -447,11 +446,9 @@ func (r *Runner) Runs() int {
 }
 
 // DiskHits returns how many results were served from the on-disk cache
-// instead of being simulated.
+// instead of being simulated (the Health counter of the same name).
 func (r *Runner) DiskHits() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.diskHits
+	return int(r.health.DiskHits.Load())
 }
 
 // CacheErr returns the first on-disk cache read/write failure observed, if
@@ -470,13 +467,6 @@ func (r *Runner) ran(key, name string) {
 	if r.OnRun != nil {
 		r.OnRun(key, name, r.runs)
 	}
-}
-
-func (r *Runner) noteDiskHit() {
-	r.mu.Lock()
-	r.diskHits++
-	r.mu.Unlock()
-	r.health.DiskHits.Add(1)
 }
 
 func (r *Runner) noteCacheErr(err error) {
@@ -592,7 +582,7 @@ func (r *Runner) cached(ctx context.Context, timeout time.Duration,
 			r.noteCacheErr(lerr) // unreadable/undecodable entry: recompute below
 			r.recorder.Recordf(metrics.EventDiskError, id, 0, "load: %v", lerr)
 		} else if ok {
-			r.noteDiskHit()
+			r.health.DiskHits.Add(1)
 			r.runsTable.Cached(id)
 			src = SourceDisk
 			return fromDisk, nil
