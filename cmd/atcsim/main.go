@@ -33,6 +33,7 @@ import (
 
 	"atcsim"
 	"atcsim/internal/metrics"
+	"atcsim/internal/system"
 	"atcsim/internal/telemetry"
 	"atcsim/internal/xlat"
 )
@@ -147,57 +148,43 @@ func main() {
 
 	// Telemetry hub: each facility only exists when requested, so the
 	// default run carries a nil hub and a pristine hot path.
-	liveMetrics := *metricsAddr != "" || *metricsLog != ""
-	hub, hbFile := buildHub(*traceOut, *traceBuf, *traceSample, *hbOut, *hbEvery,
-		*pprofAddr != "" || liveMetrics)
+	live := *pprofAddr != "" || *metricsAddr != "" || *metricsLog != ""
+	hub, hbFile := buildHub(*traceOut, *traceBuf, *traceSample, *hbOut, *hbEvery, live)
 	cfg.Telemetry = hub
 
-	// The metrics registry is the single live-introspection surface: the
-	// progress gauges reach expvar through it (PublishExpvar), and the sim_*
-	// gauges are refreshed from heartbeat snapshots via Hub.OnTick — never
+	// The metrics registry is the single live-introspection surface: it
+	// reaches expvar through PublishExpvar, and its sim_* gauges are set
+	// from the live Result at every heartbeat tick (Config.OnTick) — never
 	// from the per-access hot path.
 	var mlog *os.File
-	if liveMetrics || *pprofAddr != "" {
+	if live {
 		reg := metrics.New()
-		reg.GaugeFunc("sim_instructions_done",
-			"Instructions simulated so far (coarse, for liveness).",
-			func() float64 { return float64(hub.ProgressOrNil().Done()) })
-		reg.GaugeFunc("sim_instructions_total",
-			"Instructions this run will simulate.",
-			func() float64 { return float64(hub.ProgressOrNil().Total()) })
+		gauges := system.NewLiveGauges(reg)
 		metrics.PublishExpvar("atcsim", reg)
-		if liveMetrics {
-			if hub.Heartbeat == nil {
-				// OnTick rides the heartbeat cadence; a writer-less heartbeat
-				// provides the ticks without streaming interval stats.
-				hub.Heartbeat = telemetry.NewHeartbeat(nil, telemetry.FormatJSONL, *hbEvery)
+		if *metricsLog != "" {
+			f, err := os.Create(*metricsLog)
+			if err != nil {
+				fail("metrics-log: %v", err)
 			}
-			gauges := telemetry.NewSnapshotGauges(reg)
-			if *metricsLog != "" {
-				f, err := os.Create(*metricsLog)
-				if err != nil {
+			mlog = f
+		}
+		seq := 0 // OnTick runs on the single simulator goroutine
+		cfg.OnTick = func(r *atcsim.Result) {
+			gauges.Publish(r)
+			if mlog != nil {
+				if err := reg.WriteJSONLSnapshot(mlog, seq); err != nil {
 					fail("metrics-log: %v", err)
 				}
-				mlog = f
+				seq++
 			}
-			seq := 0 // OnTick runs on the single simulator goroutine
-			hub.OnTick = func(sn telemetry.Snapshot) {
-				gauges.Publish(sn)
-				if mlog != nil {
-					if err := reg.WriteJSONLSnapshot(mlog, seq); err != nil {
-						fail("metrics-log: %v", err)
-					}
-					seq++
-				}
+		}
+		if *metricsAddr != "" {
+			srv := &metrics.Server{Registry: reg}
+			addr, err := srv.Serve(*metricsAddr)
+			if err != nil {
+				fail("%v", err)
 			}
-			if *metricsAddr != "" {
-				srv := &metrics.Server{Registry: reg}
-				addr, err := srv.Serve(*metricsAddr)
-				if err != nil {
-					fail("%v", err)
-				}
-				fmt.Fprintf(os.Stderr, "atcsim: metrics listening on http://%s/metrics\n", addr)
-			}
+			fmt.Fprintf(os.Stderr, "atcsim: metrics listening on http://%s/metrics\n", addr)
 		}
 	}
 
@@ -283,10 +270,12 @@ func main() {
 }
 
 // buildHub assembles the telemetry hub from the observability flags; it
-// returns nil when nothing was requested. The returned file is the open
-// heartbeat stream (closed by flushTelemetry).
-func buildHub(traceOut string, traceBuf, traceSample int, hbOut string, hbEvery int, progress bool) (*telemetry.Hub, *os.File) {
-	if traceOut == "" && hbOut == "" && !progress {
+// returns nil when nothing was requested. Live observation rides the
+// heartbeat cadence, so live without -interval-stats gets a writer-less
+// heartbeat. The returned file is the open heartbeat stream (closed by
+// flushTelemetry).
+func buildHub(traceOut string, traceBuf, traceSample int, hbOut string, hbEvery int, live bool) (*telemetry.Hub, *os.File) {
+	if traceOut == "" && hbOut == "" && !live {
 		return nil, nil
 	}
 	hub := &telemetry.Hub{}
@@ -306,8 +295,8 @@ func buildHub(traceOut string, traceBuf, traceSample int, hbOut string, hbEvery 
 		hub.Heartbeat = telemetry.NewHeartbeat(f, format, hbEvery)
 		hbFile = f
 	}
-	if progress {
-		hub.Progress = &telemetry.Progress{}
+	if live && hub.Heartbeat == nil {
+		hub.Heartbeat = telemetry.NewHeartbeat(nil, telemetry.FormatJSONL, hbEvery)
 	}
 	return hub, hbFile
 }

@@ -41,13 +41,12 @@ func benchSim(b *testing.B, hub func() *telemetry.Hub) {
 func BenchmarkSimTelemetryOff(b *testing.B) { benchSim(b, nil) }
 
 // BenchmarkSimTelemetryOn measures the cost of the full observability stack
-// (tracer at the default sampling rate, heartbeat, progress counters).
+// (tracer at the default sampling rate, heartbeat).
 func BenchmarkSimTelemetryOn(b *testing.B) {
 	benchSim(b, func() *telemetry.Hub {
 		return &telemetry.Hub{
 			Tracer:    telemetry.NewTracer(telemetry.DefaultBufferEvents, telemetry.DefaultSampleEvery),
 			Heartbeat: telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 10_000),
-			Progress:  &telemetry.Progress{},
 		}
 	})
 }

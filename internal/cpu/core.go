@@ -18,10 +18,6 @@ import (
 	"atcsim/internal/telemetry"
 )
 
-// The telemetry snapshot mirrors the stall-class array without importing
-// this package; keep the two sizes in lockstep.
-var _ = [telemetry.NumStallKinds]uint64(Stats{}.StallCycles)
-
 // stallSpanMin is the shortest ROB-head stall worth a trace span; shorter
 // stalls are ubiquitous and would flood the ring buffer.
 const stallSpanMin = 16

@@ -23,10 +23,18 @@ type MetricsSink struct {
 	counters []metrics.Counter // sinkFamilies' series, family by family
 }
 
-// sinkFamily declares one counter family: its name, help text, one label
-// set per series, and a fill that adds a Result's values into out, which
-// is aligned with labels.
-type sinkFamily struct {
+// LiveGauges maps the live Results of one running simulation
+// (Config.OnTick) onto sim_* gauges of a registry, so a scrape mid-run
+// sees heartbeat-fresh values without touching the per-access path. Its
+// schema is liveFamilies, declared with the same helpers as the sink's.
+type LiveGauges struct {
+	gauges []metrics.Gauge // liveFamilies' series, family by family
+}
+
+// family declares one metric family: its name, help text, one label set
+// per series, and a fill that adds a Result's values into out, which is
+// aligned with labels.
+type family struct {
 	name, help string
 	labels     [][]metrics.Label
 	fill       func(r *Result, out []uint64)
@@ -75,13 +83,13 @@ var (
 )
 
 // scalar declares a single-series family read straight off the Result.
-func scalar(name, help string, v func(r *Result) uint64) sinkFamily {
-	return sinkFamily{name, help, unlabelled, func(r *Result, out []uint64) { out[0] += v(r) }}
+func scalar(name, help string, v func(r *Result) uint64) family {
+	return family{name, help, unlabelled, func(r *Result, out []uint64) { out[0] += v(r) }}
 }
 
 // perCore declares a family summed over every core's CoreResult.
-func perCore(name, help string, labels [][]metrics.Label, fill func(c *CoreResult, out []uint64)) sinkFamily {
-	return sinkFamily{name, help, labels, func(r *Result, out []uint64) {
+func perCore(name, help string, labels [][]metrics.Label, fill func(c *CoreResult, out []uint64)) family {
+	return family{name, help, labels, func(r *Result, out []uint64) {
 		for i := range r.Cores {
 			fill(&r.Cores[i], out)
 		}
@@ -89,21 +97,21 @@ func perCore(name, help string, labels [][]metrics.Label, fill func(c *CoreResul
 }
 
 // coreScalar is a single-series perCore family.
-func coreScalar(name, help string, v func(c *CoreResult) uint64) sinkFamily {
+func coreScalar(name, help string, v func(c *CoreResult) uint64) family {
 	return perCore(name, help, unlabelled, func(c *CoreResult, out []uint64) { out[0] += v(c) })
 }
 
 // perLevel declares a family labelled by cache level, summed over every
 // instance of the level.
-func perLevel(name, help string, v func(st *cache.Stats) uint64) sinkFamily {
-	return sinkFamily{name, help, cacheLevels, func(r *Result, out []uint64) {
+func perLevel(name, help string, v func(st *cache.Stats) uint64) family {
+	return family{name, help, cacheLevels, func(r *Result, out []uint64) {
 		forLevels(r, func(li int, st *cache.Stats) { out[li] += v(st) })
 	}}
 }
 
 // perLevelClass declares a family labelled by cache level and access class.
-func perLevelClass(name, help string, v func(st *cache.Stats) *[mem.NumClasses]uint64) sinkFamily {
-	return sinkFamily{name, help, cacheClasses, func(r *Result, out []uint64) {
+func perLevelClass(name, help string, v func(st *cache.Stats) *[mem.NumClasses]uint64) family {
+	return family{name, help, cacheClasses, func(r *Result, out []uint64) {
 		forLevels(r, func(li int, st *cache.Stats) {
 			for c, n := range v(st) {
 				out[li*int(mem.NumClasses)+c] += n
@@ -125,8 +133,8 @@ func forLevels(r *Result, visit func(li int, st *cache.Stats)) {
 
 // perQueue declares a queued-timing deque family labelled by cache level.
 // The L1I wrapper shares mem.LvlL1D and so folds into the l1d series.
-func perQueue(name, help string, v func(q *cache.QueueStats) uint64) sinkFamily {
-	return sinkFamily{name, help, cacheLevels, func(r *Result, out []uint64) {
+func perQueue(name, help string, v func(q *cache.QueueStats) uint64) family {
+	return family{name, help, cacheLevels, func(r *Result, out []uint64) {
 		for i := range r.Queues {
 			if li := int(r.Queues[i].Level); li < len(out) {
 				out[li] += v(&r.Queues[i].Q)
@@ -137,7 +145,7 @@ func perQueue(name, help string, v func(q *cache.QueueStats) uint64) sinkFamily 
 
 // barrier declares a family read off the barrier engine's stats (zero for
 // single-core and SMT runs).
-func barrier(name, help string, v func(p *ParallelStats) uint64) sinkFamily {
+func barrier(name, help string, v func(p *ParallelStats) uint64) family {
 	return scalar(name, help, func(r *Result) uint64 {
 		if r.Parallel == nil {
 			return 0
@@ -148,7 +156,7 @@ func barrier(name, help string, v func(p *ParallelStats) uint64) sinkFamily {
 
 // sinkFamilies is the sink's schema: every family it publishes, in
 // exposition order.
-var sinkFamilies = []sinkFamily{
+var sinkFamilies = []family{
 	scalar("sim_results_recorded_total", "Completed simulations folded into these counters.",
 		func(*Result) uint64 { return 1 }),
 
@@ -279,6 +287,38 @@ var sinkFamilies = []sinkFamily{
 		func(p *ParallelStats) uint64 { return p.TraceRefills }),
 }
 
+// liveFamilies is the LiveGauges schema, in exposition order. A live
+// Result's Instructions is each core's target, so the progress pair caps
+// every thread at its target: threads that finish first keep running (and
+// counting) until the last one is done.
+var liveFamilies = []family{
+	coreScalar("sim_instructions_done", "Instructions simulated so far (coarse, for liveness).",
+		func(c *CoreResult) uint64 { return min(c.CPU.Instructions, c.Instructions) }),
+	coreScalar("sim_instructions_total", "Instructions this run will simulate.",
+		func(c *CoreResult) uint64 { return c.Instructions }),
+	coreScalar("sim_instructions", "Measured instructions stepped so far (live run).",
+		func(c *CoreResult) uint64 { return c.CPU.Instructions }),
+	scalar("sim_cycle", "Max core cycle since measurement start (live run).",
+		func(r *Result) uint64 { return uint64(lastCycle(r)) }),
+	perLevel("sim_cache_demand_misses", "Demand misses so far (live run).",
+		func(st *cache.Stats) uint64 { return st.Miss[mem.ClassNonReplay] + st.Miss[mem.ClassReplay] }),
+	coreScalar("sim_stlb_accesses", "STLB accesses so far (live run).",
+		func(c *CoreResult) uint64 { return c.MMU.STLBAccesses }),
+	coreScalar("sim_stlb_misses", "STLB misses so far (live run).",
+		func(c *CoreResult) uint64 { return c.MMU.STLBMisses }),
+	coreScalar("sim_leaf_pte_reads", "Leaf PTE reads so far (live run).",
+		func(c *CoreResult) uint64 { return c.Walker.LeafService.Total() }),
+	coreScalar("sim_leaf_pte_dram", "Leaf PTE reads serviced by DRAM (live run).",
+		func(c *CoreResult) uint64 { return c.Walker.LeafService.Count[mem.LvlDRAM] }),
+	scalar("sim_dram_reads", "DRAM reads so far (live run).",
+		func(r *Result) uint64 { return r.DRAM.Reads }),
+	scalar("sim_dram_row_hits", "DRAM row-buffer hits so far (live run).",
+		func(r *Result) uint64 { return r.DRAM.RowHits }),
+	perCore("sim_stall_cycles", "ROB-head stall cycles by class (live run).",
+		enumLabels("class", cpu.NumStallClasses),
+		func(c *CoreResult, out []uint64) { addInto(out, c.CPU.StallCycles[:]) }),
+}
+
 // sum totals vs.
 func sum(vs []uint64) uint64 {
 	var n uint64
@@ -295,18 +335,36 @@ func addInto(out, vs []uint64) {
 	}
 }
 
-// NewMetricsSink registers every simulation family on reg, family by
-// family, so each family's series are contiguous in the exposition.
-// Registration is idempotent per registry (the registry hands back existing
-// series), so a second sink on the same registry shares counters.
-func NewMetricsSink(reg *metrics.Registry) *MetricsSink {
-	m := &MetricsSink{}
-	for _, f := range sinkFamilies {
+// register registers every series of a schema on a registry through
+// newSeries (a registry's Counter or Gauge), family by family, so each
+// family's series are contiguous in the exposition.
+func register[S any](schema []family, newSeries func(name, help string, labels ...metrics.Label) S) []S {
+	var out []S
+	for _, f := range schema {
 		for _, ls := range f.labels {
-			m.counters = append(m.counters, reg.Counter(f.name, f.help, ls...))
+			out = append(out, newSeries(f.name, f.help, ls...))
 		}
 	}
-	return m
+	return out
+}
+
+// values fills a schema's row of n values from one Result, aligned with
+// the series register returns.
+func values(schema []family, r *Result, n int) []uint64 {
+	row := make([]uint64, n)
+	off := 0
+	for _, f := range schema {
+		f.fill(r, row[off:off+len(f.labels)])
+		off += len(f.labels)
+	}
+	return row
+}
+
+// NewMetricsSink registers every simulation family on reg. Registration is
+// idempotent per registry (the registry hands back existing series), so a
+// second sink on the same registry shares counters.
+func NewMetricsSink(reg *metrics.Registry) *MetricsSink {
+	return &MetricsSink{counters: register(sinkFamilies, reg.Counter)}
 }
 
 // Record folds one completed run's totals into the registry. Nil-safe on
@@ -316,13 +374,23 @@ func (m *MetricsSink) Record(res *Result) {
 	if m == nil || res == nil {
 		return
 	}
-	row := make([]uint64, len(m.counters))
-	off := 0
-	for _, f := range sinkFamilies {
-		f.fill(res, row[off:off+len(f.labels)])
-		off += len(f.labels)
-	}
-	for i, v := range row {
+	for i, v := range values(sinkFamilies, res, len(m.counters)) {
 		m.counters[i].Add(v)
+	}
+}
+
+// NewLiveGauges registers the sim_* gauge set on reg.
+func NewLiveGauges(reg *metrics.Registry) *LiveGauges {
+	return &LiveGauges{gauges: register(liveFamilies, reg.Gauge)}
+}
+
+// Publish sets every gauge from one live Result. Nil-safe on both receiver
+// and result; meant as (or inside) Config.OnTick.
+func (g *LiveGauges) Publish(res *Result) {
+	if g == nil || res == nil {
+		return
+	}
+	for i, v := range values(liveFamilies, res, len(g.gauges)) {
+		g.gauges[i].SetUint(v)
 	}
 }

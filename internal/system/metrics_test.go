@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"atcsim/internal/cache"
+	"atcsim/internal/cpu"
 	"atcsim/internal/mem"
 	"atcsim/internal/metrics"
 )
@@ -213,4 +214,52 @@ func lineDiff(want, got []string) []string {
 		}
 	}
 	return out
+}
+
+// TestLiveGauges publishes a hand-built live Result and reads the sim_*
+// gauges back from the registry: sums over cores and cache instances,
+// demand classes only, the most advanced core's cycle, and progress capped
+// at each thread's target.
+func TestLiveGauges(t *testing.T) {
+	reg := metrics.New()
+	g := NewLiveGauges(reg)
+	r := &Result{
+		Cores: []CoreResult{
+			{Instructions: 10_000, Cycles: 5_000},
+			{Instructions: 10_000, Cycles: 4_000},
+		},
+		L1D: make([]cache.Stats, 2),
+	}
+	r.Cores[0].CPU.Instructions = 12_345 // past its target
+	r.Cores[1].CPU.Instructions = 6_000
+	r.Cores[0].MMU.STLBMisses = 10
+	r.Cores[1].MMU.STLBMisses = 7
+	r.Cores[1].CPU.StallCycles[cpu.StallTranslation] = 100
+	r.L1D[0].Miss[mem.ClassNonReplay] = 40
+	r.L1D[1].Miss[mem.ClassReplay] = 2
+	r.L1D[1].Miss[mem.ClassPrefetch] = 99 // not a demand class: excluded
+	g.Publish(r)
+
+	got := map[string]float64{}
+	for _, s := range reg.Gather() {
+		got[s.Name] = s.Value
+	}
+	for name, want := range map[string]float64{
+		"sim_instructions":                      18_345,
+		"sim_instructions_done":                 16_000,
+		"sim_instructions_total":                20_000,
+		"sim_cycle":                             5_000,
+		`sim_cache_demand_misses{level="l1d"}`:  42,
+		"sim_stlb_misses":                       17,
+		`sim_stall_cycles{class="translation"}`: 100,
+		`sim_stall_cycles{class="non-replay"}`:  0,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v", name, got[name], want)
+		}
+	}
+
+	var nilG *LiveGauges
+	nilG.Publish(r) // must not panic
+	g.Publish(nil)
 }

@@ -392,7 +392,7 @@ func (e *parEngine) statsSnapshot() ParallelStats {
 }
 
 // barrierTick does the per-instruction bookkeeping — invariant-audit
-// cadence, heartbeat ticks, progress — for delta steps: once per step in
+// cadence, heartbeat ticks — for delta steps: once per step in
 // the inline unit loop, batched at each round barrier under the engine. The
 // cadence follows instruction counts (deterministic) rather than
 // wall-clock or worker timing.
@@ -409,8 +409,5 @@ func (s *sim) barrierTick(delta int) {
 	s.stepped += uint64(delta)
 	if s.hb != nil && s.stepped-s.ticked >= s.hbEvery {
 		s.heartbeatTick()
-	}
-	if s.progress != nil {
-		s.progress.Set(s.stepped)
 	}
 }

@@ -3,11 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
-	"atcsim/internal/mem"
 	"atcsim/internal/metrics"
 )
 
@@ -18,15 +16,14 @@ import (
 func TestHeartbeatJSONLFieldPresence(t *testing.T) {
 	var buf bytes.Buffer
 	hb := NewHeartbeat(&buf, FormatJSONL, 1000)
-	hb.Begin(Snapshot{})
+	hb.Begin()
 	for i := 1; i <= 4; i++ {
-		hb.Tick(Snapshot{
-			Cycle:        int64(i) * 2000,
-			Instructions: uint64(i) * 1000,
-			STLBAccesses: uint64(i) * 300,
-			STLBMisses:   uint64(i) * 30,
-			DRAMReads:    uint64(i) * 50,
-			DRAMRowHits:  uint64(i) * 20,
+		hb.Tick(Row{
+			EndCycle:     int64(i) * 2000,
+			Cycles:       2000,
+			Instructions: 1000,
+			STLBMissRate: 0.1,
+			STLBMPKI:     30,
 		})
 	}
 	if err := hb.Err(); err != nil {
@@ -90,57 +87,5 @@ func TestHealthRegisterMetrics(t *testing.T) {
 		if s.Name == `runner_runs_total{outcome="ok"}` && s.Value != 8 {
 			t.Errorf("registry did not track live counter: %v", s.Value)
 		}
-	}
-}
-
-// TestSnapshotGauges publishes a cumulative snapshot and reads it back from
-// the registry.
-func TestSnapshotGauges(t *testing.T) {
-	reg := metrics.New()
-	g := NewSnapshotGauges(reg)
-	var sn Snapshot
-	sn.Cycle = 5000
-	sn.Instructions = 12_345
-	sn.L1DMisses[mem.ClassNonReplay] = 40
-	sn.L1DMisses[mem.ClassReplay] = 2
-	sn.L1DMisses[mem.ClassPrefetch] = 99 // not a demand class: excluded
-	sn.STLBMisses = 17
-	sn.Stalls[0] = 100
-	g.Publish(sn)
-
-	got := map[string]float64{}
-	for _, s := range reg.Gather() {
-		got[s.Name] = s.Value
-	}
-	if got["sim_instructions"] != 12_345 {
-		t.Errorf("sim_instructions = %v", got["sim_instructions"])
-	}
-	if got[`sim_cache_demand_misses{level="l1d"}`] != 42 {
-		t.Errorf("l1d demand misses = %v, want 42", got[`sim_cache_demand_misses{level="l1d"}`])
-	}
-	if got["sim_stlb_misses"] != 17 {
-		t.Errorf("sim_stlb_misses = %v", got["sim_stlb_misses"])
-	}
-	if got[`sim_stall_cycles{class="translation"}`] != 100 {
-		t.Errorf("translation stalls = %v", got[`sim_stall_cycles{class="translation"}`])
-	}
-
-	var nilG *SnapshotGauges
-	nilG.Publish(sn) // must not panic
-}
-
-// TestHubOnTick checks the nil-safe accessor and delivery.
-func TestHubOnTick(t *testing.T) {
-	var nilHub *Hub
-	if nilHub.OnTickOrNil() != nil {
-		t.Fatal("nil hub returned a callback")
-	}
-	var seen []uint64
-	hub := &Hub{OnTick: func(sn Snapshot) { seen = append(seen, sn.Instructions) }}
-	for i := 1; i <= 3; i++ {
-		hub.OnTickOrNil()(Snapshot{Instructions: uint64(i)})
-	}
-	if fmt.Sprint(seen) != "[1 2 3]" {
-		t.Fatalf("seen = %v", seen)
 	}
 }

@@ -4,42 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"atcsim/internal/mem"
 )
 
-// NumStallKinds is the number of ROB-head stall classes mirrored from
-// internal/cpu (which imports this package, so the constant lives here; the
-// system layer asserts the two stay in sync).
-const NumStallKinds = 4
-
-// Snapshot is a cumulative view of the machine's counters at one point of
-// the measured phase. The heartbeat engine differences consecutive snapshots
-// to produce interval rows, so every field must be monotonic.
-type Snapshot struct {
-	Cycle        int64 // max core cycle since measurement start
-	Instructions uint64
-
-	L1DMisses [mem.NumClasses]uint64
-	L2Misses  [mem.NumClasses]uint64
-	LLCMisses [mem.NumClasses]uint64
-
-	STLBAccesses uint64
-	STLBMisses   uint64
-
-	// LeafReads / LeafDRAM track leaf-PTE service (translation hit rate).
-	LeafReads uint64
-	LeafDRAM  uint64
-
-	Stalls [NumStallKinds]uint64
-
-	DRAMReads     uint64
-	DRAMRowHits   uint64
-	DRAMRowClosed uint64
-	DRAMRowMisses uint64
-}
-
-// Row is one derived heartbeat interval.
+// Row is one heartbeat interval: the counters' growth between two
+// consecutive ticks of the measured phase.
 type Row struct {
 	Index        int     `json:"interval"`
 	EndCycle     int64   `json:"end_cycle"`
@@ -65,65 +33,6 @@ type Row struct {
 	DRAMRowHitRate float64 `json:"dram_row_hit_rate"`
 }
 
-func mpki(misses, insts uint64) float64 {
-	if insts == 0 {
-		return 0
-	}
-	return 1000 * float64(misses) / float64(insts)
-}
-
-func ratio(num, den uint64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
-
-// DeltaRow derives the interval row between prev and cur (cur - prev).
-func DeltaRow(prev, cur Snapshot, index int) Row {
-	insts := cur.Instructions - prev.Instructions
-	cycles := cur.Cycle - prev.Cycle
-	demand := func(m [mem.NumClasses]uint64, p [mem.NumClasses]uint64) uint64 {
-		return (m[mem.ClassNonReplay] - p[mem.ClassNonReplay]) +
-			(m[mem.ClassReplay] - p[mem.ClassReplay])
-	}
-	stlbAcc := cur.STLBAccesses - prev.STLBAccesses
-	stlbMiss := cur.STLBMisses - prev.STLBMisses
-	leaf := cur.LeafReads - prev.LeafReads
-	leafDRAM := cur.LeafDRAM - prev.LeafDRAM
-	rowOps := (cur.DRAMRowHits - prev.DRAMRowHits) +
-		(cur.DRAMRowClosed - prev.DRAMRowClosed) +
-		(cur.DRAMRowMisses - prev.DRAMRowMisses)
-
-	r := Row{
-		Index:        index,
-		EndCycle:     cur.Cycle,
-		Cycles:       cycles,
-		Instructions: insts,
-
-		L1DMPKI:       mpki(demand(cur.L1DMisses, prev.L1DMisses), insts),
-		L2MPKI:        mpki(demand(cur.L2Misses, prev.L2Misses), insts),
-		LLCMPKI:       mpki(demand(cur.LLCMisses, prev.LLCMisses), insts),
-		LLCReplayMPKI: mpki(cur.LLCMisses[mem.ClassReplay]-prev.LLCMisses[mem.ClassReplay], insts),
-		LLCLeafMPKI:   mpki(cur.LLCMisses[mem.ClassTransLeaf]-prev.LLCMisses[mem.ClassTransLeaf], insts),
-
-		STLBMissRate: ratio(stlbMiss, stlbAcc),
-		STLBMPKI:     mpki(stlbMiss, insts),
-		TransHitRate: ratio(leaf-leafDRAM, leaf),
-
-		StallTranslation: cur.Stalls[0] - prev.Stalls[0],
-		StallReplay:      cur.Stalls[1] - prev.Stalls[1],
-		StallNonReplay:   cur.Stalls[2] - prev.Stalls[2],
-		StallOther:       cur.Stalls[3] - prev.Stalls[3],
-
-		DRAMRowHitRate: ratio(cur.DRAMRowHits-prev.DRAMRowHits, rowOps),
-	}
-	if cycles > 0 {
-		r.IPC = float64(insts) / float64(cycles)
-	}
-	return r
-}
-
 // Format selects the heartbeat stream encoding.
 type Format int
 
@@ -140,21 +49,20 @@ const CSVHeader = "interval,end_cycle,cycles,instructions,ipc," +
 	"stall_translation,stall_replay,stall_nonreplay,stall_other," +
 	"dram_row_hit_rate"
 
-// Heartbeat turns cumulative snapshots taken every Every() instructions into
-// interval rows, streaming them to an optional writer and retaining them for
+// Heartbeat numbers the interval rows the simulator derives every Every()
+// instructions, streams them to an optional writer and retains them for
 // programmatic access. Like the tracer it is a pure observer.
 type Heartbeat struct {
 	every  int
 	w      io.Writer
 	format Format
-	prev   Snapshot
 	rows   []Row
 	err    error
 }
 
-// NewHeartbeat creates a heartbeat engine snapshotting every `every`
-// instructions (non-positive falls back to 100_000). w may be nil to only
-// retain rows in memory.
+// NewHeartbeat creates a heartbeat ticking every `every` instructions
+// (non-positive falls back to 100_000). w may be nil to only retain rows
+// in memory.
 func NewHeartbeat(w io.Writer, format Format, every int) *Heartbeat {
 	if every <= 0 {
 		every = 100_000
@@ -162,7 +70,7 @@ func NewHeartbeat(w io.Writer, format Format, every int) *Heartbeat {
 	return &Heartbeat{every: every, w: w, format: format}
 }
 
-// Every returns the snapshot period in instructions.
+// Every returns the tick period in instructions.
 func (h *Heartbeat) Every() int {
 	if h == nil {
 		return 0
@@ -170,30 +78,25 @@ func (h *Heartbeat) Every() int {
 	return h.every
 }
 
-// Begin records the measurement-start baseline and emits the CSV header.
-func (h *Heartbeat) Begin(s Snapshot) {
+// Begin emits the CSV header at the start of the measured phase.
+func (h *Heartbeat) Begin() {
 	if h == nil {
 		return
 	}
-	h.prev = s
 	if h.w != nil && h.format == FormatCSV {
 		_, err := fmt.Fprintln(h.w, CSVHeader)
 		h.setErr(err)
 	}
 }
 
-// Tick ingests the next cumulative snapshot, derives the interval row,
-// streams and retains it. Ticks before Begin difference against the zero
-// snapshot.
-func (h *Heartbeat) Tick(s Snapshot) Row {
+// Tick numbers the next interval row, then retains and streams it.
+func (h *Heartbeat) Tick(row Row) {
 	if h == nil {
-		return Row{}
+		return
 	}
-	row := DeltaRow(h.prev, s, len(h.rows))
-	h.prev = s
+	row.Index = len(h.rows)
 	h.rows = append(h.rows, row)
 	h.write(row)
-	return row
 }
 
 func (h *Heartbeat) write(r Row) {

@@ -1,8 +1,8 @@
 // Package telemetry is the simulator's observability layer: a sampled
 // request-lifecycle tracer that emits Chrome trace-event JSON (loadable in
-// Perfetto / chrome://tracing), an interval heartbeat engine that streams
-// time-series statistics as CSV or JSONL, and lightweight progress counters
-// for long-running sweeps.
+// Perfetto / chrome://tracing), an interval heartbeat that streams
+// time-series statistics as CSV or JSONL, and the experiment runner's
+// health counters.
 //
 // Every entry point is nil-safe: components hold a possibly-nil *Tracer and
 // guard each hook site with Active() (one inlinable nil-and-bool check), so
@@ -12,31 +12,14 @@
 // without it.
 package telemetry
 
-import "sync/atomic"
-
 // Hub bundles the observability facilities a run can carry. A nil Hub (the
 // default) disables everything; each field may also individually be nil.
 type Hub struct {
 	// Tracer records sampled request lifecycles.
 	Tracer *Tracer
-	// Heartbeat streams interval statistics.
+	// Heartbeat streams interval statistics; its cadence also drives the
+	// simulator's per-tick hook (system.Config.OnTick).
 	Heartbeat *Heartbeat
-	// Progress, when non-nil, is updated with coarse instruction counts so
-	// an expvar/pprof endpoint can report liveness from another goroutine.
-	Progress *Progress
-	// OnTick, when non-nil, receives every cumulative heartbeat snapshot on
-	// the simulator goroutine — the bridge that feeds live sim_* gauges and
-	// periodic JSONL metric snapshots at heartbeat cadence instead of on the
-	// per-access hot path.
-	OnTick func(Snapshot)
-}
-
-// OnTickOrNil returns the hub's snapshot callback, tolerating a nil hub.
-func (h *Hub) OnTickOrNil() func(Snapshot) {
-	if h == nil {
-		return nil
-	}
-	return h.OnTick
 }
 
 // TracerOrNil returns the hub's tracer, tolerating a nil hub.
@@ -53,51 +36,4 @@ func (h *Hub) HeartbeatOrNil() *Heartbeat {
 		return nil
 	}
 	return h.Heartbeat
-}
-
-// ProgressOrNil returns the hub's progress counters, tolerating a nil hub.
-func (h *Hub) ProgressOrNil() *Progress {
-	if h == nil {
-		return nil
-	}
-	return h.Progress
-}
-
-// Progress is a pair of atomically-updated counters safe to read from a
-// different goroutine than the simulator's (e.g. an expvar handler).
-type Progress struct {
-	done  atomic.Uint64
-	total atomic.Uint64
-}
-
-// SetTotal records the expected instruction total.
-func (p *Progress) SetTotal(n uint64) {
-	if p == nil {
-		return
-	}
-	p.total.Store(n)
-}
-
-// Set publishes the number of instructions simulated so far.
-func (p *Progress) Set(n uint64) {
-	if p == nil {
-		return
-	}
-	p.done.Store(n)
-}
-
-// Done returns the published instruction count.
-func (p *Progress) Done() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.done.Load()
-}
-
-// Total returns the expected instruction total (0 when unknown).
-func (p *Progress) Total() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.total.Load()
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 
@@ -30,7 +29,7 @@ func TestNilTracerIsInert(t *testing.T) {
 		t.Fatal("nil tracer retained state")
 	}
 	var hub *Hub
-	if hub.TracerOrNil() != nil || hub.HeartbeatOrNil() != nil || hub.ProgressOrNil() != nil {
+	if hub.TracerOrNil() != nil || hub.HeartbeatOrNil() != nil {
 		t.Fatal("nil hub returned a facility")
 	}
 }
@@ -213,63 +212,12 @@ func TestWriteChromeTraceNilAndEmpty(t *testing.T) {
 	}
 }
 
-func TestDeltaRowArithmetic(t *testing.T) {
-	var prev, cur Snapshot
-	prev.Cycle, cur.Cycle = 1000, 3000
-	prev.Instructions, cur.Instructions = 10_000, 14_000
-	prev.L1DMisses[mem.ClassNonReplay], cur.L1DMisses[mem.ClassNonReplay] = 100, 180
-	prev.L1DMisses[mem.ClassReplay], cur.L1DMisses[mem.ClassReplay] = 10, 30
-	prev.L1DMisses[mem.ClassTransLeaf], cur.L1DMisses[mem.ClassTransLeaf] = 5, 500 // excluded from demand
-	cur.LLCMisses[mem.ClassReplay] = 8
-	cur.LLCMisses[mem.ClassTransLeaf] = 4
-	prev.STLBAccesses, cur.STLBAccesses = 1000, 2000
-	prev.STLBMisses, cur.STLBMisses = 100, 350
-	prev.LeafReads, cur.LeafReads = 200, 400
-	prev.LeafDRAM, cur.LeafDRAM = 20, 70
-	prev.Stalls, cur.Stalls = [NumStallKinds]uint64{1, 2, 3, 4}, [NumStallKinds]uint64{11, 22, 33, 44}
-	cur.DRAMRowHits, cur.DRAMRowClosed, cur.DRAMRowMisses = 60, 20, 20
-
-	r := DeltaRow(prev, cur, 7)
-	approx := func(name string, got, want float64) {
-		t.Helper()
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
-	}
-	if r.Index != 7 || r.EndCycle != 3000 || r.Cycles != 2000 || r.Instructions != 4000 {
-		t.Fatalf("identity fields wrong: %+v", r)
-	}
-	approx("IPC", r.IPC, 4000.0/2000.0)
-	approx("L1DMPKI", r.L1DMPKI, 1000*float64(80+20)/4000)
-	approx("LLCReplayMPKI", r.LLCReplayMPKI, 1000*8.0/4000)
-	approx("LLCLeafMPKI", r.LLCLeafMPKI, 1000*4.0/4000)
-	approx("STLBMissRate", r.STLBMissRate, 250.0/1000)
-	approx("STLBMPKI", r.STLBMPKI, 1000*250.0/4000)
-	approx("TransHitRate", r.TransHitRate, (200.0-50.0)/200.0)
-	approx("DRAMRowHitRate", r.DRAMRowHitRate, 60.0/100)
-	if r.StallTranslation != 10 || r.StallReplay != 20 || r.StallNonReplay != 30 || r.StallOther != 40 {
-		t.Fatalf("stall deltas wrong: %+v", r)
-	}
-}
-
-func TestDeltaRowZeroDenominators(t *testing.T) {
-	r := DeltaRow(Snapshot{}, Snapshot{}, 0)
-	for name, v := range map[string]float64{
-		"IPC": r.IPC, "L1DMPKI": r.L1DMPKI, "STLBMissRate": r.STLBMissRate,
-		"TransHitRate": r.TransHitRate, "DRAMRowHitRate": r.DRAMRowHitRate,
-	} {
-		if v != 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("%s = %v on empty interval, want 0", name, v)
-		}
-	}
-}
-
 func TestHeartbeatCSV(t *testing.T) {
 	var buf bytes.Buffer
 	hb := NewHeartbeat(&buf, FormatCSV, 1000)
-	hb.Begin(Snapshot{Cycle: 100, Instructions: 50})
-	hb.Tick(Snapshot{Cycle: 600, Instructions: 1050})
-	hb.Tick(Snapshot{Cycle: 1100, Instructions: 2050})
+	hb.Begin()
+	hb.Tick(Row{EndCycle: 500, Cycles: 500, Instructions: 1000, IPC: 2})
+	hb.Tick(Row{EndCycle: 1000, Cycles: 500, Instructions: 1000, IPC: 2})
 	if err := hb.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -293,14 +241,17 @@ func TestHeartbeatCSV(t *testing.T) {
 	if rows[0].Index != 0 || rows[1].Index != 1 {
 		t.Fatalf("row indices = %d,%d", rows[0].Index, rows[1].Index)
 	}
+	if want := "1,1000,500,1000,2.000000,"; !strings.HasPrefix(lines[2], want) {
+		t.Fatalf("row 1 = %q, want prefix %q", lines[2], want)
+	}
 }
 
 func TestHeartbeatJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	hb := NewHeartbeat(&buf, FormatJSONL, 500)
-	hb.Begin(Snapshot{})
-	hb.Tick(Snapshot{Cycle: 250, Instructions: 500})
-	hb.Tick(Snapshot{Cycle: 700, Instructions: 1000})
+	hb.Begin()
+	hb.Tick(Row{EndCycle: 250, Cycles: 250, Instructions: 500})
+	hb.Tick(Row{Index: 9, EndCycle: 700, Cycles: 450, Instructions: 500}) // renumbered to 1
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d JSONL lines, want 2", len(lines))
@@ -318,26 +269,9 @@ func TestHeartbeatJSONL(t *testing.T) {
 
 func TestNilHeartbeat(t *testing.T) {
 	var hb *Heartbeat
-	hb.Begin(Snapshot{})
-	if r := hb.Tick(Snapshot{Instructions: 5}); r != (Row{}) {
-		t.Fatalf("nil heartbeat produced %+v", r)
-	}
+	hb.Begin()
+	hb.Tick(Row{Instructions: 5})
 	if hb.Rows() != nil || hb.Err() != nil || hb.Every() != 0 {
 		t.Fatal("nil heartbeat retained state")
-	}
-}
-
-func TestProgress(t *testing.T) {
-	var p *Progress
-	p.SetTotal(10) // nil-safe
-	p.Set(3)
-	if p.Done() != 0 || p.Total() != 0 {
-		t.Fatal("nil progress retained state")
-	}
-	p = &Progress{}
-	p.SetTotal(300_000)
-	p.Set(120_000)
-	if p.Done() != 120_000 || p.Total() != 300_000 {
-		t.Fatalf("progress = %d/%d", p.Done(), p.Total())
 	}
 }

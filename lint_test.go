@@ -314,14 +314,14 @@ func TestServiceDocCoverage(t *testing.T) {
 
 // TestOpenMetricsExposition is the observability gate: the full production
 // series set — everything the engine registers when a sweep runs with
-// -metrics-addr — must render as lint-clean OpenMetrics text. It builds the
-// same registry surface the experiment runner wires up, without running any
-// simulation.
+// -metrics-addr, plus the live sim_* gauges atcsim serves — must render as
+// lint-clean OpenMetrics text. It builds the same registry surface the
+// experiment runner and atcsim wire up, without running any simulation.
 func TestOpenMetricsExposition(t *testing.T) {
 	reg := metrics.New()
 	new(telemetry.Health).RegisterMetrics(reg)
 	system.NewMetricsSink(reg)
-	telemetry.NewSnapshotGauges(reg)
+	system.NewLiveGauges(reg)
 	metrics.NewRunTable().Register(reg)
 	metrics.NewFlightRecorder(0).Register(reg)
 
