@@ -45,6 +45,11 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad, workloads.Stream(1000, 1)); err == nil {
 		t.Error("unknown policy accepted")
 	}
+	bad = cfg
+	bad.OnTick = func(*Result) {}
+	if _, err := Run(bad, workloads.Stream(1000, 1)); err == nil {
+		t.Error("OnTick without a heartbeat accepted")
+	}
 }
 
 func TestStreamRunsFastAndChaseRunsSlow(t *testing.T) {
