@@ -93,20 +93,38 @@ func boolByte(v bool) byte {
 
 func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 
-// TestBuildGraphMatchesEdgeListReference checks the two-pass builder
-// against the straightforward construction it replaced — buffer the edge
-// list, then counting-sort it into CSR — on small and degenerate shapes.
+// TestBuildGraphMatchesEdgeListReference checks the bucketed builder, at
+// every bucket split from one bucket to one per vertex, against the
+// straightforward construction it replaced — buffer the edge list, then
+// counting-sort it into CSR — on small and degenerate shapes: degree 1,
+// degree 0 (no edges), one vertex, and a sparse shape whose finer splits
+// leave buckets empty.
 func TestBuildGraphMatchesEdgeListReference(t *testing.T) {
 	for _, c := range []struct {
 		logN, degree int
 		seed         int64
-	}{{14, 4, 42}, {14, 8, 1}, {3, 2, 7}, {0, 3, 5}} {
-		got := BuildGraph(c.logN, c.degree, c.seed)
+		emptyBucket  bool // some vertex, so the one-vertex split, has no edges
+	}{{14, 4, 42, false}, {14, 8, 1, false}, {3, 2, 7, false}, {0, 3, 5, false},
+		{10, 1, 3, false}, {6, 0, 9, true}, {8, 1, 11, true}} {
 		want := edgeListGraph(c.logN, c.degree, c.seed)
-		if digestInt32s(got.Offsets) != digestInt32s(want.Offsets) ||
-			digestInt32s(got.Edges) != digestInt32s(want.Edges) {
-			t.Errorf("BuildGraph(%d, %d, %d) differs from the edge-list reference", c.logN, c.degree, c.seed)
+		for bits := 0; bits <= c.logN; bits++ {
+			got := buildGraph(c.logN, c.degree, c.seed, bits)
+			if digestInt32s(got.Offsets) != digestInt32s(want.Offsets) ||
+				digestInt32s(got.Edges) != digestInt32s(want.Edges) {
+				t.Errorf("buildGraph(%d, %d, %d) with %d bucket bits differs from the edge-list reference",
+					c.logN, c.degree, c.seed, bits)
+			}
 		}
+		sawEmpty := false
+		for v := range want.N {
+			sawEmpty = sawEmpty || want.Degree(v) == 0
+		}
+		if c.emptyBucket && !sawEmpty {
+			t.Errorf("shape (%d, %d, %d) leaves no bucket empty at any split", c.logN, c.degree, c.seed)
+		}
+	}
+	if got, want := bucketBits(defaultLogN, defaultDegree), 6; got != want {
+		t.Errorf("bucketBits at the default shape = %d, want %d (512 KiB segments)", got, want)
 	}
 }
 
@@ -118,7 +136,7 @@ func edgeListGraph(logN, degree int, seed int64) *Graph {
 	dst := make([]int32, m)
 	offsets := make([]int32, n+1)
 	for i := 0; i < m; i++ {
-		s, d := r.intn(n), r.skewed(n)
+		s, d := r.intn(n), skew(r.next(), n)
 		if s == d {
 			d = (d + 1) % n
 		}

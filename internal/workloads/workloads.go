@@ -131,12 +131,13 @@ func (r *rng) at(k uint64) uint64 { return mix(r.s + (k+1)*golden) }
 // intn returns a uniform value in [0, n).
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// skewed returns a power-law-biased value in [0, n): small values are much
-// more likely, approximating the in-degree skew of web/social graphs
-// (CDF (v/n)^(1/6): the hottest 1%% of vertices absorb ~46%% of edges, the
-// locality that gives leaf-PTE lines their short recall distances).
-func (r *rng) skewed(n int) int {
-	u := float64(r.next()>>11) / (1 << 53)
+// skew maps one raw draw x to a power-law-biased value in [0, n): small
+// values are much more likely, approximating the in-degree skew of
+// web/social graphs (CDF (v/n)^(1/6): the hottest 1%% of vertices absorb
+// ~46%% of edges, the locality that gives leaf-PTE lines their short recall
+// distances).
+func skew(x uint64, n int) int {
+	u := float64(x>>11) / (1 << 53)
 	u3 := u * u * u
 	v := int(u3 * u3 * float64(n))
 	if v >= n {

@@ -152,7 +152,7 @@ func TestGraphPowerLawSkew(t *testing.T) {
 	}
 	hot := 0
 	for v := 0; v < g.N/100; v++ {
-		hot += indeg[v] // skewed() biases toward low vertex ids
+		hot += indeg[v] // skew() biases toward low vertex ids
 	}
 	if frac := float64(hot) / float64(g.M); frac < 0.05 {
 		t.Errorf("top-1%% in-degree share = %.3f, want skew", frac)
