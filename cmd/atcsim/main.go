@@ -83,8 +83,17 @@ func main() {
 	if *stlb <= 0 {
 		fail("-stlb must be positive, got %d", *stlb)
 	}
-	if *hbOut != "" && *hbEvery <= 0 {
+	// Each telemetry knob is checked whenever the facility that reads it is
+	// on: every live surface runs on a heartbeat, so it reads -interval too.
+	live := *pprofAddr != "" || *metricsAddr != "" || *metricsLog != ""
+	if (*hbOut != "" || live) && *hbEvery <= 0 {
 		fail("-interval must be positive, got %d", *hbEvery)
+	}
+	if *traceOut != "" && *traceSample <= 0 {
+		fail("-trace-sample must be positive, got %d", *traceSample)
+	}
+	if *traceOut != "" && *traceBuf <= 0 {
+		fail("-trace-buf must be positive, got %d", *traceBuf)
 	}
 	if *simJobs < 0 {
 		usageFail("-sim-jobs must not be negative, got %d", *simJobs)
@@ -148,7 +157,6 @@ func main() {
 
 	// Telemetry hub: each facility only exists when requested, so the
 	// default run carries a nil hub and a pristine hot path.
-	live := *pprofAddr != "" || *metricsAddr != "" || *metricsLog != ""
 	hub, hbFile := buildHub(*traceOut, *traceBuf, *traceSample, *hbOut, *hbEvery, live)
 	cfg.Telemetry = hub
 

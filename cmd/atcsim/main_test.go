@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,6 +59,52 @@ func TestTimingFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "queues ") {
 		t.Errorf("queued run report has no queues lines:\n%s", out)
+	}
+}
+
+// TestTelemetryFlagRanges checks that every telemetry knob is range-checked
+// whenever the facility that reads it is on: a live surface (-metrics-log,
+// -metrics-addr, -pprof-addr) runs on a heartbeat and so reads -interval,
+// and -trace-out reads -trace-sample and -trace-buf. Each bad value exits 1
+// with the flag named, before any file is written or address bound; the
+// same values with their facility off are never read and the run succeeds.
+func TestTelemetryFlagRanges(t *testing.T) {
+	bin := buildAtcsim(t)
+	run := []string{"-workload", "pr", "-instructions", "2000", "-warmup", "500"}
+	for _, tc := range []struct {
+		args []string
+		flag string // "" means the run must succeed
+	}{
+		{[]string{"-interval-stats", "h.csv", "-interval", "0"}, "-interval"},
+		{[]string{"-metrics-log", "m.jsonl", "-interval", "0"}, "-interval"},
+		{[]string{"-metrics-addr", "127.0.0.1:0", "-interval", "-5"}, "-interval"},
+		{[]string{"-pprof-addr", "127.0.0.1:0", "-interval", "0"}, "-interval"},
+		{[]string{"-trace-out", "t.json", "-trace-sample", "0"}, "-trace-sample"},
+		{[]string{"-trace-out", "t.json", "-trace-buf", "-1"}, "-trace-buf"},
+		{[]string{"-interval", "0", "-trace-sample", "0", "-trace-buf", "0"}, ""},
+	} {
+		name := strings.Join(tc.args, " ")
+		dir := t.TempDir()
+		cmd := exec.Command(bin, append(slices.Clone(run), tc.args...)...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if tc.flag == "" {
+			if err != nil {
+				t.Errorf("%s: %v\n%s", name, err, out)
+			}
+			continue
+		}
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 {
+			t.Errorf("%s: err = %v, want exit 1; output:\n%s", name, err, out)
+			continue
+		}
+		if want := tc.flag + " must be positive"; !strings.Contains(string(out), want) {
+			t.Errorf("%s: output lacks %q:\n%s", name, want, out)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("%s: rejected run left %d files behind", name, len(files))
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"atcsim/internal/stats"
 	"atcsim/internal/system"
 )
 
@@ -40,49 +39,42 @@ var ablationDecompose = &grid{
 	},
 }
 
-// AblationWalkers sweeps the number of concurrent page walks: fewer walkers
+// ablationWalkers sweeps the number of concurrent page walks: fewer walkers
 // serialize STLB misses and magnify the translation bottleneck the paper
 // attacks.
 //
 // Summary keys: base:<n>, gain:<n> for n in {1,2,4}.
-func AblationWalkers(r *Runner) *Report {
-	t := stats.NewTable("benchmark", "IPC 1w", "IPC 2w", "IPC 4w", "gain 1w", "gain 2w", "gain 4w")
-	sum := map[string]float64{}
-	wls := r.Scale().pick(ablationRows...)
-	for _, w := range wls {
-		row := []interface{}{w}
-		var ipcs, gains []interface{}
-		for _, n := range []int{1, 2, 4} {
-			n := n
-			base := r.Run(fmt.Sprintf("abl:w%d:base", n), w, func(c *system.Config) {
-				c.PageWalkers = n
-			})
-			enh := r.Run(fmt.Sprintf("abl:w%d:enh", n), w, func(c *system.Config) {
-				c.PageWalkers = n
-				c.Apply(system.TEMPO)
-			})
-			ipcs = append(ipcs, base.IPC())
-			gain := enh.SpeedupOver(base)
-			gains = append(gains, gain)
-			sum[fmt.Sprintf("base:%d", n)] += base.IPC()
-			sum[fmt.Sprintf("gain:%d", n)] += gain
-		}
-		row = append(row, ipcs...)
-		row = append(row, gains...)
-		t.AddRowf(row...)
-	}
-	for k := range sum {
-		sum[k] /= float64(len(wls))
-	}
-	return &Report{
-		ID:    "ablation-walkers",
-		Title: "Page-walker concurrency: baseline IPC and enhancement gain at 1/2/4 walkers",
-		Table: t,
-		Notes: []string{
-			"fewer walkers serialize STLB misses: lower baseline IPC, larger absolute headroom for the enhancements",
-		},
-		Summary: sum,
-	}
+var ablationWalkers = &grid{
+	id:    "ablation-walkers",
+	title: "Page-walker concurrency: baseline IPC and enhancement gain at 1/2/4 walkers",
+	rows:  ablationRows,
+	cols: []column{
+		walkersIPC(1), walkersIPC(2), walkersIPC(4),
+		walkersGain(1), walkersGain(2), walkersGain(4),
+	},
+	cell: speedup,
+	agg:  aggregate{of: mean},
+	notes: []string{
+		"fewer walkers serialize STLB misses: lower baseline IPC, larger absolute headroom for the enhancements",
+	},
+}
+
+// walkers is the configuration mutation of n concurrent page walks.
+func walkers(n int) func(*system.Config) {
+	return func(c *system.Config) { c.PageWalkers = n }
+}
+
+// walkersIPC is the ablationWalkers column of the baseline IPC at n walkers.
+func walkersIPC(n int) column {
+	return column{head: fmt.Sprintf("IPC %dw", n), key: fmt.Sprintf("base:%d", n),
+		label: fmt.Sprintf("abl:w%d:base", n), mod: walkers(n), cell: ipc}
+}
+
+// walkersGain is the ablationWalkers column of the full stack's gain over
+// the baseline at n walkers.
+func walkersGain(n int) column {
+	return paired(fmt.Sprintf("gain %dw", n), fmt.Sprintf("gain:%d", n),
+		fmt.Sprintf("abl:w%d:base", n), fmt.Sprintf("abl:w%d:enh", n), system.TEMPO, walkers(n))
 }
 
 // ablationReplayDelay sweeps the pipeline replay window — the latency ATP's
@@ -109,43 +101,37 @@ func replayDelay(d int64) column {
 		system.ATP, func(c *system.Config) { c.ReplayIssueDelay = d })
 }
 
-// AblationScatter compares the scattered OS frame allocator against
+// ablationScatter compares the scattered OS frame allocator against
 // artificially contiguous frames (perfect DRAM row locality).
 //
 // Summary keys: scatterIPC, contiguousIPC, rowHitScatter, rowHitContig.
-func AblationScatter(r *Runner) *Report {
-	t := stats.NewTable("benchmark", "IPC scattered", "IPC contiguous", "row-hit scattered", "row-hit contiguous")
-	var sIPC, cIPC, sRH, cRH float64
-	wls := r.Scale().pick(ablationRows...)
-	for _, w := range wls {
-		sc := r.Baseline(w)
-		co := r.Run("abl:contig", w, func(c *system.Config) { c.NoScatterFrames = true })
-		rh := func(res *system.Result) float64 {
-			tot := res.DRAM.RowHits + res.DRAM.RowClosed + res.DRAM.RowMisses
-			if tot == 0 {
-				return 0
-			}
-			return float64(res.DRAM.RowHits) / float64(tot)
-		}
-		t.AddRowf(w, sc.IPC(), co.IPC(), rh(sc), rh(co))
-		sIPC += sc.IPC() / float64(len(wls))
-		cIPC += co.IPC() / float64(len(wls))
-		sRH += rh(sc) / float64(len(wls))
-		cRH += rh(co) / float64(len(wls))
-	}
-	return &Report{
-		ID:    "ablation-scatter",
-		Title: "OS frame scatter vs contiguous frames (DRAM row locality)",
-		Table: t,
-		Notes: []string{
-			"contiguous frames are an unrealistically friendly OS; scatter is the model used everywhere else",
-		},
-		Summary: map[string]float64{
-			"scatterIPC": sIPC, "contiguousIPC": cIPC,
-			"rowHitScatter": sRH, "rowHitContig": cRH,
-		},
-	}
+var ablationScatter = &grid{
+	id:    "ablation-scatter",
+	title: "OS frame scatter vs contiguous frames (DRAM row locality)",
+	rows:  ablationRows,
+	cols: []column{
+		{head: "IPC scattered", key: "scatterIPC", label: "baseline", cell: ipc},
+		{head: "IPC contiguous", key: "contiguousIPC", label: "abl:contig", mod: contiguous, cell: ipc},
+		{head: "row-hit scattered", key: "rowHitScatter", label: "baseline", cell: rowHit},
+		{head: "row-hit contiguous", key: "rowHitContig", label: "abl:contig", mod: contiguous, cell: rowHit},
+	},
+	agg: aggregate{of: shareMean},
+	notes: []string{
+		"contiguous frames are an unrealistically friendly OS; scatter is the model used everywhere else",
+	},
 }
+
+// contiguous hands out physically contiguous frames.
+func contiguous(c *system.Config) { c.NoScatterFrames = true }
+
+// rowHit is a run's DRAM row-buffer hit rate.
+var rowHit = unpaired(func(res *system.Result) float64 {
+	tot := res.DRAM.RowHits + res.DRAM.RowClosed + res.DRAM.RowMisses
+	if tot == 0 {
+		return 0
+	}
+	return float64(res.DRAM.RowHits) / float64(tot)
+})
 
 // ablationTHawkeye runs the T-policy ladder with Hawkeye as the LLC
 // baseline instead of SHiP — the paper's secondary configuration.
@@ -173,38 +159,30 @@ var ablationTHawkeye = &grid{
 	},
 }
 
-// AblationHugePages maps all data with 2MB pages: the STLB problem — and
+// ablationHugePages maps all data with 2MB pages: the STLB problem — and
 // with it the paper's headroom — largely disappears. This bounds the
 // technique's applicability (the future-work scenario).
 //
 // Summary keys: mpki4K, mpki2M, gain4K, gain2M.
-func AblationHugePages(r *Runner) *Report {
-	t := stats.NewTable("benchmark", "STLB MPKI 4K", "STLB MPKI 2M", "gain 4K", "gain 2M")
-	var m4, m2, g4, g2 float64
-	wls := r.Scale().pick(ablationRows...)
-	for _, w := range wls {
-		b4 := r.Baseline(w)
-		e4 := r.Enhanced(w, system.TEMPO)
-		b2 := r.Run("abl:huge:base", w, func(c *system.Config) { c.HugePages = true })
-		e2 := r.Run("abl:huge:enh", w, func(c *system.Config) {
-			c.HugePages = true
-			c.Apply(system.TEMPO)
-		})
-		t.AddRowf(w, b4.STLBMPKI(), b2.STLBMPKI(), e4.SpeedupOver(b4), e2.SpeedupOver(b2))
-		m4 += b4.STLBMPKI() / float64(len(wls))
-		m2 += b2.STLBMPKI() / float64(len(wls))
-		g4 += e4.SpeedupOver(b4) / float64(len(wls))
-		g2 += e2.SpeedupOver(b2) / float64(len(wls))
-	}
-	return &Report{
-		ID:    "ablation-hugepages",
-		Title: "Transparent huge pages: STLB pressure and enhancement gain under 4KB vs 2MB pages",
-		Table: t,
-		Notes: []string{
-			"with 2MB pages the STLB covers the footprint and the translation-conscious machinery has little left to win — the boundary of the paper's applicability",
-		},
-		Summary: map[string]float64{
-			"mpki4K": m4, "mpki2M": m2, "gain4K": g4, "gain2M": g2,
-		},
-	}
+var ablationHugePages = &grid{
+	id:    "ablation-hugepages",
+	title: "Transparent huge pages: STLB pressure and enhancement gain under 4KB vs 2MB pages",
+	rows:  ablationRows,
+	cols: []column{
+		{head: "STLB MPKI 4K", key: "mpki4K", label: "baseline", cell: stlbMPKI},
+		{head: "STLB MPKI 2M", key: "mpki2M", label: "abl:huge:base", mod: hugePages, cell: stlbMPKI},
+		enhanced("gain 4K", "gain4K", system.TEMPO),
+		paired("gain 2M", "gain2M", "abl:huge:base", "abl:huge:enh", system.TEMPO, hugePages),
+	},
+	cell: speedup,
+	agg:  aggregate{of: shareMean},
+	notes: []string{
+		"with 2MB pages the STLB covers the footprint and the translation-conscious machinery has little left to win — the boundary of the paper's applicability",
+	},
 }
+
+// hugePages maps all data with 2MB pages.
+func hugePages(c *system.Config) { c.HugePages = true }
+
+// stlbMPKI is a run's STLB misses per kilo-instruction.
+var stlbMPKI = unpaired((*system.Result).STLBMPKI)

@@ -59,8 +59,8 @@ type Scale struct {
 	Warmup       int
 	// Workloads restricts the benchmark list (default: all nine).
 	Workloads []string
-	// Seed feeds workload synthesis. ExtraSeeds, when non-empty, makes
-	// SeededSpeedups average headline speedups over multiple trace seeds.
+	// Seed feeds workload synthesis. ExtraSeeds, when non-empty, replaces
+	// the robustness experiment's default extra seeds (see robustnessSeeds).
 	Seed       int64
 	ExtraSeeds []int64
 	// Timing selects the hierarchy timing engine for every run ("" or
@@ -500,19 +500,6 @@ func (r *Runner) noteOutcome(rr runner.RunResult) {
 	}
 }
 
-// Trace returns the (cached) synthesized trace for a benchmark at the
-// scale's primary seed, aborting the enclosing experiment on failure.
-func (r *Runner) Trace(name string) *trace.Trace {
-	return r.TraceSeeded(name, r.sc.Seed)
-}
-
-// TraceSeeded returns the trace for a benchmark and seed (memoized at the
-// scale's own seeds, see TryTraceSeeded), aborting the enclosing experiment
-// on failure (e.g. an unregistered name).
-func (r *Runner) TraceSeeded(name string, seed int64) *trace.Trace {
-	return must(r.TryTraceSeeded(name, seed))
-}
-
 // TryTraceSeeded returns the trace for a benchmark and seed. At the scale's
 // own seeds (Scale.Seed and the robustness seeds) the trace is memoized and
 // synthesis is single-flight: concurrent requests share one build and every
@@ -743,17 +730,11 @@ func (r *Runner) Enhanced(name string, e system.Enhancement) *system.Result {
 	return r.Run("enh:"+e.String(), name, applied(e))
 }
 
-// SeededSpeedups measures the full-stack speedup of one benchmark across
-// the primary seed and every extra seed, returning the individual values in
-// seed order. It quantifies how sensitive the headline result is to the
-// synthetic trace instance.
-func (r *Runner) SeededSpeedups(name string) []float64 {
-	return r.SeededSpeedupsAt(name, append([]int64{r.sc.Seed}, r.sc.ExtraSeeds...))
-}
-
-// SeededSpeedupsAt is SeededSpeedups over an explicit seed list. Seeds are
-// evaluated concurrently (bounded by the runner's job count) and results
-// returned in seed order.
+// SeededSpeedupsAt measures the full-stack speedup of one benchmark at
+// each of seeds, returning the individual values in seed order. It
+// quantifies how sensitive the headline result is to the synthetic trace
+// instance. Seeds are evaluated concurrently (bounded by the runner's job
+// count).
 func (r *Runner) SeededSpeedupsAt(name string, seeds []int64) []float64 {
 	out := make([]float64, len(seeds))
 	forEachIndex(len(seeds), func(i int) {
@@ -776,18 +757,18 @@ type catalogEntry struct {
 // derive from it, so an experiment registered here is automatically listed,
 // runnable and covered by the documentation-coverage test.
 var catalog = []catalogEntry{
-	{"fig1", Fig1}, fig2.entry(), {"fig3", Fig3}, fig4.entry(),
-	{"fig5", Fig5}, fig6.entry(), {"fig7", Fig7}, fig8.entry(),
+	{"fig1", Fig1}, fig2.entry(), fig3.entry(), fig4.entry(),
+	fig5.entry(), fig6.entry(), fig7.entry(), fig8.entry(),
 	fig10.entry(), fig12.entry(), fig14.entry(), fig15.entry(),
-	{"fig16", Fig16}, {"fig17", Fig17}, {"fig18", Fig18}, fig19.entry(),
+	{"fig16", Fig16}, fig17.entry(), fig18.entry(), fig19.entry(),
 	fig20.entry(), fig21.entry(), {"table1", TableI}, {"table2", TableII},
-	{"multicore", MultiCore},
+	multiCore.entry(),
 	ablationDecompose.entry(),
-	{"ablation-walkers", AblationWalkers},
+	ablationWalkers.entry(),
 	ablationReplayDelay.entry(),
-	{"ablation-scatter", AblationScatter},
+	ablationScatter.entry(),
 	ablationTHawkeye.entry(),
-	{"ablation-hugepages", AblationHugePages},
+	ablationHugePages.entry(),
 	comparison.entry(),
 	{"robustness", Robustness},
 	{"mechanisms", Mechanisms},

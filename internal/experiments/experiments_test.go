@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"atcsim/internal/trace"
 )
 
 // testScale keeps experiment tests fast while exercising every code path:
@@ -62,9 +64,19 @@ func TestRunnerCaching(t *testing.T) {
 	if a != b {
 		t.Error("baseline result not memoized")
 	}
-	if r.Trace("mcf") != r.Trace("mcf") {
+	if tryTrace(t, r, "mcf", r.Scale().Seed) != tryTrace(t, r, "mcf", r.Scale().Seed) {
 		t.Error("trace not memoized")
 	}
+}
+
+// tryTrace is r.TryTraceSeeded, failing the test on error.
+func tryTrace(t *testing.T, r *Runner, name string, seed int64) *trace.Trace {
+	t.Helper()
+	tr, err := r.TryTraceSeeded(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // TestTraceMemoKeepsScaleSeedsOnly pins the trace memo's bound: runs at
@@ -86,11 +98,11 @@ func TestTraceMemoKeepsScaleSeedsOnly(t *testing.T) {
 	if _, src, err := r.RunOne(context.Background(), "fresh", "xalancbmk", 100, 0, nil); err != nil || src != SourceShared {
 		t.Fatalf("repeat run at seed 100: source %q, err %v; want the memoized result", src, err)
 	}
-	if r.TraceSeeded("xalancbmk", 100) == r.TraceSeeded("xalancbmk", 100) {
+	if tryTrace(t, r, "xalancbmk", 100) == tryTrace(t, r, "xalancbmk", 100) {
 		t.Error("trace at a non-scale seed was memoized")
 	}
 	for _, seed := range []int64{sc.Seed, 7, 13} {
-		if r.TraceSeeded("xalancbmk", seed) != r.TraceSeeded("xalancbmk", seed) {
+		if tryTrace(t, r, "xalancbmk", seed) != tryTrace(t, r, "xalancbmk", seed) {
 			t.Errorf("trace at scale seed %d not memoized", seed)
 		}
 	}
@@ -135,7 +147,7 @@ func TestFig2IdealOrdering(t *testing.T) {
 }
 
 func TestFig3Fractions(t *testing.T) {
-	rep := Fig3(NewRunner(testScale()))
+	rep := byID(t, NewRunner(testScale()), "fig3")
 	total := rep.Summary["transL1D"] + rep.Summary["transL2"] +
 		rep.Summary["transLLC"] + rep.Summary["transDRAM"]
 	if total < 0.99 || total > 1.01 {
@@ -176,8 +188,8 @@ func TestFig6ReplacementDoesNotFixReplays(t *testing.T) {
 
 func TestFig5And7RecallShapes(t *testing.T) {
 	r := NewRunner(testScale())
-	f5 := Fig5(r)
-	f7 := Fig7(r)
+	f5 := byID(t, r, "fig5")
+	f7 := byID(t, r, "fig7")
 	// Translations show near-horizon recalls; replays mostly do not.
 	if f5.Summary["llcWithin50"] <= 0 && f5.Summary["l2Within50"] <= 0 {
 		t.Error("no translation recall mass measured")
@@ -262,14 +274,14 @@ func TestFig16StallReduction(t *testing.T) {
 func TestFig17SMT(t *testing.T) {
 	sc := testScale()
 	sc.Workloads = []string{"pr", "xalancbmk"}
-	rep := Fig17(NewRunner(sc))
+	rep := byID(t, NewRunner(sc), "fig17")
 	if rep.Summary["mean"] <= 0 {
 		t.Fatal("no SMT speedup measured")
 	}
 }
 
 func TestFig18STLBRecall(t *testing.T) {
-	rep := Fig18(NewRunner(testScale()))
+	rep := byID(t, NewRunner(testScale()), "fig18")
 	if rep.Summary["beyond50"] <= 0 {
 		t.Error("no dead-STLB-entry mass measured")
 	}
@@ -314,7 +326,7 @@ func TestAblations(t *testing.T) {
 		t.Error("decomposition missing full-stack result")
 	}
 
-	wk := AblationWalkers(r)
+	wk := byID(t, r, "ablation-walkers")
 	// Fewer walkers → lower baseline IPC on a TLB-stressing workload.
 	if wk.Summary["base:1"] > wk.Summary["base:4"] {
 		t.Errorf("1-walker IPC %.4f > 4-walker IPC %.4f", wk.Summary["base:1"], wk.Summary["base:4"])
@@ -327,14 +339,14 @@ func TestAblations(t *testing.T) {
 			rd.Summary["atpGain:60"], rd.Summary["atpGain:0"])
 	}
 
-	scb := AblationScatter(r)
+	scb := byID(t, r, "ablation-scatter")
 	// Contiguous frames enjoy better DRAM row locality.
 	if scb.Summary["rowHitContig"] < scb.Summary["rowHitScatter"] {
 		t.Errorf("contiguous row-hit rate %.3f < scattered %.3f",
 			scb.Summary["rowHitContig"], scb.Summary["rowHitScatter"])
 	}
 
-	hp := AblationHugePages(r)
+	hp := byID(t, r, "ablation-hugepages")
 	if hp.Summary["mpki2M"] > hp.Summary["mpki4K"]/10 {
 		t.Errorf("huge-page STLB MPKI %.2f not ≪ 4K %.2f", hp.Summary["mpki2M"], hp.Summary["mpki4K"])
 	}
@@ -378,7 +390,7 @@ func TestMultiCoreQuick(t *testing.T) {
 	sc := testScale()
 	sc.Instructions = 30_000
 	sc.Warmup = 10_000
-	rep := MultiCore(NewRunner(sc))
+	rep := byID(t, NewRunner(sc), "multicore")
 	if rep.Summary["mean"] <= 0 {
 		t.Error("multicore speedup missing")
 	}
@@ -387,9 +399,8 @@ func TestMultiCoreQuick(t *testing.T) {
 func TestSeededSpeedups(t *testing.T) {
 	sc := testScale()
 	sc.Workloads = []string{"pr"}
-	sc.ExtraSeeds = []int64{2, 3}
 	r := NewRunner(sc)
-	sp := r.SeededSpeedups("pr")
+	sp := r.SeededSpeedupsAt("pr", []int64{1, 2, 3})
 	if len(sp) != 3 {
 		t.Fatalf("speedups = %v", sp)
 	}

@@ -9,17 +9,28 @@ import (
 )
 
 // grid is an experiment declared as data. Rows are workloads, columns are
-// named machine configurations, and each cell is one metric of one run;
-// below the rows sits an optional aggregate row. Most of the paper's
-// measured figures and most ablations have this shape, and run executes
-// every one of them the same way. An experiment whose shape does not fit
-// (per-run statistics, tables, mixes, seeds) keeps a hand-written function.
+// named machine configurations, and each cell is one number read off one
+// single-core run by the column's metric; below the rows sits an optional
+// aggregate row. Most of the paper's measured figures and every ablation
+// have this shape, and run executes every one of them the same way. Two
+// other shapes have their own small spec types: recall-distance tables
+// (recallTable) and speedups over workload mixes (mixSpeedups).
+//
+// The experiments left as functions do not fit a grid:
+//   - fig1 prints its max columns as integers, and its stall totals are
+//     not columns;
+//   - fig16's means skip rows whose base stall is zero;
+//   - table1 and table2 have text cells;
+//   - queues has integer counter cells;
+//   - mechanisms has two label columns;
+//   - robustness needs a seed axis.
 type grid struct {
 	id, title string
 	// rows, when non-empty, names the wanted workloads (see Scale.pick);
 	// empty means every workload of the scale.
 	rows []string
 	cols []column
+	// cell is the metric of every column that has none of its own.
 	cell cellMetric
 	agg  aggregate
 	// derive, when non-nil, adds summary keys computed from the whole grid.
@@ -37,6 +48,8 @@ type column struct {
 	key   string
 	label string // run label (progress output and FAILED markers)
 	mod   func(*system.Config)
+	// cell, when set, is the column's own metric in place of the grid's.
+	cell cellMetric
 	// base, when non-nil, is the column's own baseline configuration, run
 	// under baseLabel just before the column's run. A paired cell compares
 	// against it instead of the row's plain baseline.
@@ -62,10 +75,18 @@ var speedup = cellMetric{paired: true, value: func(res, base *system.Result) flo
 	return res.SpeedupOver(base)
 }}
 
+// unpaired is the metric that reads one number off a run alone.
+func unpaired(of func(*system.Result) float64) cellMetric {
+	return cellMetric{value: func(res, _ *system.Result) float64 { return of(res) }}
+}
+
 // llcMPKI is a run's LLC misses of one request class per kilo-instruction.
 func llcMPKI(class mem.Class) cellMetric {
-	return cellMetric{value: func(res, _ *system.Result) float64 { return res.LLCMPKI(class) }}
+	return unpaired(func(res *system.Result) float64 { return res.LLCMPKI(class) })
 }
+
+// ipc is a run's instructions per cycle.
+var ipc = unpaired((*system.Result).IPC)
 
 // aggregate folds a column's cells, in row order, into one value.
 type aggregate struct {
@@ -106,12 +127,16 @@ func (g *grid) run(r *Runner) *Report {
 		var plain *system.Result
 		row := make([]float64, len(g.cols))
 		for i, c := range g.cols {
+			m := c.cell
+			if m.value == nil {
+				m = g.cell
+			}
 			if c.of != nil {
 				row[i] = c.of(row[:i])
 			} else {
 				var base *system.Result
 				switch {
-				case !g.cell.paired:
+				case !m.paired:
 				case c.base != nil:
 					base = r.Run(c.baseLabel, w, c.base)
 				default:
@@ -120,7 +145,7 @@ func (g *grid) run(r *Runner) *Report {
 					}
 					base = plain
 				}
-				row[i] = g.cell.value(r.Run(c.label, w, c.mod), base)
+				row[i] = m.value(r.Run(c.label, w, c.mod), base)
 			}
 			cells[i] = append(cells[i], row[i])
 		}

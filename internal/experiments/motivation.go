@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"atcsim/internal/cpu"
 	"atcsim/internal/mem"
 	"atcsim/internal/stats"
@@ -90,55 +92,34 @@ func ideal(head, key string, mod func(*system.Config)) column {
 	return column{head: head, key: key, label: "ideal:" + head, mod: mod}
 }
 
-// Fig3 reports which hierarchy level services leaf translations and replay
+// fig3 reports which hierarchy level services leaf translations and replay
 // loads on the baseline.
 //
 // Summary keys: transL1D, transL2, transLLC, transDRAM, replayDRAM
 // (fractions).
-func Fig3(r *Runner) *Report {
-	t := stats.NewTable("benchmark",
-		"T@L1D", "T@L2C", "T@LLC", "T@DRAM",
-		"R@L1D", "R@L2C", "R@LLC", "R@DRAM")
-	var agg [2][4]float64
-	n := 0
-	for _, w := range r.Scale().workloads() {
-		res := r.Baseline(w)
-		leaf := res.Cores[0].Walker.LeafService
-		rep := res.Cores[0].ReplayService
-		row := []interface{}{w}
-		for l := mem.LvlL1D; l <= mem.LvlDRAM; l++ {
-			row = append(row, leaf.Fraction(l))
-			agg[0][l] += leaf.Fraction(l)
-		}
-		for l := mem.LvlL1D; l <= mem.LvlDRAM; l++ {
-			row = append(row, rep.Fraction(l))
-			agg[1][l] += rep.Fraction(l)
-		}
-		t.AddRowf(row...)
-		n++
+var fig3 = &grid{
+	id:    "fig3",
+	title: "Service level of leaf translations (T) and replay loads (R)",
+	cols: append(serviced("T", func(res *system.Result) *stats.ServiceDist { return &res.Cores[0].Walker.LeafService },
+		"transL1D", "transL2", "transLLC", "transDRAM"),
+		serviced("R", func(res *system.Result) *stats.ServiceDist { return &res.Cores[0].ReplayService },
+			"", "", "", "replayDRAM")...),
+	agg: meanRow,
+	notes: []string{
+		"paper: T serviced 23% L1D / 55.6% L2C / 15.1% LLC / 6.3% DRAM; >80% of replays miss the LLC",
+	},
+}
+
+// serviced is the four Fig. 3 columns of one request class: per level, the
+// share of the class that level services on the baseline, summarized under
+// that level's key ("" for none).
+func serviced(class string, dist func(*system.Result) *stats.ServiceDist, keys ...string) []column {
+	var cols []column
+	for l := mem.LvlL1D; l <= mem.LvlDRAM; l++ {
+		cols = append(cols, column{head: class + "@" + l.String(), key: keys[l], label: "baseline",
+			cell: unpaired(func(res *system.Result) float64 { return dist(res).Fraction(l) })})
 	}
-	row := []interface{}{"mean"}
-	for s := 0; s < 2; s++ {
-		for l := 0; l < 4; l++ {
-			row = append(row, agg[s][l]/float64(n))
-		}
-	}
-	t.AddRowf(row...)
-	return &Report{
-		ID:    "fig3",
-		Title: "Service level of leaf translations (T) and replay loads (R)",
-		Table: t,
-		Notes: []string{
-			"paper: T serviced 23% L1D / 55.6% L2C / 15.1% LLC / 6.3% DRAM; >80% of replays miss the LLC",
-		},
-		Summary: map[string]float64{
-			"transL1D":   agg[0][0] / float64(n),
-			"transL2":    agg[0][1] / float64(n),
-			"transLLC":   agg[0][2] / float64(n),
-			"transDRAM":  agg[0][3] / float64(n),
-			"replayDRAM": agg[1][3] / float64(n),
-		},
-	}
+	return cols
 }
 
 var baselinePolicies = []string{"lru", "srrip", "drrip", "ship", "hawkeye"}
@@ -184,73 +165,91 @@ var fig6 = &grid{
 	},
 }
 
-// recallRow renders a recall-distance CDF over all evicted blocks (blocks
-// never recalled count as infinite distance, as in the paper's figures).
-func recallRow(t *stats.Table, label string, rc system.Recall) {
-	if !rc.Valid() {
-		t.AddRow(label, "-", "-", "-", "-", "0")
-		return
-	}
-	t.AddRowf(label,
-		rc.Within(10), rc.Within(50), rc.Within(100), rc.Within(500),
-		rc.Evictions)
+// recallTable is an experiment of recall-distance CDFs: one row per
+// workload and series, each read off the workload's "recall" run.
+type recallTable struct {
+	id, title string
+	first     string // header of the row-label column
+	series    []recallSeries
+	notes     []string
 }
 
-// Fig5 reports the recall-distance distribution of leaf translations at the
-// LLC and L2C.
+// recallSeries is one recall distribution of a run. A series with a
+// summary key averages, over the workloads where the distribution is
+// valid, the share recalled within 50 unique set accesses (beyond: the
+// share recalled after more).
+type recallSeries struct {
+	suffix string // appended to the workload name in the row label
+	of     func(*system.Result) system.Recall
+	key    string
+	beyond bool
+}
+
+// entry registers the table in the experiment catalog.
+func (x *recallTable) entry() catalogEntry { return catalogEntry{x.id, x.run} }
+
+// run renders every series of every workload. A distribution over all
+// evicted blocks counts blocks never recalled at infinite distance, as in
+// the paper's figures; an invalid one renders as dashes.
+func (x *recallTable) run(r *Runner) *Report {
+	t := stats.NewTable(x.first, "<=10", "<=50", "<=100", "<=500", "samples")
+	shares := make([][]float64, len(x.series))
+	for _, w := range r.Scale().workloads() {
+		res := r.Run("recall", w, func(c *system.Config) { c.TrackRecall = true })
+		for i, s := range x.series {
+			rc := s.of(res)
+			if !rc.Valid() {
+				t.AddRow(w+s.suffix, "-", "-", "-", "-", "0")
+				continue
+			}
+			t.AddRowf(w+s.suffix, rc.Within(10), rc.Within(50), rc.Within(100), rc.Within(500), rc.Evictions)
+			v := rc.Within(50)
+			if s.beyond {
+				v = 1 - v
+			}
+			shares[i] = append(shares[i], v)
+		}
+	}
+	sum := map[string]float64{}
+	for i, s := range x.series {
+		if s.key != "" {
+			sum[s.key] = mean(shares[i])
+		}
+	}
+	return &Report{ID: x.id, Title: x.title, Table: t, Notes: slices.Clone(x.notes), Summary: sum}
+}
+
+// fig5 reports the recall-distance distribution of leaf translations at
+// the LLC and L2C.
 //
 // Summary keys: llcWithin50, l2Within50.
-func Fig5(r *Runner) *Report {
-	t := stats.NewTable("series", "<=10", "<=50", "<=100", "<=500", "samples")
-	var llc50, l250 []float64
-	for _, w := range r.Scale().workloads() {
-		res := r.Run("recall", w, func(c *system.Config) { c.TrackRecall = true })
-		recallRow(t, w+"@LLC", res.LLCRecallTrans)
-		recallRow(t, w+"@L2C", res.L2RecallTrans)
-		if res.LLCRecallTrans.Valid() {
-			llc50 = append(llc50, res.LLCRecallTrans.Within(50))
-		}
-		if res.L2RecallTrans.Valid() {
-			l250 = append(l250, res.L2RecallTrans.Within(50))
-		}
-	}
-	return &Report{
-		ID:    "fig5",
-		Title: "Recall distance of leaf translations at the LLC (A) and L2C (B)",
-		Table: t,
-		Notes: []string{
-			"paper: ~30% of translation blocks recall within 50 unique set accesses",
-		},
-		Summary: map[string]float64{
-			"llcWithin50": mean(llc50),
-			"l2Within50":  mean(l250),
-		},
-	}
+var fig5 = &recallTable{
+	id:    "fig5",
+	title: "Recall distance of leaf translations at the LLC (A) and L2C (B)",
+	first: "series",
+	series: []recallSeries{
+		{suffix: "@LLC", of: func(res *system.Result) system.Recall { return res.LLCRecallTrans }, key: "llcWithin50"},
+		{suffix: "@L2C", of: func(res *system.Result) system.Recall { return res.L2RecallTrans }, key: "l2Within50"},
+	},
+	notes: []string{
+		"paper: ~30% of translation blocks recall within 50 unique set accesses",
+	},
 }
 
-// Fig7 reports the recall-distance distribution of replay loads.
+// fig7 reports the recall-distance distribution of replay loads.
 //
 // Summary keys: llcBeyond50 (fraction with distance > 50).
-func Fig7(r *Runner) *Report {
-	t := stats.NewTable("series", "<=10", "<=50", "<=100", "<=500", "samples")
-	var beyond []float64
-	for _, w := range r.Scale().workloads() {
-		res := r.Run("recall", w, func(c *system.Config) { c.TrackRecall = true })
-		recallRow(t, w+"@LLC", res.LLCRecallReplay)
-		recallRow(t, w+"@L2C", res.L2RecallReplay)
-		if res.LLCRecallReplay.Valid() {
-			beyond = append(beyond, 1-res.LLCRecallReplay.Within(50))
-		}
-	}
-	return &Report{
-		ID:    "fig7",
-		Title: "Recall distance of replay loads at the LLC (A) and L2C (B)",
-		Table: t,
-		Notes: []string{
-			"paper: >60% of replay blocks have recall distance beyond 50 — unkeepable",
-		},
-		Summary: map[string]float64{"llcBeyond50": mean(beyond)},
-	}
+var fig7 = &recallTable{
+	id:    "fig7",
+	title: "Recall distance of replay loads at the LLC (A) and L2C (B)",
+	first: "series",
+	series: []recallSeries{
+		{suffix: "@LLC", of: func(res *system.Result) system.Recall { return res.LLCRecallReplay }, key: "llcBeyond50", beyond: true},
+		{suffix: "@L2C", of: func(res *system.Result) system.Recall { return res.L2RecallReplay }},
+	},
+	notes: []string{
+		"paper: >60% of replay blocks have recall distance beyond 50 — unkeepable",
+	},
 }
 
 // prefetchers configures the data prefetchers at the L1D and the L2C
@@ -296,6 +295,17 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// largest is the largest of xs, or 0 when none is positive.
+func largest(xs []float64) float64 {
+	m := 0.0
+	for _, x := range xs {
+		if x > m {
+			m = x
+		}
+	}
+	return m
 }
 
 // stallTotals extracts translation/replay stall-cycle totals.

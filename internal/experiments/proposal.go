@@ -76,13 +76,7 @@ var fig14 = &grid{
 	cell: speedup,
 	agg:  geomeanRow,
 	derive: func(col func(string) []float64, sum map[string]float64) {
-		m := 0.0
-		for _, sp := range col("tempo") {
-			if sp > m {
-				m = sp
-			}
-		}
-		sum["max"] = m
+		sum["max"] = largest(col("tempo"))
 	},
 	notes: []string{
 		"paper: T-DRRIP +0.5%, +T-SHiP +2.9%, +ATP +4.8%, +TEMPO +5.1% on average; up to +10.6%",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"atcsim/internal/stats"
 	"atcsim/internal/system"
 )
 
@@ -25,30 +24,20 @@ func sizeSweep(id, title, unit string, values []int, mod func(*system.Config, in
 		cell: speedup, agg: geomeanRow, notes: []string{paperNote}}
 }
 
-// Fig18 reports the recall distance of translations at the STLB itself.
+// fig18 reports the recall distance of translations at the STLB itself.
 //
 // Summary keys: beyond50 (fraction of STLB entries recalled after more than
 // 50 unique set accesses — the paper's "dead TLB entries").
-func Fig18(r *Runner) *Report {
-	t := stats.NewTable("benchmark", "<=10", "<=50", "<=100", "<=500", "samples")
-	var beyond []float64
-	for _, w := range r.Scale().workloads() {
-		res := r.Run("recall", w, func(c *system.Config) { c.TrackRecall = true })
-		rc := res.Cores[0].STLBRecall
-		recallRow(t, w, rc)
-		if rc.Valid() {
-			beyond = append(beyond, 1-rc.Within(50))
-		}
-	}
-	return &Report{
-		ID:    "fig18",
-		Title: "Recall distance of translations at the STLB",
-		Table: t,
-		Notes: []string{
-			"paper: >40% of STLB entries have recall distance beyond 50 — bypassing dead entries cannot cover them",
-		},
-		Summary: map[string]float64{"beyond50": mean(beyond)},
-	}
+var fig18 = &recallTable{
+	id:    "fig18",
+	title: "Recall distance of translations at the STLB",
+	first: "benchmark",
+	series: []recallSeries{
+		{of: func(res *system.Result) system.Recall { return res.Cores[0].STLBRecall }, key: "beyond50", beyond: true},
+	},
+	notes: []string{
+		"paper: >40% of STLB entries have recall distance beyond 50 — bypassing dead entries cannot cover them",
+	},
 }
 
 // fig19 sweeps the STLB size (512–4096 entries).

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -136,6 +137,28 @@ func writeError(w http.ResponseWriter, status int, retryAfter time.Duration, err
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxRequestBytes bounds a request body. A RunRequest is six short fields,
+// a few hundred bytes at most.
+const maxRequestBytes = 4 << 10
+
+// readRequest decodes exactly one JSON object into req: unknown fields and
+// anything but whitespace after the object are errors.
+func readRequest(body io.Reader, req *RunRequest) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return err
+		}
+		return errors.New("trailing data after the request object")
+	}
+	return nil
+}
+
 // decode parses and validates the request body shared by /v1/run and
 // /v1/key, recording the bad_request outcome on failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request) (*RunRequest, bool) {
@@ -145,11 +168,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (*RunRequest, bo
 		return nil, false
 	}
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := readRequest(http.MaxBytesReader(w, r.Body, maxRequestBytes), &req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
 		s.met.requests[outcomeBadRequest].Inc()
-		writeError(w, http.StatusBadRequest, 0, fmt.Errorf("decode request: %w", err))
+		writeError(w, status, 0, fmt.Errorf("decode request: %w", err))
 		return nil, false
 	}
 	if _, err := req.validate(); err != nil {

@@ -243,3 +243,55 @@ func TestMetricsScrapeLintCleanAndComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeBoundsAndStrictness pins the request-body contract of both
+// decoding endpoints: a body over maxRequestBytes is a 413 and anything
+// after the first JSON value is a 400, each counted as bad_request and
+// neither running or keying anything; trailing whitespace is accepted.
+func TestDecodeBoundsAndStrictness(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	huge := strings.Repeat("a", maxRequestBytes)
+	cases := []struct {
+		name, body string
+		want       int
+	}{
+		{"second object", `{"workload":"mcf"}{"workload":"pr"}`, http.StatusBadRequest},
+		{"trailing garbage", `{"workload":"mcf"} x`, http.StatusBadRequest},
+		{"stray brace", `{"workload":"mcf"}}`, http.StatusBadRequest},
+		{"oversized field", `{"workload":"mcf","mechanism":"` + huge + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized padding", `{"workload":"mcf"}` + strings.Repeat(" ", maxRequestBytes), http.StatusRequestEntityTooLarge},
+	}
+	rejected := 0
+	for _, path := range []string{"/v1/run", "/v1/key"} {
+		for _, c := range cases {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			rejected++
+			if resp.StatusCode != c.want {
+				t.Errorf("%s %s: status %d, want %d (%s)", path, c.name, resp.StatusCode, c.want, payload)
+			}
+			var eb errorBody
+			if err := json.Unmarshal(payload, &eb); err != nil || eb.Error == "" {
+				t.Errorf("%s %s: error body %q not JSON with error field", path, c.name, payload)
+			}
+		}
+	}
+	if got := s.met.requests[outcomeBadRequest].Value(); got != uint64(rejected) {
+		t.Errorf("bad_request = %d, want %d", got, rejected)
+	}
+	if n := s.Runner().Runs(); n != 0 {
+		t.Errorf("rejected bodies ran %d simulations", n)
+	}
+	resp, err := http.Post(ts.URL+"/v1/key", "application/json", strings.NewReader("{\"workload\":\"mcf\"}\n\t "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d, want 200", resp.StatusCode)
+	}
+}
