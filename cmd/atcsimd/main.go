@@ -117,7 +117,6 @@ func run(args []string) (int, error) {
 		BreakerWindow:    *brkWindow,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
-		DrainGrace:       *drainGrace,
 	})
 	if err != nil {
 		return exitFailed, err

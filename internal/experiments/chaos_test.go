@@ -1,19 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 
-	"atcsim/internal/experiments/runner"
 	"atcsim/internal/faultinject"
 )
-
-// fastRetry keeps chaos-test backoff delays negligible.
-func fastRetry() runner.RetryPolicy {
-	return runner.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
-}
 
 // chaosRules is the canonical 3-fault plan of the acceptance scenario: one
 // crashing run (permanent: multicore's TEMPO mix panics every attempt), one
@@ -33,7 +25,7 @@ func chaosRules() []faultinject.Rule {
 func chaosSweep(t *testing.T, jobs int, dir string, plan *faultinject.Plan) (*Runner, []string) {
 	t.Helper()
 	r, err := NewRunnerWith(Quick(), Options{
-		Jobs: jobs, CacheDir: dir, Faults: plan, Retry: fastRetry(),
+		Jobs: jobs, CacheDir: dir, Faults: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +120,7 @@ func TestChaosSimJobsDeterminism(t *testing.T) {
 		sc := Quick()
 		sc.SimJobs = simJobs
 		r, err := NewRunnerWith(sc, Options{
-			Jobs: 4, Faults: faultinject.NewPlan(1, chaosRules()...), Retry: fastRetry(),
+			Jobs: 4, Faults: faultinject.NewPlan(1, chaosRules()...),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +158,7 @@ func TestChaosThreeFaultSweep(t *testing.T) {
 		faultinject.Rule{Site: faultinject.SiteRun, Match: "smt:tempo/", Kind: faultinject.KindPanic},
 		faultinject.Rule{Site: faultinject.SiteRun, Match: "multi:baseline/", Kind: faultinject.KindPanic},
 	)
-	r, err := NewRunnerWith(Quick(), Options{Jobs: 4, Faults: plan, Retry: fastRetry()})
+	r, err := NewRunnerWith(Quick(), Options{Jobs: 4, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +194,7 @@ func TestChaosThreeFaultSweep(t *testing.T) {
 // (verified by counting compute invocations per run identity).
 func TestCancelMidSweepResumes(t *testing.T) {
 	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	rA, err := NewRunnerWith(Quick(), Options{Jobs: 1, CacheDir: dir, Context: ctx})
+	rA, err := NewRunnerWith(Quick(), Options{Jobs: 1, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +202,7 @@ func TestCancelMidSweepResumes(t *testing.T) {
 	rA.OnRun = func(key, name string, runs int) {
 		computedA[key+"/"+name] = true
 		if runs == 2 {
-			cancel() // the moment SIGINT would cancel the sweep
+			rA.Cancel() // the moment SIGINT would cancel the sweep
 		}
 	}
 	repA, err := ByIDWith(rA, "fig14")

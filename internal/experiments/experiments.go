@@ -17,7 +17,7 @@
 //
 // Execution is fault tolerant: every simulation runs under the sweep's
 // context with an optional per-run deadline, transient failures are retried
-// with capped exponential backoff, and a run that still fails — including a
+// with jittered doubling backoff, and a run that still fails — including a
 // panicking simulation — degrades only the experiments that need it. Those
 // experiments complete as FAILED(reason) reports carrying the failed run's
 // label and benchmark, while the rest of the sweep proceeds; completed
@@ -59,10 +59,8 @@ type Scale struct {
 	Warmup       int
 	// Workloads restricts the benchmark list (default: all nine).
 	Workloads []string
-	// Seed feeds workload synthesis. ExtraSeeds, when non-empty, replaces
-	// the robustness experiment's default extra seeds (see robustnessSeeds).
-	Seed       int64
-	ExtraSeeds []int64
+	// Seed feeds workload synthesis.
+	Seed int64
 	// Timing selects the hierarchy timing engine for every run ("" or
 	// "analytic" = the default analytic model, "queued" = bounded deques;
 	// see system.TimingModels). "analytic" is normalized to "" so those
@@ -138,18 +136,6 @@ next:
 		out = append(out, mix)
 	}
 	return out
-}
-
-// robustnessSeeds returns the trace seeds the robustness experiment sweeps:
-// the primary Seed, then ExtraSeeds or, when none are set, the default
-// extra seeds 7 and 13. The slice is fresh on every call, so callers never
-// alias the (shared) scale's ExtraSeeds.
-func (sc Scale) robustnessSeeds() []int64 {
-	extra := sc.ExtraSeeds
-	if len(extra) == 0 {
-		extra = []int64{7, 13}
-	}
-	return append([]int64{sc.Seed}, extra...)
 }
 
 // Report is one experiment's regenerated data.
@@ -263,11 +249,6 @@ type Options struct {
 	// directory load it back instead of re-simulating. The directory is
 	// created if missing.
 	CacheDir string
-	// Context, when non-nil, is the sweep's base context: canceling it
-	// (SIGINT handling, tests) makes every not-yet-started run fail fast
-	// with a canceled RunError while in-flight runs finish and completed
-	// results stay cached — the sweep still renders, with FAILED markers.
-	Context context.Context
 	// RunTimeout, when positive, bounds each simulation attempt. An attempt
 	// that exceeds it is abandoned and the run fails with a deadline error
 	// (the simulator has no preemption points, so the abandoned attempt
@@ -276,10 +257,6 @@ type Options struct {
 	// SweepBudget, when positive, bounds the whole sweep: once spent, every
 	// remaining run fails fast with a deadline error.
 	SweepBudget time.Duration
-	// Retry bounds the retry loop around transiently-failing runs. The
-	// zero value selects runner defaults (3 attempts, capped exponential
-	// backoff with jitter).
-	Retry runner.RetryPolicy
 	// Faults, when non-nil, injects deterministic faults at the engine's
 	// hook points (chaos testing). See internal/faultinject.
 	Faults *faultinject.Plan
@@ -299,9 +276,9 @@ type Options struct {
 // Runner schedules and caches the simulations experiments request. Results
 // are memoized by canonical run key, so experiments sharing a configuration
 // (e.g. the baseline) pay for it once — even when they execute
-// concurrently. Traces are memoized only at the scale's own seeds (see
-// TryTraceSeeded): at most one per registered workload and scale seed. All
-// methods are safe for concurrent use.
+// concurrently. Traces are memoized only at the scale's Seed (see
+// TryTraceSeeded): at most one per registered workload. All methods are
+// safe for concurrent use.
 type Runner struct {
 	sc         Scale
 	pool       *runner.Pool
@@ -311,7 +288,6 @@ type Runner struct {
 	ctx        context.Context
 	cancel     context.CancelFunc
 	runTimeout time.Duration
-	retry      runner.RetryPolicy
 	faults     *faultinject.Plan
 	health     *telemetry.Health
 	runsTable  *metrics.RunTable
@@ -319,7 +295,6 @@ type Runner struct {
 	sink       *system.MetricsSink
 
 	mu       sync.Mutex
-	runs     int
 	cacheErr error
 
 	// OnRun, when non-nil, is invoked after every simulation the runner
@@ -347,9 +322,8 @@ func NewRunner(sc Scale) *Runner {
 }
 
 // NewRunnerWith creates a runner with an explicit job count and optional
-// on-disk result cache, sweep context/budget, per-run deadline, retry
-// policy and fault plan. It fails only when the cache directory cannot be
-// created.
+// on-disk result cache, sweep budget, per-run deadline and fault plan. It
+// fails only when the cache directory cannot be created.
 func NewRunnerWith(sc Scale, opts Options) (*Runner, error) {
 	r := &Runner{
 		sc:         sc,
@@ -357,7 +331,6 @@ func NewRunnerWith(sc Scale, opts Options) (*Runner, error) {
 		traces:     runner.NewCache[*trace.Trace](),
 		results:    runner.NewCache[*system.Result](),
 		runTimeout: opts.RunTimeout,
-		retry:      opts.Retry,
 		faults:     opts.Faults,
 		health:     new(telemetry.Health),
 		runsTable:  metrics.NewRunTable(),
@@ -380,14 +353,10 @@ func NewRunnerWith(sc Scale, opts Options) (*Runner, error) {
 			rec.Recordf(metrics.EventFault, ev.ID, ev.Hit, "%s at %s", ev.Kind, ev.Site)
 		})
 	}
-	base := opts.Context
-	if base == nil {
-		base = context.Background()
-	}
 	if opts.SweepBudget > 0 {
-		r.ctx, r.cancel = context.WithTimeout(base, opts.SweepBudget)
+		r.ctx, r.cancel = context.WithTimeout(context.Background(), opts.SweepBudget)
 	} else {
-		r.ctx, r.cancel = context.WithCancel(base)
+		r.ctx, r.cancel = context.WithCancel(context.Background())
 	}
 	if opts.CacheDir != "" {
 		disk, err := runner.NewDisk(opts.CacheDir)
@@ -420,9 +389,6 @@ func (r *Runner) Health() *telemetry.Health { return r.health }
 // backing store of a metrics server's /runs endpoint.
 func (r *Runner) RunsTable() *metrics.RunTable { return r.runsTable }
 
-// Recorder returns the flight recorder passed in Options (possibly nil).
-func (r *Runner) Recorder() *metrics.FlightRecorder { return r.recorder }
-
 // Cancel cancels the sweep: in-flight simulations finish (and their results
 // are cached), every not-yet-started run fails fast with a canceled error,
 // and the sweep completes with FAILED markers instead of aborting. Safe to
@@ -438,11 +404,10 @@ func (r *Runner) Interrupted() bool { return r.ctx.Err() != nil }
 func (r *Runner) Quarantined() int64 { return r.disk.Quarantined() }
 
 // Runs returns the number of simulations actually performed so far
-// (memoization and disk-cache hits excluded).
+// (memoization and disk-cache hits excluded): the Health counter of the
+// same name.
 func (r *Runner) Runs() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runs
+	return int(r.health.Runs.Load())
 }
 
 // DiskHits returns how many results were served from the on-disk cache
@@ -460,12 +425,14 @@ func (r *Runner) CacheErr() error {
 	return r.cacheErr
 }
 
+// ran counts one successful simulation. The increment shares the lock
+// that serializes OnRun, so the callback sees 1, 2, 3, … with no repeats.
 func (r *Runner) ran(key, name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.runs++
+	n := r.health.Runs.Add(1)
 	if r.OnRun != nil {
-		r.OnRun(key, name, r.runs)
+		r.OnRun(key, name, int(n))
 	}
 }
 
@@ -479,13 +446,13 @@ func (r *Runner) noteCacheErr(err error) {
 }
 
 // noteOutcome folds one governed run's outcome into the health counters.
+// A success is counted by ran.
 func (r *Runner) noteOutcome(rr runner.RunResult) {
 	h := r.health
 	if rr.Attempts > 1 {
 		h.Retries.Add(int64(rr.Attempts - 1))
 	}
 	if rr.Err == nil {
-		h.Runs.Add(1)
 		return
 	}
 	h.Failures.Add(1)
@@ -500,13 +467,13 @@ func (r *Runner) noteOutcome(rr runner.RunResult) {
 	}
 }
 
-// TryTraceSeeded returns the trace for a benchmark and seed. At the scale's
-// own seeds (Scale.Seed and the robustness seeds) the trace is memoized and
-// synthesis is single-flight: concurrent requests share one build and every
-// later call returns the same trace. Any other seed is synthesized afresh on
-// every call and never retained, so one-off seeds (a service's fresh-seed
-// requests) cannot grow the memo; two concurrent runs at such a seed each
-// synthesize their own copy. An unregistered benchmark name is a
+// TryTraceSeeded returns the trace for a benchmark and seed. At Scale.Seed
+// the trace is memoized and synthesis is single-flight: concurrent requests
+// share one build and every later call returns the same trace. Any other
+// seed (the robustness sweep's extra seeds, a service's fresh-seed
+// requests) is synthesized afresh on every call and never retained, so the
+// memo holds at most one trace per workload; two concurrent runs at such a
+// seed each synthesize their own copy. An unregistered benchmark name is a
 // permanent error carrying the trace identity.
 func (r *Runner) TryTraceSeeded(name string, seed int64) (*trace.Trace, error) {
 	key := fmt.Sprintf("%s@%d", name, seed)
@@ -517,7 +484,7 @@ func (r *Runner) TryTraceSeeded(name string, seed int64) (*trace.Trace, error) {
 		}
 		return s.Build(r.sc.TraceLen, seed), nil
 	}
-	if !slices.Contains(r.sc.robustnessSeeds(), seed) {
+	if seed != r.sc.Seed {
 		return build()
 	}
 	t, _, err := r.traces.Do(key, build)
@@ -545,7 +512,7 @@ const (
 // cached is the engine core every simulation goes through: it derives the
 // canonical run key, consults the in-memory single-flight cache and the
 // optional disk cache, and otherwise executes sim on the worker pool under
-// ctx — with the given per-run deadline, the configured retry policy and
+// ctx — with the given per-run deadline, the fixed retry policy and the
 // fault plan — persisting the fresh result. Sweep-driven callers pass the
 // sweep context and runner-wide deadline; service callers thread a
 // per-request context/deadline through instead. A permanent failure
@@ -577,7 +544,7 @@ func (r *Runner) cached(ctx context.Context, timeout time.Duration,
 		src = SourceComputed
 		var out *system.Result
 		attempt := 0
-		rr := runner.Execute(ctx, r.retry, func(ctx context.Context) error {
+		rr := runner.Execute(ctx, func(ctx context.Context) error {
 			attempt++
 			r.runsTable.Running(id, attempt)
 			if attempt == 1 {

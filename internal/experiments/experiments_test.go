@@ -80,9 +80,9 @@ func tryTrace(t *testing.T, r *Runner, name string, seed int64) *trace.Trace {
 }
 
 // TestTraceMemoKeepsScaleSeedsOnly pins the trace memo's bound: runs at
-// seeds outside the scale synthesize their trace and drop it, while the
-// scale's own seeds (Seed and the default robustness seeds 7 and 13) keep
-// one shared trace each. Results stay memoized at every seed.
+// any seed but the scale's Seed synthesize their trace and drop it (the
+// robustness seeds 7 and 13 included), while Seed keeps one shared trace.
+// Results stay memoized at every seed.
 func TestTraceMemoKeepsScaleSeedsOnly(t *testing.T) {
 	sc := testScale()
 	sc.TraceLen, sc.Instructions, sc.Warmup = 20_000, 5_000, 1_000
@@ -101,13 +101,16 @@ func TestTraceMemoKeepsScaleSeedsOnly(t *testing.T) {
 	if tryTrace(t, r, "xalancbmk", 100) == tryTrace(t, r, "xalancbmk", 100) {
 		t.Error("trace at a non-scale seed was memoized")
 	}
-	for _, seed := range []int64{sc.Seed, 7, 13} {
-		if tryTrace(t, r, "xalancbmk", seed) != tryTrace(t, r, "xalancbmk", seed) {
-			t.Errorf("trace at scale seed %d not memoized", seed)
+	for _, seed := range []int64{7, 13} {
+		if tryTrace(t, r, "xalancbmk", seed) == tryTrace(t, r, "xalancbmk", seed) {
+			t.Errorf("trace at robustness seed %d was memoized", seed)
 		}
 	}
-	if n := r.traces.Len(); n != 3 {
-		t.Errorf("memo holds %d traces, want 3 (one per scale seed)", n)
+	if tryTrace(t, r, "xalancbmk", sc.Seed) != tryTrace(t, r, "xalancbmk", sc.Seed) {
+		t.Errorf("trace at scale seed %d not memoized", sc.Seed)
+	}
+	if n := r.traces.Len(); n != 1 {
+		t.Errorf("memo holds %d traces, want 1 (the scale seed's)", n)
 	}
 }
 
@@ -360,7 +363,6 @@ func TestAblations(t *testing.T) {
 func TestRobustness(t *testing.T) {
 	sc := testScale()
 	sc.Workloads = []string{"pr", "xalancbmk"}
-	sc.ExtraSeeds = []int64{5}
 	rep := Robustness(NewRunner(sc))
 	if rep.Summary["mean"] <= 0 || rep.Summary["worstMin"] <= 0 {
 		t.Fatalf("summary = %v", rep.Summary)

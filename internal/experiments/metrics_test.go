@@ -131,7 +131,7 @@ func TestFlightRecorderDeterministicAcrossJobs(t *testing.T) {
 				Kind: faultinject.KindTransient, Until: 1},
 		)
 		r, err := NewRunnerWith(engineScale(), Options{
-			Jobs: jobs, Faults: plan, Retry: fastRetry(), Recorder: rec,
+			Jobs: jobs, Faults: plan, Recorder: rec,
 		})
 		if err != nil {
 			t.Fatal(err)

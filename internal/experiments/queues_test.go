@@ -166,7 +166,7 @@ func TestChaosQueuedSweep(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	sweep := func(jobs int, dir string, plan *faultinject.Plan) (*Runner, string) {
 		r, err := NewRunnerWith(Quick(), Options{
-			Jobs: jobs, CacheDir: dir, Faults: plan, Retry: fastRetry(),
+			Jobs: jobs, CacheDir: dir, Faults: plan,
 		})
 		if err != nil {
 			t.Fatal(err)

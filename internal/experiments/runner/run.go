@@ -47,60 +47,20 @@ type RunResult struct {
 	Elapsed time.Duration
 }
 
-// RetryPolicy bounds the retry loop around transiently-failing runs.
-// The zero value selects the defaults (3 attempts, 5ms base, 250ms cap).
-type RetryPolicy struct {
-	// MaxAttempts is the total attempt budget (including the first).
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; each further retry
-	// doubles it, capped at MaxDelay, with multiplicative jitter in
-	// [0.5, 1.0) so retrying runs don't stampede.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff.
-	MaxDelay time.Duration
-	// Jitter, when non-nil, supplies the backoff jitter samples in [0, 1)
-	// in place of the process-global RNG, so backoff schedules can be made
-	// reproducible under a seeded source. One policy may serve many
-	// concurrent runs (the experiment engine shares a single policy per
-	// sweep), so the function must be safe for concurrent use.
-	Jitter func() float64
-}
+// The retry policy is fixed: three attempts, with a 5ms backoff before the
+// first retry that doubles before the second. The jitter keeps retrying runs
+// from stampeding.
+const (
+	maxAttempts = 3
+	baseDelay   = 5 * time.Millisecond
+)
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 5 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 250 * time.Millisecond
-	}
-	return p
-}
-
-// backoff is the sleep before retry number `retry` (1-based), with jitter.
-// The exponent is overflow-safe: doubling stops as soon as another step
-// would reach the cap, so arbitrarily high retry counts (an aggressive
-// service-side retry budget) can never wrap the duration negative or spin
-// the loop.
-func (p RetryPolicy) backoff(retry int) time.Duration {
-	d := p.BaseDelay
-	for i := 1; i < retry; i++ {
-		if d >= p.MaxDelay/2 {
-			d = p.MaxDelay
-			break
-		}
-		d *= 2
-	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	jitter := rand.Float64
-	if p.Jitter != nil {
-		jitter = p.Jitter
-	}
-	return time.Duration(float64(d) * (0.5 + 0.5*jitter()))
+// backoff is the sleep before retry number retry (1-based): d = baseDelay
+// doubled per earlier retry, jittered into [d/2, d) by a sample u in [0, 1).
+// With maxAttempts 3 the two sleeps fall in [2.5, 5) and [5, 10) ms.
+func backoff(retry int, u float64) time.Duration {
+	half := (baseDelay << (retry - 1)) / 2
+	return half + time.Duration(float64(half)*u)
 }
 
 // transientClass is the verdict of an explicit Transient() classification
@@ -228,13 +188,12 @@ func Bounded[V any](ctx context.Context, timeout time.Duration, f func() (V, err
 	}
 }
 
-// Execute runs f under ctx with the policy's retry budget: transient
-// failures (IsRetryable) are retried with capped exponential backoff and
-// jitter; permanent failures, panics and context cancellation end the loop
-// immediately. The outcome — including a captured panic, the attempt count
-// and the elapsed time — is returned as a RunResult, never propagated.
-func Execute(ctx context.Context, pol RetryPolicy, f func(ctx context.Context) error) RunResult {
-	pol = pol.withDefaults()
+// Execute runs f under ctx with the fixed retry budget: transient failures
+// (IsRetryable) are retried after a jittered, doubling backoff; permanent
+// failures, panics and context cancellation end the loop immediately. The
+// outcome — including a captured panic, the attempt count and the elapsed
+// time — is returned as a RunResult, never propagated.
+func Execute(ctx context.Context, f func(ctx context.Context) error) RunResult {
 	start := time.Now()
 	rr := RunResult{}
 	for attempt := 1; ; attempt++ {
@@ -245,10 +204,10 @@ func Execute(ctx context.Context, pol RetryPolicy, f func(ctx context.Context) e
 		}
 		_, err := protect(func() (struct{}, error) { return struct{}{}, f(ctx) })
 		rr.Err = err
-		if err == nil || !IsRetryable(err) || attempt >= pol.MaxAttempts {
+		if err == nil || !IsRetryable(err) || attempt >= maxAttempts {
 			break
 		}
-		t := time.NewTimer(pol.backoff(attempt))
+		t := time.NewTimer(backoff(attempt, rand.Float64()))
 		select {
 		case <-ctx.Done():
 			t.Stop()

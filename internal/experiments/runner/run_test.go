@@ -25,12 +25,8 @@ type permanentErr struct{ msg string }
 func (e *permanentErr) Error() string   { return e.msg }
 func (e *permanentErr) Transient() bool { return false }
 
-func fastPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
-}
-
 func TestExecuteSucceedsFirstAttempt(t *testing.T) {
-	rr := Execute(context.Background(), fastPolicy(), func(ctx context.Context) error { return nil })
+	rr := Execute(context.Background(), func(ctx context.Context) error { return nil })
 	if rr.Err != nil || rr.Panic != nil || rr.Attempts != 1 {
 		t.Errorf("RunResult = %+v", rr)
 	}
@@ -41,7 +37,7 @@ func TestExecuteSucceedsFirstAttempt(t *testing.T) {
 
 func TestExecuteRetriesTransientToSuccess(t *testing.T) {
 	calls := 0
-	rr := Execute(context.Background(), fastPolicy(), func(ctx context.Context) error {
+	rr := Execute(context.Background(), func(ctx context.Context) error {
 		calls++
 		if calls < 3 {
 			return &transientErr{"flaky"}
@@ -54,19 +50,29 @@ func TestExecuteRetriesTransientToSuccess(t *testing.T) {
 }
 
 func TestExecuteExhaustsRetryBudget(t *testing.T) {
-	calls := 0
-	rr := Execute(context.Background(), fastPolicy(), func(ctx context.Context) error {
-		calls++
+	// A persistent transient failure gets exactly three attempts, and the
+	// gaps between them are at least the two backoff floors (2.5ms, 5ms).
+	var starts []time.Time
+	rr := Execute(context.Background(), func(ctx context.Context) error {
+		starts = append(starts, time.Now())
 		return &transientErr{"never heals"}
 	})
-	if rr.Err == nil || rr.Attempts != 3 || calls != 3 {
-		t.Errorf("RunResult = %+v, calls = %d", rr, calls)
+	if rr.Err == nil || rr.Attempts != 3 || len(starts) != 3 {
+		t.Fatalf("RunResult = %+v, calls = %d", rr, len(starts))
+	}
+	for i, floor := range []time.Duration{2500 * time.Microsecond, 5 * time.Millisecond} {
+		if gap := starts[i+1].Sub(starts[i]); gap < floor {
+			t.Errorf("backoff before attempt %d = %v, want ≥ %v", i+2, gap, floor)
+		}
+	}
+	if rr.Elapsed < 7500*time.Microsecond {
+		t.Errorf("Elapsed = %v, want ≥ 7.5ms of backoff", rr.Elapsed)
 	}
 }
 
 func TestExecutePermanentErrorNotRetried(t *testing.T) {
 	calls := 0
-	rr := Execute(context.Background(), fastPolicy(), func(ctx context.Context) error {
+	rr := Execute(context.Background(), func(ctx context.Context) error {
 		calls++
 		return errors.New("determinism violation")
 	})
@@ -77,7 +83,7 @@ func TestExecutePermanentErrorNotRetried(t *testing.T) {
 
 func TestExecuteCapturesPanic(t *testing.T) {
 	calls := 0
-	rr := Execute(context.Background(), fastPolicy(), func(ctx context.Context) error {
+	rr := Execute(context.Background(), func(ctx context.Context) error {
 		calls++
 		panic("boom")
 	})
@@ -97,7 +103,7 @@ func TestExecuteCanceledContextRefusesRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	rr := Execute(ctx, fastPolicy(), func(ctx context.Context) error {
+	rr := Execute(ctx, func(ctx context.Context) error {
 		calls++
 		return nil
 	})
@@ -112,19 +118,16 @@ func TestExecuteCanceledContextRefusesRun(t *testing.T) {
 func TestExecuteCancelStopsRetrying(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	rr := Execute(ctx, RetryPolicy{MaxAttempts: 50, BaseDelay: 10 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
-		func(ctx context.Context) error {
-			calls++
-			if calls == 2 {
-				cancel()
-			}
-			return &transientErr{"flaky"}
-		})
-	if calls > 3 {
+	rr := Execute(ctx, func(ctx context.Context) error {
+		calls++
+		cancel()
+		return &transientErr{"flaky"}
+	})
+	if calls != 1 {
 		t.Errorf("kept retrying after cancel: %d calls", calls)
 	}
-	if rr.Err == nil {
-		t.Error("no error after cancel")
+	if !errors.Is(rr.Err, context.Canceled) {
+		t.Errorf("Err = %v, want the cancellation", rr.Err)
 	}
 }
 
@@ -227,85 +230,26 @@ func TestIsRetryableClassification(t *testing.T) {
 }
 
 func TestBackoffCappedAndJittered(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond}.withDefaults()
-	for retry := 1; retry <= 10; retry++ {
-		d := p.backoff(retry)
-		if d > p.MaxDelay {
-			t.Errorf("retry %d: backoff %v exceeds cap %v", retry, d, p.MaxDelay)
+	// The jitter sample u in [0, 1) scales each sleep into [d/2, d): the
+	// first retry waits [2.5, 5) ms, the second [5, 10) ms.
+	cases := []struct {
+		retry  int
+		lo, hi time.Duration
+	}{
+		{1, 2500 * time.Microsecond, 5 * time.Millisecond},
+		{2, 5 * time.Millisecond, 10 * time.Millisecond},
+	}
+	for _, c := range cases {
+		if d := backoff(c.retry, 0); d != c.lo {
+			t.Errorf("retry %d, u=0: backoff %v, want %v", c.retry, d, c.lo)
 		}
-		if d < p.BaseDelay/2 {
-			t.Errorf("retry %d: backoff %v below base/2", retry, d)
+		if d := backoff(c.retry, math.Nextafter(1, 0)); d < c.lo || d >= c.hi {
+			t.Errorf("retry %d, u→1: backoff %v outside [%v, %v)", c.retry, d, c.lo, c.hi)
 		}
-	}
-}
-
-func TestBackoffDeterministicUnderSeededJitter(t *testing.T) {
-	schedule := func(seed int64) []time.Duration {
-		rng := rand.New(rand.NewSource(seed))
-		p := RetryPolicy{
-			BaseDelay: 5 * time.Millisecond,
-			MaxDelay:  250 * time.Millisecond,
-			Jitter:    rng.Float64,
-		}.withDefaults()
-		out := make([]time.Duration, 0, 12)
-		for retry := 1; retry <= 12; retry++ {
-			out = append(out, p.backoff(retry))
-		}
-		return out
-	}
-	a, b := schedule(42), schedule(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("retry %d: same seed gave %v then %v", i+1, a[i], b[i])
-		}
-	}
-	// Different seeds must actually exercise the jitter seam: at least one
-	// step should differ (12 identical samples would mean Jitter is ignored).
-	c := schedule(7)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical schedules: Jitter not used")
-	}
-}
-
-func TestBackoffHighRetryCountOverflowSafe(t *testing.T) {
-	// A service-side retry budget can push retry counts far past the point
-	// where naive 1<<retry arithmetic wraps. With no jitter floor below 0.5
-	// the result must stay in (0, MaxDelay] — never negative, never zero —
-	// even with the cap near the top of the int64 range.
-	one := func() float64 { return 0.999999 }
-	cases := []RetryPolicy{
-		{BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond, Jitter: one},
-		{BaseDelay: time.Millisecond, MaxDelay: math.MaxInt64 / 2, Jitter: one},
-		{BaseDelay: time.Hour, MaxDelay: math.MaxInt64, Jitter: one},
-	}
-	for ci, p := range cases {
-		p = p.withDefaults()
-		for _, retry := range []int{1, 2, 16, 63, 64, 65, 100, 1000, 1 << 20} {
-			d := p.backoff(retry)
-			if d <= 0 {
-				t.Errorf("case %d retry %d: backoff %v not positive (overflow?)", ci, retry, d)
+		for i := 0; i < 100; i++ {
+			if d := backoff(c.retry, rand.Float64()); d < c.lo || d >= c.hi {
+				t.Errorf("retry %d: backoff %v outside [%v, %v)", c.retry, d, c.lo, c.hi)
 			}
-			if d > p.MaxDelay {
-				t.Errorf("case %d retry %d: backoff %v exceeds cap %v", ci, retry, d, p.MaxDelay)
-			}
-		}
-		// The schedule must be monotone non-decreasing up to the cap under
-		// constant jitter — a wrapped exponent would break monotonicity.
-		prev := time.Duration(0)
-		for retry := 1; retry <= 200; retry++ {
-			d := p.backoff(retry)
-			if d < prev {
-				t.Errorf("case %d: backoff decreased from %v to %v at retry %d", ci, prev, d, retry)
-				break
-			}
-			prev = d
 		}
 	}
 }

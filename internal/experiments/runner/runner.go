@@ -2,7 +2,7 @@
 // behind the experiment suite: a worker pool that bounds how many
 // simulations run at once, a keyed in-memory cache with single-flight
 // semantics (concurrent requests for the same run share one execution), a
-// retry executor with deadlines and capped exponential backoff (run.go),
+// retry executor with deadlines and jittered doubling backoff (run.go),
 // and an optional checksummed on-disk result store keyed by canonical
 // run-key hashes so interrupted or overlapping sweeps resume instead of
 // recomputing (disk.go).

@@ -12,8 +12,8 @@ type breakerState int
 const (
 	// breakerClosed: traffic flows; outcomes are recorded in the window.
 	breakerClosed breakerState = iota
-	// breakerHalfOpen: the cooldown elapsed; a bounded number of probe
-	// requests test whether the kind has recovered.
+	// breakerHalfOpen: the cooldown elapsed; one probe request tests
+	// whether the kind has recovered.
 	breakerHalfOpen
 	// breakerOpen: the kind is cut off until the cooldown elapses.
 	breakerOpen
@@ -48,7 +48,6 @@ type breakerConfig struct {
 	window    int           // sliding window of recorded outcomes
 	threshold int           // failures within the window that trip it
 	cooldown  time.Duration // open → half-open delay
-	probes    int           // concurrent half-open trial requests
 }
 
 // breaker is one kind's circuit breaker: a sliding window of recent run
@@ -63,7 +62,7 @@ type breaker struct {
 	idx, n   int
 	failures int
 	openedAt time.Time
-	inProbe  int
+	inProbe  bool // a half-open probe is in flight
 	trips    uint64
 	// now is the clock seam for tests.
 	now func() time.Time
@@ -78,7 +77,7 @@ func newBreaker(cfg breakerConfig, now func() time.Time) *breaker {
 
 // Allow reports whether a request of this kind may proceed, returning a
 // *BreakerOpenError with a retry hint when it may not. A half-open breaker
-// admits up to cfg.probes concurrent trials.
+// admits one probe at a time.
 func (b *breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -88,16 +87,16 @@ func (b *breaker) Allow() error {
 	case breakerOpen:
 		if elapsed := b.now().Sub(b.openedAt); elapsed >= b.cfg.cooldown {
 			b.state = breakerHalfOpen
-			b.inProbe = 0
+			b.inProbe = false
 		} else {
 			return &BreakerOpenError{RetryAfter: b.cfg.cooldown - elapsed}
 		}
 	}
-	// Half-open (possibly just transitioned): admit bounded probes.
-	if b.inProbe >= b.cfg.probes {
+	// Half-open (possibly just transitioned): admit one probe.
+	if b.inProbe {
 		return &BreakerOpenError{RetryAfter: b.cfg.cooldown}
 	}
-	b.inProbe++
+	b.inProbe = true
 	return nil
 }
 
@@ -109,9 +108,7 @@ func (b *breaker) Report(failure bool) {
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerHalfOpen:
-		if b.inProbe > 0 {
-			b.inProbe--
-		}
+		b.inProbe = false
 		if failure {
 			b.state = breakerOpen
 			b.openedAt = b.now()
@@ -148,8 +145,8 @@ func (b *breaker) Report(failure bool) {
 func (b *breaker) Cancel() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen && b.inProbe > 0 {
-		b.inProbe--
+	if b.state == breakerHalfOpen {
+		b.inProbe = false
 	}
 }
 
@@ -159,7 +156,7 @@ func (b *breaker) reset() {
 	for i := range b.window {
 		b.window[i] = false
 	}
-	b.idx, b.n, b.failures, b.inProbe = 0, 0, 0, 0
+	b.idx, b.n, b.failures, b.inProbe = 0, 0, 0, false
 }
 
 // State returns the current state (resolving an elapsed cooldown lazily).

@@ -11,7 +11,6 @@ func testBreaker(clock *fakeClock) *breaker {
 		window:    5,
 		threshold: 3,
 		cooldown:  10 * time.Second,
-		probes:    2,
 	}, clock.Now)
 }
 
@@ -77,15 +76,12 @@ func TestBreakerHalfOpenProbesAndRecovery(t *testing.T) {
 	if b.State() != breakerHalfOpen {
 		t.Fatalf("state = %v after cooldown", b.State())
 	}
-	// Half-open admits exactly `probes` concurrent trials.
+	// Half-open admits exactly one trial at a time.
 	if err := b.Allow(); err != nil {
-		t.Fatalf("probe 1 refused: %v", err)
-	}
-	if err := b.Allow(); err != nil {
-		t.Fatalf("probe 2 refused: %v", err)
+		t.Fatalf("probe refused: %v", err)
 	}
 	if err := b.Allow(); err == nil {
-		t.Fatal("probe 3 admitted beyond the probe budget")
+		t.Fatal("second probe admitted while the first is in flight")
 	}
 	// One probe succeeding closes the breaker and resets the window.
 	b.Report(false)
@@ -133,10 +129,7 @@ func TestBreakerCancelReleasesProbeSlot(t *testing.T) {
 		b.Report(true)
 	}
 	clock.Advance(10 * time.Second)
-	// Consume both probe slots, then cancel one: a new probe must fit.
-	if err := b.Allow(); err != nil {
-		t.Fatal(err)
-	}
+	// Take the probe slot, then cancel it: a new probe must fit.
 	if err := b.Allow(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +143,7 @@ func TestBreakerCancelReleasesProbeSlot(t *testing.T) {
 }
 
 func TestBreakerSetIsolatesKinds(t *testing.T) {
-	s := newBreakerSet(breakerConfig{window: 4, threshold: 2, cooldown: time.Minute, probes: 1})
+	s := newBreakerSet(breakerConfig{window: 4, threshold: 2, cooldown: time.Minute})
 	var created []string
 	s.onNew = func(kind string, _ *breaker) { created = append(created, kind) }
 	a, b := s.get("tempo/mcf"), s.get("baseline/pr")

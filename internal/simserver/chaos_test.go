@@ -110,8 +110,6 @@ func TestChaosConcurrentLoad(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.CacheDir = dir
 		c.Faults = faults
-		c.Retry.BaseDelay = time.Millisecond
-		c.Retry.MaxDelay = 4 * time.Millisecond
 		// Tight admission: shed traffic is part of the test.
 		c.AdmitRate = 2000
 		c.AdmitBurst = 32
@@ -191,7 +189,6 @@ func TestChaosBreakerIsolatesPoisonedKind(t *testing.T) {
 	)
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Faults = faults
-		c.Retry.MaxAttempts = 1
 		c.BreakerWindow = 4
 		c.BreakerThreshold = 2
 		c.BreakerCooldown = time.Hour // stays open for the test's lifetime
@@ -292,7 +289,6 @@ func TestChaosDrainFinishesInflightWithoutTornEntries(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		c.CacheDir = dir
 		c.Faults = faults
-		c.DrainGrace = 30 * time.Second
 	})
 	// Launch in-flight work.
 	type res struct {

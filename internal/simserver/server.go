@@ -69,9 +69,6 @@ func Routes() []string {
 // quarantine stats) for tests and operators.
 func (s *Server) Runner() *experiments.Runner { return s.runner }
 
-// Registry returns the metrics registry the service registers on.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
-
 // Draining reports whether a drain has begun (readiness is the inverse).
 func (s *Server) Draining() bool { return s.draining.Load() }
 
@@ -325,10 +322,9 @@ func (s *Server) execute(req *RunRequest, level system.Enhancement, br *breaker)
 
 // Drain gracefully stops the service: new work is refused (readiness flips
 // to 503, /v1/run answers 503 draining), in-flight requests finish — bounded
-// by the configured grace period and by ctx, whichever ends first cancels
-// the engine so abandoned runs fail fast — the drain duration lands in
-// simserver_drain_seconds, and the flight recorder is flushed to its sink.
-// Idempotent; concurrent calls share one drain.
+// by ctx, whose end cancels the engine so abandoned runs fail fast — the
+// drain duration lands in simserver_drain_seconds, and the flight recorder
+// is flushed to its sink. Idempotent; concurrent calls share one drain.
 func (s *Server) Drain(ctx context.Context) {
 	s.drainOnce.Do(func() {
 		s.admitMu.Lock()
@@ -340,14 +336,9 @@ func (s *Server) Drain(ctx context.Context) {
 			s.inflight.Wait()
 			close(finished)
 		}()
-		grace := time.NewTimer(s.cfg.DrainGrace)
-		defer grace.Stop()
 		select {
 		case <-finished:
 		case <-ctx.Done():
-			s.runner.Cancel()
-			<-finished
-		case <-grace.C:
 			s.runner.Cancel()
 			<-finished
 		}

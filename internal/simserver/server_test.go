@@ -209,6 +209,65 @@ func TestHealthzAndReadyzSplit(t *testing.T) {
 	}
 }
 
+// TestDrainDeadlineAbandonsSlowRun pins the drain's one bound: when Drain's
+// ctx expires while a long simulation is in flight, Drain cancels the
+// engine and returns promptly, the abandoned request is answered with the
+// cancellation, and nothing is counted as computed.
+func TestDrainDeadlineAbandonsSlowRun(t *testing.T) {
+	s, ts := newTestServer(t, func(c *Config) {
+		// Far more instructions than the 30K-record trace: the run loops
+		// over it for on the order of a second.
+		c.Scale.Instructions = 10_000_000
+	})
+	type answer struct {
+		status int
+		body   string
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		raw, _ := json.Marshal(RunRequest{Workload: "xalancbmk", Seed: 1})
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			answered <- answer{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		answered <- answer{status: resp.StatusCode, body: string(body), err: err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.inflightN.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("run never went in flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	s.Drain(ctx)
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("Drain took %v after its ctx expired at 20ms", took)
+	}
+	if !s.Runner().Interrupted() {
+		t.Error("Runner().Interrupted() = false after the drain deadline")
+	}
+	a := <-answered
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.status != http.StatusInternalServerError {
+		t.Errorf("in-flight request answered %d, want 500", a.status)
+	} else if !strings.Contains(a.body, "canceled") {
+		t.Errorf("in-flight request failed with %s, want the cancellation", a.body)
+	}
+	if runs := s.Runner().Runs(); runs != 0 {
+		t.Errorf("Runs() = %d after the run was abandoned, want 0", runs)
+	}
+}
+
 func TestMetricsScrapeLintCleanAndComplete(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	// One real run so dynamic (per-kind breaker) series exist too.

@@ -24,10 +24,10 @@
 //     can serve at all; /readyz flips to 503 the moment a drain begins, so a
 //     load balancer stops routing new work while in-flight runs finish.
 //   - Graceful drain: Drain stops admitting, waits for in-flight requests
-//     (bounded by a grace period, after which the sweep context is
-//     canceled), flushes the flight recorder, and leaves the disk cache
-//     consistent — a kill at any point during the drain leaves no torn
-//     entries, because every store is fsync+rename crash-safe.
+//     (bounded by its context, whose expiry cancels the sweep context),
+//     flushes the flight recorder, and leaves the disk cache consistent —
+//     a kill at any point during the drain leaves no torn entries, because
+//     every store is fsync+rename crash-safe.
 //
 // Every decision the envelope makes is observable through the simserver_*
 // metric families on /metrics (see MetricFamilies), the live /runs table and
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"atcsim/internal/experiments"
-	"atcsim/internal/experiments/runner"
 	"atcsim/internal/faultinject"
 	"atcsim/internal/metrics"
 )
@@ -59,16 +58,9 @@ type Config struct {
 	// RunTimeout, when positive, is the default per-run deadline; a request
 	// may override it downward or upward via timeout_ms.
 	RunTimeout time.Duration
-	// Retry bounds the retry loop around transiently-failing runs (zero
-	// value: engine defaults).
-	Retry runner.RetryPolicy
 	// Faults, when non-nil, injects deterministic faults at the engine's
 	// hook points — the chaos-testing seam.
 	Faults *faultinject.Plan
-	// Registry, when non-nil, receives every simserver_* series plus the
-	// engine's own families; nil allocates a private registry (still served
-	// on /metrics).
-	Registry *metrics.Registry
 	// Recorder, when non-nil, receives structured flight-recorder events and
 	// is dumped on permanent failures and at the end of a drain.
 	Recorder *metrics.FlightRecorder
@@ -93,13 +85,6 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker stays open before
 	// half-open probing. Zero or negative selects 5s.
 	BreakerCooldown time.Duration
-	// BreakerProbes is how many concurrent trial requests a half-open
-	// breaker admits. Zero or negative selects 1.
-	BreakerProbes int
-
-	// DrainGrace bounds how long Drain waits for in-flight requests before
-	// canceling the sweep context. Zero or negative selects 30s.
-	DrainGrace time.Duration
 }
 
 // withDefaults resolves every zero tunable to its documented default.
@@ -125,12 +110,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
-	if c.BreakerProbes <= 0 {
-		c.BreakerProbes = 1
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 30 * time.Second
-	}
 	return c
 }
 
@@ -139,15 +118,11 @@ func (c Config) withDefaults() Config {
 // fails only when the cache directory cannot be created.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.New()
-	}
+	reg := metrics.New()
 	r, err := experiments.NewRunnerWith(cfg.Scale, experiments.Options{
 		Jobs:       cfg.Jobs,
 		CacheDir:   cfg.CacheDir,
 		RunTimeout: cfg.RunTimeout,
-		Retry:      cfg.Retry,
 		Faults:     cfg.Faults,
 		Metrics:    reg,
 		Recorder:   cfg.Recorder,
@@ -164,7 +139,6 @@ func New(cfg Config) (*Server, error) {
 			window:    cfg.BreakerWindow,
 			threshold: cfg.BreakerThreshold,
 			cooldown:  cfg.BreakerCooldown,
-			probes:    cfg.BreakerProbes,
 		}),
 	}
 	s.met = newServerMetrics(reg, s)
