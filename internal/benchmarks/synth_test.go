@@ -25,8 +25,17 @@ func allocatedBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestFootprintBuildGraph bounds BuildGraph's scratch beside the CSR arrays,
-// at a small shape and at the default shape every Ligra run builds.
+// readAllRows reads every row of g, so every bucket of it is finalized.
+func readAllRows(g *workloads.Graph) {
+	for v := range g.N {
+		g.Degree(v)
+	}
+}
+
+// TestFootprintBuildGraph bounds the graph's scratch beside the CSR arrays,
+// at a small shape and at the default shape every Ligra run builds. The
+// build and a finalize of every bucket are measured together: finalizes
+// reuse the scratch the build allocated.
 func TestFootprintBuildGraph(t *testing.T) {
 	skipIfInstrumented(t)
 	for _, c := range []struct {
@@ -36,7 +45,10 @@ func TestFootprintBuildGraph(t *testing.T) {
 		n, m := 1<<c.logN, (1<<c.logN)*c.degree
 		csr := uint64(4 * (n + 1 + m)) // Offsets + Edges
 		var g *workloads.Graph
-		got := allocatedBytes(func() { g = workloads.BuildGraph(c.logN, c.degree, c.seed) })
+		got := allocatedBytes(func() {
+			g = workloads.BuildGraph(c.logN, c.degree, c.seed)
+			readAllRows(g)
+		})
 		if g.N != n || g.M != m {
 			t.Fatalf("BuildGraph(%d, %d, %#x): N=%d M=%d, want %d/%d", c.logN, c.degree, c.seed, g.N, g.M, n, m)
 		}
@@ -149,11 +161,22 @@ var (
 )
 
 // BenchmarkBuildGraph measures one build of the shared Ligra input graph at
-// its default scale (2^20 vertices, degree 8).
+// its default scale (2^20 vertices, degree 8): the two passes over the edge
+// stream, with no bucket finalized.
 func BenchmarkBuildGraph(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		graphSink = workloads.BuildGraph(20, 8, 0xA11CE)
+	}
+}
+
+// BenchmarkBuildGraphAllRows measures the build plus a finalize of every
+// bucket: what a process pays whose traces read rows all over the graph.
+func BenchmarkBuildGraphAllRows(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		graphSink = workloads.BuildGraph(20, 8, 0xA11CE)
+		readAllRows(graphSink)
 	}
 }
 
@@ -170,6 +193,21 @@ func benchSynth(b *testing.B, name string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		traceSink = spec.Build(n, int64(i))
+	}
+}
+
+// BenchmarkTraceSynthColdPR measures what a fresh process pays for its
+// first Full-scale pr trace: the default graph's build, then the trace,
+// which finalizes only the buckets it reads.
+func BenchmarkTraceSynthColdPR(b *testing.B) {
+	spec, err := workloads.ByName("pr")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		graphSink = workloads.BuildGraph(20, 8, 0xA11CE)
+		traceSink = spec.OnGraph(graphSink, 500_000, int64(i))
 	}
 }
 

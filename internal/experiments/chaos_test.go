@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"atcsim/internal/faultinject"
 )
@@ -263,5 +266,30 @@ func TestCancelMidSweepResumes(t *testing.T) {
 	}
 	if repB.String() != repC.String() {
 		t.Errorf("resumed report differs from uninterrupted run:\n--- resumed ---\n%s\n--- fresh ---\n%s", repB, repC)
+	}
+}
+
+// TestSlowFaultBoundedByRunTimeout injects a 2 s stall at the run site under
+// a 100 ms per-run deadline. The stall sits inside the bound, so the run
+// fails with the deadline error as soon as the deadline passes, as a slow
+// simulation would, instead of sleeping out the stall first.
+func TestSlowFaultBoundedByRunTimeout(t *testing.T) {
+	plan := faultinject.NewPlan(1,
+		faultinject.Rule{Site: faultinject.SiteRun, Kind: faultinject.KindSlow, Delay: 2 * time.Second})
+	r, err := NewRunnerWith(Quick(), Options{Jobs: 1, RunTimeout: 100 * time.Millisecond, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, _, err = r.RunOne(context.Background(), "slow", "xalancbmk", 1, 0, nil)
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("run under a stall returned %v, want the deadline error", err)
+	}
+	if took > 500*time.Millisecond {
+		t.Errorf("run failed after %v, want soon after its 100ms deadline", took)
+	}
+	if got := plan.Fired(faultinject.KindSlow); got != 1 {
+		t.Errorf("slow faults fired = %d, want 1", got)
 	}
 }

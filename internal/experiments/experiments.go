@@ -552,13 +552,17 @@ func (r *Runner) cached(ctx context.Context, timeout time.Duration,
 			} else {
 				r.recorder.Record(metrics.Event{Kind: metrics.EventRunRetried, Run: id, Attempt: attempt})
 			}
-			if ferr := r.faults.Check(faultinject.SiteRun, id); ferr != nil {
-				return ferr
-			}
 			var res *system.Result
 			var serr error
 			r.pool.Run(func() {
-				res, serr = runner.Bounded(ctx, timeout, sim)
+				// The fault check runs inside the bound, so a deadline or
+				// Cancel cuts an injected stall short like a slow run.
+				res, serr = runner.Bounded(ctx, timeout, func() (*system.Result, error) {
+					if ferr := r.faults.Check(faultinject.SiteRun, id); ferr != nil {
+						return nil, ferr
+					}
+					return sim()
+				})
 			})
 			if serr != nil {
 				return serr

@@ -30,8 +30,9 @@ type Site string
 
 // Hook sites wired into internal/experiments and its runner.
 const (
-	// SiteRun is consulted once per simulation attempt, before the
-	// simulation executes, with the run's "label/name" identity.
+	// SiteRun is consulted once per simulation attempt, inside the
+	// attempt's deadline and before the simulation executes, with the
+	// run's "label/name" identity.
 	SiteRun Site = "run"
 	// SiteDiskLoad is consulted by Disk.Load with the run-key hash.
 	SiteDiskLoad Site = "disk.load"

@@ -10,11 +10,26 @@ import (
 // mirroring how the Ligra benchmarks all run over one input graph. Vertex
 // properties are 8 bytes, edges 4 bytes, so address math below matches the
 // array layouts the real kernels would have.
+//
+// Rows are built on demand (see BuildGraph): a reader reaches them only
+// through Neighbors and Degree, and the first row read in a bucket
+// finalizes that bucket. All methods are safe for concurrent use.
 type Graph struct {
-	N       int
-	M       int
-	Offsets []int32 // len N+1
-	Edges   []int32 // len M, CSR targets
+	N int
+	M int
+
+	offsets []int32 // len N+1; bucket boundaries from the build, the rest on finalize
+	edges   []int32 // len M; a segment holds edge indices until its bucket is finalized
+
+	shift int         // bucket b holds vertices [b<<shift, (b+1)<<shift)
+	draws rng         // the edge stream's generator at its start
+	once  []sync.Once // one per bucket: its finalize
+
+	mu        sync.Mutex // guards everything below
+	index     []int32    // the finalized segment's edge indices, in stream order
+	row       []int32    // and each one's source, relative to the bucket's first vertex
+	cursor    []int32    // the bucket's row cursors, one per vertex
+	finalized int        // buckets finalized so far
 }
 
 // Virtual addresses of graph structures for a vertex/edge index.
@@ -53,37 +68,46 @@ const (
 //
 // The edge stream is never buffered. Edge i's source and destination are
 // the counter-based draws 2i and 2i+1 (rng.at), so any pass can recompute
-// them from the edge index alone. The build makes three passes:
+// them from the edge index alone. The sources are split by their high bits
+// into buckets of consecutive vertices, so each bucket's rows are one
+// contiguous segment of the edge array. BuildGraph makes two passes over
+// the stream:
 //
-//   - Count: draw each source in stream order (skipping the destination
-//     draw) and count its out-degree into offsets[s+1]; a prefix sum turns
-//     the counts into row starts.
-//   - Bucket: split the sources by their high bits into buckets of
-//     consecutive vertices, so each bucket's rows are one contiguous
-//     segment of Edges. Scan the stream again and write each edge's index
-//     at its bucket's cursor: one sequential write stream per bucket.
-//   - Scatter: for each bucket, copy its segment's indices into a scratch
-//     buffer, recompute each edge's (s, d) from its index and write d at
-//     its row's cursor offsets[s]. Indices in a segment are in stream
-//     order, so each row keeps the order of a plain stream-order scatter.
+//   - Totals: draw each source in stream order (skipping the destination
+//     draw) and count its bucket's edges. A prefix sum over the buckets
+//     gives each segment's start, which is the row start of the bucket's
+//     first vertex.
+//   - Bucket: scan the stream again and write each edge's index at its
+//     bucket's cursor: one sequential write stream per bucket.
 //
-// The scatter leaves offsets[v] at the end of row v, so a one-slot shift
-// restores the row starts. A single-pass scatter writes each edge at a
-// random row of the whole edge array, one cache miss per edge; here every
-// random write lands inside one segment. bucketBits makes at least 64
-// buckets and caps a segment at about 512 KiB: at the default shape that
-// is 64 segments of 512 KiB, each of which, with its 64 KiB slice of
-// offsets and the scratch buffer it is copied to, fits in a core's L2.
-// Besides the two CSR arrays the build allocates one scratch buffer the
-// size of the largest segment (about 1/64 of Edges, because sources are
-// uniform) and one cursor per bucket.
+// A bucket's rows are finalized the first time a kernel reads one of them.
+// The finalize copies the segment's indices and their sources into scratch
+// buffers, counting the sources into per-vertex cursors, prefix-sums the
+// cursors from the segment start into the bucket's slice of offsets, then
+// recomputes each edge's destination and writes it at its row's cursor.
+// Indices in a segment are in stream order, so each row keeps the order of
+// a plain stream-order scatter. The last row's end is the next bucket's
+// start, which the build already set, so no finalize writes a neighbour's
+// offsets.
+//
+// A single-pass scatter writes each edge at a random row of the whole edge
+// array, one cache miss per edge; here every random write lands inside one
+// segment. bucketBits makes at least 64 buckets and caps a segment at about
+// 512 KiB: at the default shape that is 64 segments of 512 KiB, each of
+// which, with its 64 KiB slice of offsets and the scratch it is copied to,
+// fits in a core's L2. A short trace reads few buckets (500k instructions
+// of pr, cc or mis read 2 of the 64), so it pays for few finalizes.
+// Besides the two CSR arrays the graph keeps two scratch buffers the size
+// of the largest segment (about 1/64 of the edges, because sources are
+// uniform), one cursor per vertex of a bucket and one sync.Once per bucket.
 func BuildGraph(logN, degree int, seed int64) *Graph {
 	return buildGraph(logN, degree, seed, bucketBits(logN, degree))
 }
 
 // segmentEdges is the largest average bucket segment: 2^17 int32 edges,
-// 512 KiB. minBucketBits keeps at least 64 buckets, so the scratch buffer
-// stays near 1/64 of Edges on graphs whose whole edge array is small.
+// 512 KiB. minBucketBits keeps at least 64 buckets, so each scratch buffer
+// stays near 1/64 of the edge array on graphs whose whole edge array is
+// small.
 const (
 	segmentEdges  = 1 << 17
 	minBucketBits = 6
@@ -106,26 +130,26 @@ func buildGraph(logN, degree int, seed int64, bits int) *Graph {
 	n := 1 << logN
 	m := n * degree
 	mask := uint64(n - 1) // n is a power of two: & mask is % n
-
-	offsets := make([]int32, n+1)
-	r := newRNG(seed)
-	for i := 0; i < m; i++ {
-		offsets[r.next()&mask+1]++
-		r.skip() // the destination draw
-	}
-	for v := 1; v <= n; v++ {
-		offsets[v] += offsets[v-1]
-	}
+	shift := logN - bits
 
 	// Bucket b holds sources [b<<shift, (b+1)<<shift): the segment
 	// edges[offsets[b<<shift]:offsets[(b+1)<<shift]].
-	shift := logN - bits
 	cursor := make([]int32, 1<<bits)
-	largest := int32(0)
-	for b := range cursor {
-		cursor[b] = offsets[b<<shift]
-		largest = max(largest, offsets[(b+1)<<shift]-cursor[b])
+	r := newRNG(seed)
+	for i := 0; i < m; i++ {
+		cursor[(r.next()&mask)>>shift]++
+		r.skip() // the destination draw
 	}
+	offsets := make([]int32, n+1)
+	start, largest := int32(0), int32(0)
+	for b, count := range cursor {
+		offsets[b<<shift] = start
+		cursor[b] = start
+		start += count
+		largest = max(largest, count)
+	}
+	offsets[n] = int32(m)
+
 	edges := make([]int32, m)
 	r = newRNG(seed)
 	for i := 0; i < m; i++ {
@@ -134,24 +158,41 @@ func buildGraph(logN, degree int, seed int64, bits int) *Graph {
 		edges[cursor[b]] = int32(i)
 		cursor[b]++
 	}
+	return &Graph{N: n, M: m, offsets: offsets, edges: edges,
+		shift: shift, draws: *newRNG(seed), once: make([]sync.Once, 1<<bits),
+		index: make([]int32, largest), row: make([]int32, largest), cursor: make([]int32, 1<<shift)}
+}
 
-	r = newRNG(seed)
-	scratch := make([]int32, largest)
-	for b := range 1 << bits {
-		seg := scratch[:copy(scratch, edges[offsets[b<<shift]:offsets[(b+1)<<shift]])]
-		for _, i := range seg {
-			s := r.at(2*uint64(i)) & mask
-			d := skew(r.at(2*uint64(i)+1), n)
-			if int(s) == d {
-				d = (d + 1) % n
-			}
-			edges[offsets[s]] = int32(d)
-			offsets[s]++
-		}
+// finalize builds the rows of bucket b from its segment of edge indices.
+func (g *Graph) finalize(b int) {
+	lo, hi := b<<g.shift, (b+1)<<g.shift
+	n, mask, draws, edges := g.N, uint64(g.N-1), g.draws, g.edges
+	start := g.offsets[lo]
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	segment := edges[start:g.offsets[hi]]
+	index, row, cursor := g.index[:len(segment)], g.row[:len(segment)], g.cursor
+	clear(cursor)
+	for k, i := range segment {
+		v := int(draws.at(2*uint64(i))&mask) - lo
+		index[k], row[k] = i, int32(v)
+		cursor[v]++
 	}
-	copy(offsets[1:], offsets[:n])
-	offsets[0] = 0
-	return &Graph{N: n, M: m, Offsets: offsets, Edges: edges}
+	for v, count := range cursor {
+		cursor[v] = start
+		start += count
+	}
+	copy(g.offsets[lo+1:hi], cursor[1:])
+	for k, i := range index {
+		s := lo + int(row[k])
+		d := skew(draws.at(2*uint64(i)+1), n)
+		if s == d {
+			d = (d + 1) % n
+		}
+		edges[cursor[row[k]]] = int32(d)
+		cursor[row[k]]++
+	}
+	g.finalized++
 }
 
 var (
@@ -168,10 +209,18 @@ func sharedLigraGraph() *Graph {
 	return sharedGraph
 }
 
-// Degree returns the out-degree of v.
-func (g *Graph) Degree(v int) int { return int(g.Offsets[v+1] - g.Offsets[v]) }
+// Neighbors returns v's adjacency list: the index of its first edge in the
+// CSR edge array and its targets. The first read of a row in a bucket
+// finalizes the bucket.
+func (g *Graph) Neighbors(v int) (first int, dst []int32) {
+	b := v >> g.shift
+	g.once[b].Do(func() { g.finalize(b) })
+	lo, hi := g.offsets[v], g.offsets[v+1]
+	return int(lo), g.edges[lo:hi:hi]
+}
 
-// Neighbors returns the CSR slice bounds of v's adjacency list.
-func (g *Graph) Neighbors(v int) (lo, hi int) {
-	return int(g.Offsets[v]), int(g.Offsets[v+1])
+// Degree returns the out-degree of v.
+func (g *Graph) Degree(v int) int {
+	_, dst := g.Neighbors(v)
+	return len(dst)
 }

@@ -90,12 +90,12 @@ func misStored(g *Graph, n int, seed int64) *trace.Trace {
 			if state[v] != undecided {
 				continue
 			}
-			lo, hi := g.Neighbors(v)
+			lo, dst := g.Neighbors(v)
 			b.Load(siteMIS+3, g.offsetVA(v))
 			win := true
-			for e := lo; e < hi; e++ {
-				u := int(g.Edges[e])
-				b.Load(siteMIS+4, g.edgeVA(e))
+			for k, t := range dst {
+				u := int(t)
+				b.Load(siteMIS+4, g.edgeVA(lo+k))
 				b.LoadDep(siteMIS+5, prop16VA(u))
 				b.ALU(siteMIS+9, 1)
 				lose := state[u] == inSet ||
@@ -109,8 +109,8 @@ func misStored(g *Graph, n int, seed int64) *trace.Trace {
 			if win {
 				state[v] = inSet
 				b.Store(siteMIS+7, prop16VA(v))
-				for e := lo; e < hi && !b.Full(); e++ {
-					u := int(g.Edges[e])
+				for k := 0; k < len(dst) && !b.Full(); k++ {
+					u := int(dst[k])
 					if state[u] == undecided {
 						state[u] = outSet
 						b.Store(siteMIS+8, prop16VA(u))
@@ -154,11 +154,11 @@ func radiiStored(g *Graph, n int, seed int64) *trace.Trace {
 			v := int(frontier[fi])
 			b.Load(siteRadii+0, baseAux+mem.Addr(fi)*4)
 			b.Load(siteRadii+1, prop16VA(v))
-			lo, hi := g.Neighbors(v)
+			lo, dst := g.Neighbors(v)
 			b.Load(siteRadii+2, g.offsetVA(v))
-			for e := lo; e < hi; e++ {
-				u := int(g.Edges[e])
-				b.Load(siteRadii+3, g.edgeVA(e))
+			for k, t := range dst {
+				u := int(t)
+				b.Load(siteRadii+3, g.edgeVA(lo+k))
 				b.LoadDep(siteRadii+4, prop16VA(u))
 				b.ALU(siteRadii+8, 2)
 				add := visited[v] &^ visited[u]

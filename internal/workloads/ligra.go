@@ -24,7 +24,7 @@ const (
 	siteXalan
 )
 
-// PR is pull-style PageRank: every edge reads the source's rank — a random
+// pr is pull-style PageRank: every edge reads the source's rank — a random
 // 8-byte load over the whole vertex set per edge. The paper's highest STLB
 // MPKI benchmark.
 //
@@ -32,8 +32,7 @@ const (
 // function of the vertex or edge index, and the only branch is the edge-loop
 // bound. So the kernel keeps no rank arrays and emits the accesses a rank
 // update performs.
-func PR(n int, seed int64) *trace.Trace {
-	g := sharedLigraGraph()
+func pr(g *Graph, n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("pr", n)
 	// The seed rotates the vertex scan so different seeds sample different
 	// regions of the iteration space.
@@ -41,14 +40,13 @@ func PR(n int, seed int64) *trace.Trace {
 	for !b.Full() {
 		for i := 0; i < g.N && !b.Full(); i++ {
 			v := (i + offset) % g.N
-			lo, hi := g.Neighbors(v)
+			lo, dst := g.Neighbors(v)
 			b.Load(sitePR+0, g.offsetVA(v)) // offsets[v] (sequential)
-			for e := lo; e < hi; e++ {
-				u := int(g.Edges[e])
-				b.Load(sitePR+1, g.edgeVA(e))   // edge target (sequential)
-				b.LoadDep(sitePR+2, prop1VA(u)) // rank[u] (random!)
-				b.ALU(sitePR+3, 2)              // sum += rank[u]/deg[u]
-				b.Branch(sitePR+4, e+1 < hi)    // edge-loop branch
+			for k, u := range dst {
+				b.Load(sitePR+1, g.edgeVA(lo+k))     // edge target (sequential)
+				b.LoadDep(sitePR+2, prop1VA(int(u))) // rank[u] (random!)
+				b.ALU(sitePR+3, 2)                   // sum += rank[u]/deg[u]
+				b.Branch(sitePR+4, k+1 < len(dst))   // edge-loop branch
 			}
 			b.ALU(sitePR+5, 1)            // next[v] = 0.15/N + 0.85*sum
 			b.Store(sitePR+6, prop2VA(v)) // next[v]
@@ -57,10 +55,9 @@ func PR(n int, seed int64) *trace.Trace {
 	return b.Build()
 }
 
-// CC is label-propagation connected components: per edge a random load of
+// cc is label-propagation connected components: per edge a random load of
 // the neighbour's label plus a data-dependent branch and occasional store.
-func CC(n int, seed int64) *trace.Trace {
-	g := sharedLigraGraph()
+func cc(g *Graph, n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("cc", n)
 	label := make([]int32, g.N)
 	for v := range label {
@@ -71,13 +68,13 @@ func CC(n int, seed int64) *trace.Trace {
 		changed := false
 		for i := 0; i < g.N && !b.Full(); i++ {
 			v := (i + offset) % g.N
-			lo, hi := g.Neighbors(v)
+			lo, dst := g.Neighbors(v)
 			b.Load(siteCC+0, g.offsetVA(v))
 			best := label[v]
 			b.Load(siteCC+1, prop1VA(v))
-			for e := lo; e < hi; e++ {
-				u := int(g.Edges[e])
-				b.Load(siteCC+2, g.edgeVA(e))
+			for k, t := range dst {
+				u := int(t)
+				b.Load(siteCC+2, g.edgeVA(lo+k))
 				b.LoadDep(siteCC+3, prop1VA(u)) // label[u] (random)
 				b.ALU(siteCC+7, 2)
 				improved := label[u] < best
@@ -104,12 +101,11 @@ func CC(n int, seed int64) *trace.Trace {
 	return b.Build()
 }
 
-// BF is frontier-based Bellman-Ford SSSP in Ligra's sparse mode: a work
+// bf is frontier-based Bellman-Ford SSSP in Ligra's sparse mode: a work
 // queue of active vertices relaxes its out-edges each round. Sequential
 // frontier pops dilute the random property loads — high STLB MPKI, but
 // below pr/cc, like the paper's ordering.
-func BF(n int, seed int64) *trace.Trace {
-	g := sharedLigraGraph()
+func bf(g *Graph, n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("bf", n)
 	const inf = int32(1) << 30
 	dist := make([]int32, g.N)
@@ -132,11 +128,11 @@ func BF(n int, seed int64) *trace.Trace {
 			v := int(frontier[fi])
 			inFrontier[v] = false
 			b.Load(siteBF+0, baseAux+mem.Addr(fi)*4) // frontier pop (sequential)
-			lo, hi := g.Neighbors(v)
+			lo, dst := g.Neighbors(v)
 			b.Load(siteBF+2, g.offsetVA(v))
 			b.Load(siteBF+3, prop16VA(v)) // dist[v] (random)
-			for e := lo; e < hi; e++ {
-				u := int(g.Edges[e])
+			for k, t := range dst {
+				e, u := lo+k, int(t)
 				b.Load(siteBF+4, g.edgeVA(e))
 				b.LoadDep(siteBF+5, prop16VA(u)) // dist[u] (random)
 				w := int32(e%16) + 1
@@ -162,11 +158,9 @@ func BF(n int, seed int64) *trace.Trace {
 	return b.Build()
 }
 
-// Radii estimates graph radii with 64-source concurrent BFS over bitmask
+// radii estimates graph radii with 64-source concurrent BFS over bitmask
 // properties, Ligra-style sparse frontiers: random mask loads and stores
 // per edge while frontiers persist.
-func Radii(n int, seed int64) *trace.Trace { return radii(sharedLigraGraph(), n, seed) }
-
 func radii(g *Graph, n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("radii", n)
 	visited := make([]uint64, g.N)
@@ -188,11 +182,11 @@ func radii(g *Graph, n int, seed int64) *trace.Trace {
 			v := int(frontier[fi])
 			b.Load(siteRadii+0, baseAux+mem.Addr(fi)*4) // frontier pop
 			b.Load(siteRadii+1, prop16VA(v))            // visited[v] (random)
-			lo, hi := g.Neighbors(v)
+			lo, dst := g.Neighbors(v)
 			b.Load(siteRadii+2, g.offsetVA(v))
-			for e := lo; e < hi; e++ {
-				u := int(g.Edges[e])
-				b.Load(siteRadii+3, g.edgeVA(e))
+			for k, t := range dst {
+				u := int(t)
+				b.Load(siteRadii+3, g.edgeVA(lo+k))
 				b.LoadDep(siteRadii+4, prop16VA(u)) // visited[u] (random)
 				b.ALU(siteRadii+8, 2)               // mask combine
 				add := visited[v] &^ visited[u]
@@ -220,7 +214,7 @@ func radii(g *Graph, n int, seed int64) *trace.Trace {
 	return b.Build()
 }
 
-// MIS computes a maximal independent set with random priorities over a
+// mis computes a maximal independent set with random priorities over a
 // shrinking worklist of undecided vertices — mostly-sequential list scans
 // plus random neighbour-state loads: a Medium benchmark.
 //
@@ -229,8 +223,6 @@ func radii(g *Graph, n int, seed int64) *trace.Trace {
 // vertex v the priority drawn at position epoch·N + v of the seed's stream,
 // computed on demand by rng.at. An epoch's first pass scans every vertex in
 // order, so that worklist is never stored.
-func MIS(n int, seed int64) *trace.Trace { return mis(sharedLigraGraph(), n, seed) }
-
 func mis(g *Graph, n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("mis", n)
 	const (
@@ -263,13 +255,13 @@ func mis(g *Graph, n int, seed int64) *trace.Trace {
 			if state[v] != undecided {
 				continue
 			}
-			lo, hi := g.Neighbors(v)
+			lo, dst := g.Neighbors(v)
 			b.Load(siteMIS+3, g.offsetVA(v))
 			win := true
 			pv := prio(v)
-			for e := lo; e < hi; e++ {
-				u := int(g.Edges[e])
-				b.Load(siteMIS+4, g.edgeVA(e))
+			for k, t := range dst {
+				u := int(t)
+				b.Load(siteMIS+4, g.edgeVA(lo+k))
 				b.LoadDep(siteMIS+5, prop16VA(u)) // prio/state of u (packed, random)
 				b.ALU(siteMIS+9, 1)
 				lose := state[u] == inSet
@@ -286,8 +278,8 @@ func mis(g *Graph, n int, seed int64) *trace.Trace {
 			if win {
 				state[v] = inSet
 				b.Store(siteMIS+7, prop16VA(v))
-				for e := lo; e < hi && !b.Full(); e++ {
-					u := int(g.Edges[e])
+				for k := 0; k < len(dst) && !b.Full(); k++ {
+					u := int(dst[k])
 					if state[u] == undecided {
 						state[u] = outSet
 						b.Store(siteMIS+8, prop16VA(u)) // random store
@@ -308,11 +300,10 @@ func mis(g *Graph, n int, seed int64) *trace.Trace {
 	return b.Build()
 }
 
-// TC counts triangles by merge-intersecting adjacency lists: two mostly
+// tc counts triangles by merge-intersecting adjacency lists: two mostly
 // sequential edge streams with compare branches — the lowest-MPKI Ligra
 // kernel, matching its Medium classification.
-func TC(n int, seed int64) *trace.Trace {
-	g := sharedLigraGraph()
+func tc(g *Graph, n int, seed int64) *trace.Trace {
 	b := trace.MustNewBuilder("tc", n)
 	r := newRNG(seed)
 	for !b.Full() {
@@ -320,24 +311,24 @@ func TC(n int, seed int64) *trace.Trace {
 		// work-stealing runtime would), so adjacency-list reads land on
 		// random offsets of the CSR arrays.
 		v := r.intn(g.N)
-		lo, hi := g.Neighbors(v)
+		lo, dst := g.Neighbors(v)
 		b.Load(siteTC+0, g.offsetVA(v)) // offsets[v] (random)
-		for e := lo; e < hi && !b.Full(); e++ {
-			u := int(g.Edges[e])
-			b.Load(siteTC+1, g.edgeVA(e))
+		for k := 0; k < len(dst) && !b.Full(); k++ {
+			u := int(dst[k])
+			b.Load(siteTC+1, g.edgeVA(lo+k))
 			if u >= v {
 				b.Branch(siteTC+2, false)
 				continue
 			}
 			b.Branch(siteTC+2, true)
 			// Merge-intersect adj(v) and adj(u).
-			ulo, uhi := g.Neighbors(u)
+			ulo, udst := g.Neighbors(u)
 			b.Load(siteTC+3, g.offsetVA(u)) // offsets[u] (random)
-			i, j := lo, ulo
-			for i < hi && j < uhi && !b.Full() {
-				b.Load(siteTC+4, g.edgeVA(i)) // sequential stream 1
-				b.Load(siteTC+5, g.edgeVA(j)) // sequential stream 2
-				a, c := g.Edges[i], g.Edges[j]
+			i, j := 0, 0
+			for i < len(dst) && j < len(udst) && !b.Full() {
+				b.Load(siteTC+4, g.edgeVA(lo+i))  // sequential stream 1
+				b.Load(siteTC+5, g.edgeVA(ulo+j)) // sequential stream 2
+				a, c := dst[i], udst[j]
 				b.Branch(siteTC+6, a < c)
 				switch {
 				case a < c:

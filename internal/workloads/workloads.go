@@ -45,6 +45,9 @@ type Spec struct {
 	Category Category
 	// Build generates a trace of approximately n instructions.
 	Build func(n int, seed int64) *trace.Trace
+	// OnGraph, set for the Ligra kernels only, generates the trace on the
+	// given input graph; their Build runs it on the process-wide one.
+	OnGraph func(g *Graph, n int, seed int64) *trace.Trace
 }
 
 var specs = map[string]Spec{}
@@ -53,14 +56,20 @@ func register(s Spec) { specs[s.Name] = s }
 
 func init() {
 	register(Spec{Name: "xalancbmk", Suite: "SPEC CPU2017", Category: Low, Build: Xalancbmk})
-	register(Spec{Name: "tc", Suite: "Ligra", Category: Medium, Build: TC})
+	register(ligra("tc", Medium, tc))
 	register(Spec{Name: "canneal", Suite: "PARSEC", Category: Medium, Build: Canneal})
-	register(Spec{Name: "mis", Suite: "Ligra", Category: Medium, Build: MIS})
+	register(ligra("mis", Medium, mis))
 	register(Spec{Name: "mcf", Suite: "SPEC CPU2017", Category: Medium, Build: MCF})
-	register(Spec{Name: "bf", Suite: "Ligra", Category: High, Build: BF})
-	register(Spec{Name: "radii", Suite: "Ligra", Category: High, Build: Radii})
-	register(Spec{Name: "cc", Suite: "Ligra", Category: High, Build: CC})
-	register(Spec{Name: "pr", Suite: "Ligra", Category: High, Build: PR})
+	register(ligra("bf", High, bf))
+	register(ligra("radii", High, radii))
+	register(ligra("cc", High, cc))
+	register(ligra("pr", High, pr))
+}
+
+// ligra is the Spec of a Ligra kernel.
+func ligra(name string, c Category, kernel func(g *Graph, n int, seed int64) *trace.Trace) Spec {
+	return Spec{Name: name, Suite: "Ligra", Category: c, OnGraph: kernel,
+		Build: func(n int, seed int64) *trace.Trace { return kernel(sharedLigraGraph(), n, seed) }}
 }
 
 // Names returns the benchmark names in the paper's Table II order

@@ -118,22 +118,19 @@ func TestGraphCSRWellFormed(t *testing.T) {
 	if g.N != 1<<14 || g.M != 4<<14 {
 		t.Fatalf("graph dims N=%d M=%d", g.N, g.M)
 	}
-	if g.Offsets[0] != 0 || int(g.Offsets[g.N]) != g.M {
-		t.Fatal("offset bounds wrong")
-	}
 	total := 0
 	for v := 0; v < g.N; v++ {
-		lo, hi := g.Neighbors(v)
-		if lo > hi {
-			t.Fatalf("vertex %d: lo > hi", v)
+		lo, dst := g.Neighbors(v)
+		if lo != total {
+			t.Fatalf("vertex %d: row starts at %d, want %d", v, lo, total)
 		}
-		if g.Degree(v) != hi-lo {
+		if g.Degree(v) != len(dst) {
 			t.Fatalf("vertex %d: degree mismatch", v)
 		}
-		total += hi - lo
-		for e := lo; e < hi; e++ {
-			if int(g.Edges[e]) >= g.N || int(g.Edges[e]) < 0 {
-				t.Fatalf("edge %d out of range", e)
+		total += len(dst)
+		for k, u := range dst {
+			if int(u) >= g.N || u < 0 {
+				t.Fatalf("edge %d out of range", lo+k)
 			}
 		}
 	}
@@ -147,7 +144,8 @@ func TestGraphPowerLawSkew(t *testing.T) {
 	// In-degree skew: the hottest 1% of vertices should absorb well over
 	// 1% of edges.
 	indeg := make([]int, g.N)
-	for _, d := range g.Edges {
+	_, edges := allRows(g)
+	for _, d := range edges {
 		indeg[d]++
 	}
 	hot := 0
