@@ -32,9 +32,7 @@ type evictRec struct {
 
 func newRecallTracker(sets int) *recallTracker {
 	t := &recallTracker{sets: make([]recallSet, sets)}
-	for c := mem.Class(0); c < mem.NumClasses; c++ {
-		t.hists[c] = stats.NewHistogram(stats.RecallBounds...)
-	}
+	t.reset()
 	return t
 }
 
@@ -74,9 +72,11 @@ func (t *recallTracker) hist(c mem.Class) *stats.Histogram { return t.hists[c] }
 
 func (t *recallTracker) evictions(c mem.Class) uint64 { return t.evicts[c] }
 
+// reset starts fresh histograms (ones handed out earlier keep their
+// samples) and forgets every pending eviction.
 func (t *recallTracker) reset() {
-	for _, h := range t.hists {
-		h.Reset()
+	for c := range t.hists {
+		t.hists[c] = stats.NewHistogram(stats.RecallBounds...)
 	}
 	t.evicts = [mem.NumClasses]uint64{}
 	for i := range t.sets {

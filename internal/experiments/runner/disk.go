@@ -20,8 +20,10 @@ import (
 // checksum. Version 3 invalidates multi-core results computed before
 // multi-core machines prefaulted their trace footprints and resolved shared
 // accesses at cycle-window barriers, which changed their (still
-// deterministic) numbers.
-const FormatVersion = 3
+// deterministic) numbers. Version 4 invalidates SMT and multi-core results
+// whose per-thread counters ran past the thread's target: their run keys
+// did not change when those counters learned to stop there.
+const FormatVersion = 4
 
 // Disk is an on-disk result store: one JSON file per run key, named by the
 // key's hash. Writes are crash-safe: the entry is written to a temp file in

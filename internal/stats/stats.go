@@ -46,9 +46,6 @@ func (cc *ClassCounters) TotalMiss() uint64 {
 	return t
 }
 
-// Reset zeroes all counters (used at the end of warmup).
-func (cc *ClassCounters) Reset() { *cc = ClassCounters{} }
-
 // MPKI converts an event count into misses-per-kilo-instruction.
 func MPKI(events, instructions uint64) float64 {
 	if instructions == 0 {
@@ -205,14 +202,6 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	h.sum = v.Sum
 	h.max = v.Max
 	return nil
-}
-
-// Reset clears all samples.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.max = 0, 0, 0
 }
 
 // RecallBounds are the default recall-distance buckets used by Figs. 5/7/18.

@@ -1,10 +1,6 @@
 package system
 
-import (
-	"fmt"
-
-	"atcsim/internal/cache"
-)
+import "fmt"
 
 // checkStride is how many instructions elapse between periodic invariant
 // audits. Audits scan every set of every cache, so they are far too
@@ -21,15 +17,11 @@ func (s *sim) auditInvariants() {
 			panic(fmt.Sprintf("atcsim: invariant violation: %v", err))
 		}
 	}
-	seen := map[*cache.Cache]bool{}
 	for _, c := range s.cores {
 		fail(c.mmu.CheckInvariants())
-		for _, ca := range []*cache.Cache{c.l1i, c.l1d, c.l2} {
-			if !seen[ca] {
-				fail(ca.CheckInvariants())
-				seen[ca] = true
-			}
-		}
+	}
+	for _, ca := range s.privateCaches() {
+		fail(ca.CheckInvariants())
 	}
 	fail(s.llc.CheckInvariants())
 	fail(s.channel.CheckInvariants())

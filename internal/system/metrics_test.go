@@ -230,7 +230,7 @@ func TestLiveGauges(t *testing.T) {
 		},
 		L1D: make([]cache.Stats, 2),
 	}
-	r.Cores[0].CPU.Instructions = 12_345 // past its target
+	r.Cores[0].CPU.Instructions = 10_000 // frozen at its target
 	r.Cores[1].CPU.Instructions = 6_000
 	r.Cores[0].MMU.STLBMisses = 10
 	r.Cores[1].MMU.STLBMisses = 7
@@ -245,7 +245,7 @@ func TestLiveGauges(t *testing.T) {
 		got[s.Name] = s.Value
 	}
 	for name, want := range map[string]float64{
-		"sim_instructions":                      18_345,
+		"sim_instructions":                      16_000,
 		"sim_instructions_done":                 16_000,
 		"sim_instructions_total":                20_000,
 		"sim_cycle":                             5_000,

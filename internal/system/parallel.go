@@ -204,9 +204,10 @@ func (p *sharedPortal) Access(req *mem.Request, cycle int64) cache.Result {
 
 // phase runs every core, one unit each, for target instructions. Cores that
 // reach the target keep running — preserving contention — until all are
-// done; completion cycles are recorded at the target boundary. Done-ness is
-// only observed at round barriers, so the final round always runs to its
-// window end and the round/wave schedule stays independent of SimJobs.
+// done; in the measured phase each core's row (with its L1D and L2 stats)
+// freezes on the step it reaches the target (runUnit). Done-ness is only
+// observed at round barriers, so the final round always runs to its window
+// end and the round/wave schedule stays independent of SimJobs.
 //
 // A panic raised inside a core step surfaces here, on the caller's
 // goroutine, after every coroutine is stopped and the pool joined.

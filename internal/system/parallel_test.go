@@ -437,3 +437,58 @@ func TestParallelCorePanicSurfaces(t *testing.T) {
 		})
 	}
 }
+
+// TestParallelThreadsStopAtTarget pins the measured-row rule on machines
+// whose threads run past their target (SMT, and 4 cores on the barrier
+// engine), under both timing engines: each thread's row is frozen on the
+// step it reaches the target, so it counts exactly the target and the
+// heartbeat rows sum to the measured instructions. A frozen row must not
+// share a histogram a running thread still writes; if it did, the stall
+// and recall histograms would outgrow the frozen counts they pair with.
+func TestParallelThreadsStopAtTarget(t *testing.T) {
+	smt := func(cfg Config) (*Result, error) {
+		return RunSMT(cfg, buildTrace(t, "pr", 90_000), buildTrace(t, "xalancbmk", 90_000))
+	}
+	multi := func(cfg Config) (*Result, error) {
+		cfg.SimJobs = 2
+		return RunMulti(cfg, mixTraces(t, 50_000))
+	}
+	for _, m := range []struct {
+		name string
+		run  func(Config) (*Result, error)
+	}{{"smt", smt}, {"4-core", multi}} {
+		for _, timing := range TimingModels() {
+			t.Run(m.name+"-"+timing, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Instructions, cfg.Warmup = 40_000, 20_000
+				cfg.Timing = timing
+				cfg.TrackRecall = true
+				hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 10_000)
+				cfg.Telemetry = &telemetry.Hub{Heartbeat: hb}
+				r, err := m.run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var insts uint64
+				for _, row := range hb.Rows() {
+					insts += row.Instructions
+				}
+				if want := uint64(len(r.Cores) * cfg.Instructions); insts != want {
+					t.Errorf("heartbeat instructions sum to %d, want %d", insts, want)
+				}
+				for i := range r.Cores {
+					c := &r.Cores[i]
+					if c.CPU.Instructions != c.Instructions {
+						t.Errorf("core %d: %d instructions counted, target %d", i, c.CPU.Instructions, c.Instructions)
+					}
+					if n := c.CPU.TransStall.Total(); n > c.MMU.STLBMisses {
+						t.Errorf("core %d: %d translation stalls for %d STLB misses", i, n, c.MMU.STLBMisses)
+					}
+					if n := c.STLBRecall.Hist.Total(); n > c.STLBRecall.Evictions {
+						t.Errorf("core %d: %d STLB recalls for %d evictions", i, n, c.STLBRecall.Evictions)
+					}
+				}
+			})
+		}
+	}
+}

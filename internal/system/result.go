@@ -13,7 +13,9 @@ import (
 	"atcsim/internal/xlat"
 )
 
-// CoreResult captures one hardware thread's measured-phase statistics.
+// CoreResult captures one hardware thread's measured-phase statistics,
+// taken once on the step it reaches its target: exactly Instructions
+// instructions, none of the steps it runs on while other threads finish.
 type CoreResult struct {
 	Workload     string
 	Instructions uint64
@@ -65,7 +67,12 @@ func (c *CoreResult) STLBMPKI() float64 {
 	return stats.MPKI(c.MMU.STLBMisses, c.Instructions)
 }
 
-// Result is the outcome of one simulation run.
+// Result is the outcome of one simulation run. Each Cores row stops at
+// its thread's own target; on a multi-core machine so do that core's L1D
+// and L2 entries. Everything else stops at the end of the measured phase,
+// after the queued engine's final drain: the L1D and L2 of a single-core
+// or SMT machine, the LLC, DRAM, Queues, Parallel and the recall
+// distributions below.
 type Result struct {
 	Cfg   Config
 	Cores []CoreResult
@@ -130,59 +137,62 @@ type QueueLevel struct {
 	Q     cache.QueueStats
 }
 
-// collect snapshots all component statistics into a Result; it is the only
-// reader of the components' Stats. Per-core rows are placed by canonical
-// core index, not iteration order, so the Result is identical however the
-// scheduler ordered the cores. A live Result, taken mid-phase for the
-// heartbeat, counts each core's Cycles up to its current cycle; the final
-// one counts to the cycle the core reached its target, at least 1.
-func (s *sim) collect(live bool) *Result {
+// coreRow reads thread c's own counters, given its cycles since
+// measurement start.
+func (s *sim) coreRow(c *coreCtx, cycles int64) CoreResult {
+	return CoreResult{
+		Workload:      c.tr.Name,
+		Instructions:  uint64(s.cfg.Instructions),
+		Cycles:        cycles,
+		IPC:           cpu.IPC(uint64(s.cfg.Instructions), cycles),
+		CPU:           c.core.Stats(),
+		MMU:           c.mmu.Stats(),
+		Walker:        c.mmu.W.Stats(),
+		PSC:           c.mmu.W.PSCStats(),
+		ReplayService: c.replayService,
+		STLB:          c.mmu.STLB.Stats(),
+		STLBRecall:    Recall{Hist: c.mmu.STLB.RecallHistogram(), Evictions: c.mmu.STLB.RecallEvictions()},
+		Mechanism:     c.mmu.Mechanism().Name(),
+		Xlat:          c.mmu.Mechanism().Stats(),
+	}
+}
+
+// collect snapshots all component statistics into a Result; with coreRow
+// it is the only reader of the components' Stats. Per-core rows are placed
+// by canonical core index, not iteration order, so the Result is identical
+// however the scheduler ordered the cores. A finished thread contributes
+// its frozen row; a running one (a live Result, taken mid-phase for the
+// heartbeat) its counters so far, with Cycles up to its current cycle.
+func (s *sim) collect() *Result {
 	r := &Result{Cfg: s.cfg, LLC: s.llc.Stats(), DRAM: s.channel.Stats()}
 	r.Cores = make([]CoreResult, len(s.cores))
 	for _, c := range s.cores {
-		cycles := c.doneCycle - c.baseCycle
-		if live {
-			cycles = c.core.Cycle() - c.baseCycle
-		} else if cycles <= 0 {
-			cycles = 1
+		if c.row != nil {
+			r.Cores[c.id] = *c.row
+		} else {
+			r.Cores[c.id] = s.coreRow(c, c.core.Cycle()-c.baseCycle)
 		}
-		cr := CoreResult{
-			Workload:      c.tr.Name,
-			Instructions:  uint64(s.cfg.Instructions),
-			Cycles:        cycles,
-			IPC:           cpu.IPC(uint64(s.cfg.Instructions), cycles),
-			CPU:           c.core.Stats(),
-			MMU:           c.mmu.Stats(),
-			Walker:        c.mmu.W.Stats(),
-			PSC:           c.mmu.W.PSCStats(),
-			ReplayService: c.replayService,
-			STLB:          c.stlb.Stats(),
-			STLBRecall:    Recall{Hist: c.stlb.RecallHistogram(), Evictions: c.stlb.RecallEvictions()},
-			Mechanism:     c.mmu.Mechanism().Name(),
-			Xlat:          c.mmu.Mechanism().Stats(),
-		}
-		r.Cores[c.id] = cr
+	}
+	for i, l1d := range s.l1ds {
+		r.L1D = append(r.L1D, l1d.Stats())
+		r.L2 = append(r.L2, s.l2s[i].Stats())
 	}
 	if s.par != nil {
 		ps := s.par.statsSnapshot()
 		for _, c := range s.cores {
 			ps.TraceRefills += c.cur.Refills()
+			// The core's private caches freeze with its row.
+			if c.row != nil {
+				r.L1D[c.id], r.L2[c.id] = c.l1dRow, c.l2Row
+			}
 		}
 		r.Parallel = &ps
 	}
-	for _, l1d := range s.l1ds {
-		r.L1D = append(r.L1D, l1d.Stats())
+	recall := func(c *cache.Cache, cl mem.Class) Recall {
+		return Recall{Hist: c.RecallHistogram(cl), Evictions: c.RecallEvictions(cl)}
 	}
-	for _, l2 := range s.l2s {
-		r.L2 = append(r.L2, l2.Stats())
-	}
-	if len(s.l2s) > 0 {
-		l2 := s.l2s[0]
-		r.L2RecallTrans = Recall{Hist: l2.RecallHistogram(mem.ClassTransLeaf), Evictions: l2.RecallEvictions(mem.ClassTransLeaf)}
-		r.L2RecallReplay = Recall{Hist: l2.RecallHistogram(mem.ClassReplay), Evictions: l2.RecallEvictions(mem.ClassReplay)}
-	}
-	r.LLCRecallTrans = Recall{Hist: s.llc.RecallHistogram(mem.ClassTransLeaf), Evictions: s.llc.RecallEvictions(mem.ClassTransLeaf)}
-	r.LLCRecallReplay = Recall{Hist: s.llc.RecallHistogram(mem.ClassReplay), Evictions: s.llc.RecallEvictions(mem.ClassReplay)}
+	r.L2RecallTrans, r.L2RecallReplay = recall(s.l2s[0], mem.ClassTransLeaf), recall(s.l2s[0], mem.ClassReplay)
+	r.LLCRecallTrans, r.LLCRecallReplay = recall(s.llc, mem.ClassTransLeaf), recall(s.llc, mem.ClassReplay)
 	if len(s.queued) > 0 {
 		idx := map[string]int{}
 		for _, q := range s.queued {

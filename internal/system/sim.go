@@ -3,6 +3,7 @@ package system
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"atcsim/internal/cache"
 	"atcsim/internal/cpu"
@@ -30,10 +31,8 @@ type coreCtx struct {
 	core   *cpu.Core
 	bp     *cpu.Perceptron
 	mmu    *ptw.MMU
-	l1i    *cache.Cache
 	l1d    *cache.Cache
 	l2     *cache.Cache
-	stlb   *tlb.TLB
 	lastIL mem.Addr
 
 	// l1iPath and l1dPath are where the core issues fetches and data
@@ -53,14 +52,18 @@ type coreCtx struct {
 	phaseCount int
 	done       bool
 	baseCycle  int64
-	doneCycle  int64
+	// row is the thread's measured row (nil until freeze); l1dRow and
+	// l2Row are its private caches' stats under the barrier engine.
+	row           *CoreResult
+	l1dRow, l2Row cache.Stats
 }
 
 // sim is a fully wired machine.
 type sim struct {
 	cfg     Config
 	cores   []*coreCtx
-	l1ds    []*cache.Cache // distinct L1D instances (1 for SMT)
+	l1is    []*cache.Cache // distinct instances, one per core (1 for SMT)
+	l1ds    []*cache.Cache
 	l2s     []*cache.Cache
 	llc     *cache.Cache
 	channel *dram.Controller
@@ -252,26 +255,20 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 
 	for i, tr := range traces {
 		var cc coreCaches
-		if shareCoreCaches {
-			if shared == nil {
-				cc, err = newCoreCaches(i)
-				if err != nil {
-					return nil, err
-				}
-				shared = &cc
-				s.l1ds = append(s.l1ds, cc.l1d)
-				s.l2s = append(s.l2s, cc.l2)
-			}
+		if shared != nil {
 			cc = *shared
 		} else {
-			cc, err = newCoreCaches(i)
-			if err != nil {
+			if cc, err = newCoreCaches(i); err != nil {
 				return nil, err
 			}
+			s.l1is = append(s.l1is, cc.l1i)
 			s.l1ds = append(s.l1ds, cc.l1d)
 			s.l2s = append(s.l2s, cc.l2)
+			if shareCoreCaches {
+				shared = &cc
+			}
 		}
-		l1i, l1d, l2 := cc.l1i, cc.l1d, cc.l2
+		l1d, l2 := cc.l1d, cc.l2
 
 		pt, err := vm.NewPageTable(alloc)
 		if err != nil {
@@ -359,10 +356,8 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 			core:    core,
 			bp:      cpu.NewPerceptron(),
 			mmu:     mmu,
-			l1i:     l1i,
 			l1d:     l1d,
 			l2:      l2,
-			stlb:    stlb,
 			lastIL:  ^mem.Addr(0),
 			l1iPath: cc.l1iPath,
 			l1dPath: cc.l1dPath,
@@ -380,9 +375,9 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		for _, c := range s.cores {
 			c.core.SetTracer(s.tracer, c.id)
 			c.mmu.SetTracer(s.tracer)
-			c.l1i.SetTracer(s.tracer)
-			c.l1d.SetTracer(s.tracer)
-			c.l2.SetTracer(s.tracer)
+		}
+		for _, ca := range s.privateCaches() {
+			ca.SetTracer(s.tracer)
 		}
 	}
 	return s, nil
@@ -487,10 +482,11 @@ func (s *sim) step(c *coreCtx) {
 // runUnit steps one scheduling unit — a core, or SMT threads that share
 // every private cache — picking its least-advanced thread while that
 // thread's next dispatch is below window. Threads past target keep running,
-// preserving contention; completion cycles are recorded at the target. The
-// barrier engine runs each core as a unit to its round's window end.
-// Inline (window math.MaxInt64) the unit is the whole machine: bookkeeping
-// runs per step, and the loop returns when the last thread reaches target.
+// preserving contention; in the measured phase a thread freezes its row on
+// the step it reaches target. The barrier engine runs each core as a unit
+// to its round's window end. Inline (window math.MaxInt64) the unit is the
+// whole machine: bookkeeping runs per step, and the loop returns on the
+// step where the last thread reaches target, which run then freezes.
 func (s *sim) runUnit(unit []*coreCtx, target int, window int64) {
 	inline := window == math.MaxInt64
 	for {
@@ -511,9 +507,11 @@ func (s *sim) runUnit(unit []*coreCtx, target int, window int64) {
 		}
 		if !pick.done && pick.phaseCount >= target {
 			pick.done = true
-			pick.doneCycle = pick.core.Cycle()
 			if inline && allDone(unit) {
 				return
+			}
+			if s.measuring {
+				s.freeze(pick)
 			}
 		}
 	}
@@ -538,31 +536,37 @@ func (s *sim) drainQueued() {
 	}
 }
 
+// privateCaches lists each distinct L1I, L1D and L2 instance once.
+func (s *sim) privateCaches() []*cache.Cache { return slices.Concat(s.l1is, s.l1ds, s.l2s) }
+
+// freeze builds thread c's measured row, with its private caches' stats,
+// and resets the thread's own counters: steps past its target (kept for
+// contention) count into counters no row reads.
+func (s *sim) freeze(c *coreCtx) {
+	row := s.coreRow(c, max(c.core.Cycle()-c.baseCycle, 1))
+	c.row = &row
+	c.l1dRow, c.l2Row = c.l1d.Stats(), c.l2.Stats()
+	c.resetStats()
+}
+
+// resetStats zeroes the counters one thread owns. Each reset allocates
+// fresh histograms, so a frozen row never shares one with a running thread.
+func (c *coreCtx) resetStats() {
+	c.core.ResetStats()
+	c.mmu.ResetStats()
+	c.replayService.Reset()
+}
+
+// resetStats zeroes every counter at the end of warmup.
 func (s *sim) resetStats() {
 	// In-flight queue entries carry pre-reset work; finish them so the
 	// measured phase starts from empty deques.
 	s.drainQueued()
-	// The hierarchy has at most 3 distinct core caches per core; a small
-	// slice beats a map allocation here (SMT cores share cache instances,
-	// so dedup is still required).
-	seen := make([]*cache.Cache, 0, 3*len(s.cores))
 	for _, c := range s.cores {
-		c.core.ResetStats()
-		c.mmu.ResetStats()
-		c.replayService.Reset()
-		for _, ca := range []*cache.Cache{c.l1i, c.l1d, c.l2} {
-			dup := false
-			for _, p := range seen {
-				if p == ca {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				ca.ResetStats()
-				seen = append(seen, ca)
-			}
-		}
+		c.resetStats()
+	}
+	for _, ca := range s.privateCaches() {
+		ca.ResetStats()
 	}
 	s.llc.ResetStats()
 	s.channel.ResetStats()
@@ -575,7 +579,7 @@ func (s *sim) resetStats() {
 // last tick and hands the Result to Config.OnTick. Both ride the heartbeat
 // cadence, so live observation costs nothing between ticks.
 func (s *sim) heartbeatTick() {
-	cur := s.collect(true)
+	cur := s.collect()
 	s.hb.Tick(intervalRow(s.lastTick, cur))
 	if s.cfg.OnTick != nil {
 		s.cfg.OnTick(cur)
@@ -596,10 +600,9 @@ type rowSums struct {
 // sumRow totals the counters of one live Result over its cores and cache
 // instances.
 func sumRow(r *Result) rowSums {
-	var t rowSums
+	t := rowSums{cycle: lastCycle(r)}
 	for i := range r.Cores {
 		c := &r.Cores[i]
-		t.cycle = max(t.cycle, c.Cycles)
 		t.insts += c.CPU.Instructions
 		t.stlbAcc += c.MMU.STLBAccesses
 		t.stlbMiss += c.MMU.STLBMisses
@@ -690,17 +693,14 @@ func (s *sim) run() *Result {
 		// Measurement-start baseline: the first interval row differences
 		// against freshly reset counters.
 		s.hb.Begin()
-		s.lastTick = s.collect(true)
+		s.lastTick = s.collect()
 	}
 	s.measuring = true
 	s.runPhase(s.cfg.Instructions)
 	s.measuring = false
 	if s.hb != nil && s.stepped > s.ticked {
 		// Flush the final partial interval, so the rows cover the whole
-		// measured phase. Their instructions sum to the measured total
-		// only when no thread ran past its target: on SMT and multi-core
-		// machines they also count the steps finished threads take while
-		// the others catch up.
+		// measured phase.
 		s.heartbeatTick()
 	}
 	// Flush in-flight queue entries so collected stats (fills, writebacks,
@@ -709,5 +709,10 @@ func (s *sim) run() *Result {
 	if s.checking {
 		s.auditInvariants()
 	}
-	return s.collect(false)
+	for _, c := range s.cores {
+		if c.row == nil {
+			s.freeze(c)
+		}
+	}
+	return s.collect()
 }

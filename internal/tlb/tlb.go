@@ -143,11 +143,12 @@ func (t *TLB) SetEvictHook(fn func(vpn, frame mem.Addr)) { t.evictHook = fn }
 // the trace.
 func (t *TLB) SetTracer(tr *telemetry.Tracer) { t.tr = tr }
 
-// ResetStats zeroes counters and the recall histogram.
+// ResetStats zeroes counters and replaces the recall histogram, so a
+// histogram handed out earlier keeps its samples.
 func (t *TLB) ResetStats() {
 	t.st = Stats{}
 	if t.recHist != nil {
-		t.recHist.Reset()
+		t.recHist = stats.NewHistogram(stats.RecallBounds...)
 	}
 	t.recEvTotal = 0
 }
