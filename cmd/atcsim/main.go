@@ -105,7 +105,6 @@ func main() {
 	cfg := atcsim.DefaultConfig()
 	cfg.Instructions = *insts
 	cfg.Warmup = *warmup
-	cfg.Seed = *seed
 	cfg.STLB.Entries = *stlb
 	cfg.L1DPrefetcher = *l1dPf
 	cfg.L2Prefetcher = *l2Pf
