@@ -76,8 +76,6 @@ type Config struct {
 	IdealTranslations bool
 	// IdealReplays does the same for replay loads.
 	IdealReplays bool
-	// TrackRecall enables the recall-distance histograms (Figs. 5 and 7).
-	TrackRecall bool
 }
 
 // Stats aggregates the counters a cache level exposes.
@@ -183,7 +181,7 @@ type Cache struct {
 	pfSink func(line mem.Addr, cycle int64, distant bool) int64
 
 	st     Stats
-	recall *recallTracker
+	recall *stats.RecallTracker // nil until EnableRecall
 	tr     *telemetry.Tracer
 }
 
@@ -229,9 +227,6 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 	}
 	c.evictableFn = func(w int) bool {
 		return c.fillAt[c.victimBase+w] <= c.victimIssued
-	}
-	if cfg.TrackRecall {
-		c.recall = newRecallTracker(sets)
 	}
 	return c, nil
 }
@@ -282,33 +277,20 @@ func (c *Cache) traceAccess(req *mem.Request, start, end int64, src mem.Level, o
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.st }
 
-// ResetStats zeroes counters and recall histograms at the end of warmup.
+// ResetStats zeroes counters and restarts recall tracking at the end of
+// warmup.
 func (c *Cache) ResetStats() {
 	c.st = Stats{}
-	if c.recall != nil {
-		c.recall.reset()
-	}
+	c.recall.Reset()
 }
 
-// RecallHistogram returns the recall-distance histogram for the given fill
-// class (ClassTransLeaf or ClassReplay), or nil when tracking is disabled.
-// The histogram contains only completed recalls; RecallEvictions gives the
-// denominator including blocks never recalled (infinite distance).
-func (c *Cache) RecallHistogram(cl mem.Class) *stats.Histogram {
-	if c.recall == nil {
-		return nil
-	}
-	return c.recall.hist(cl)
-}
+// EnableRecall switches on recall-distance tracking (Figs. 5 and 7) of the
+// blocks filled as leaf translations and replay loads.
+func (c *Cache) EnableRecall() { c.recall = stats.NewRecallTracker(c.sets) }
 
-// RecallEvictions returns the number of tracked evictions for a class
-// (ClassTransLeaf or ClassReplay); 0 when tracking is disabled.
-func (c *Cache) RecallEvictions(cl mem.Class) uint64 {
-	if c.recall == nil {
-		return 0
-	}
-	return c.recall.evictions(cl)
-}
+// Recall returns the recall-distance distribution of blocks filled as
+// class cl (ClassTransLeaf or ClassReplay); empty until EnableRecall.
+func (c *Cache) Recall(cl mem.Class) stats.Recall { return c.recall.Recall(cl) }
 
 func (c *Cache) setOf(line mem.Addr) int { return int(line) & (c.sets - 1) }
 
@@ -420,7 +402,7 @@ func (c *Cache) Access(req *mem.Request, cycle int64) Result {
 
 	demand := req.Kind == mem.Load || req.Kind == mem.Store || req.Kind == mem.IFetch
 	if c.recall != nil && (demand || req.Kind == mem.Translation) {
-		c.recall.observe(set, line, cl)
+		c.recall.Observe(set, line)
 	}
 
 	w := c.find(set, line)
@@ -563,8 +545,10 @@ func (c *Cache) evict(set, way int, cycle int64) {
 	if !m.reused {
 		c.st.DeadEvictions[m.class]++
 	}
-	if c.recall != nil {
-		c.recall.evicted(set, line, m.class)
+	// Only translation and replay blocks are tracked — the classes the
+	// paper's figures need — to bound memory.
+	if c.recall != nil && (m.class == mem.ClassTransLeaf || m.class == mem.ClassReplay) {
+		c.recall.Evicted(set, line, m.class)
 	}
 	c.policy.Evicted(set, way)
 	c.tags[i] = invalidTag

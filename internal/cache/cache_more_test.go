@@ -91,10 +91,8 @@ func TestAvgLatencyStat(t *testing.T) {
 
 func TestRecallEvictionDenominator(t *testing.T) {
 	lower := &fakeLower{latency: 10}
-	c := MustNew(Config{
-		Name: "t", SizeBytes: 128, Ways: 2, Latency: 1,
-		Policy: "lru", TrackRecall: true,
-	}, lower)
+	c := MustNew(Config{Name: "t", SizeBytes: 128, Ways: 2, Latency: 1, Policy: "lru"}, lower)
+	c.EnableRecall()
 	leaf := func(addr mem.Addr) *mem.Request {
 		return &mem.Request{Addr: addr, Kind: mem.Translation, Level: 1, Leaf: true, IP: 3}
 	}
@@ -103,13 +101,21 @@ func TestRecallEvictionDenominator(t *testing.T) {
 	c.Access(leaf(64), 10)
 	c.Access(loadReq(128), 20) // evicts line 0
 	c.Access(loadReq(192), 30) // evicts line 64
-	c.Access(leaf(0), 40)      // recall of line 0 only
-	if got := c.RecallEvictions(mem.ClassTransLeaf); got != 2 {
-		t.Fatalf("recall evictions = %d, want 2", got)
+	c.Access(leaf(0), 40)      // recall of line 0 only; evicts line 128
+	r := c.Recall(mem.ClassTransLeaf)
+	if r.Evictions != 2 {
+		t.Fatalf("recall evictions = %d, want 2", r.Evictions)
 	}
-	h := c.RecallHistogram(mem.ClassTransLeaf)
-	if h.Total() != 1 {
-		t.Fatalf("recall samples = %d, want 1", h.Total())
+	if r.Hist.Total() != 1 {
+		t.Fatalf("recall samples = %d, want 1", r.Hist.Total())
+	}
+	// Only translation and replay blocks are tracked.
+	if n := c.Recall(mem.ClassNonReplay).Evictions; n != 0 {
+		t.Errorf("non-replay evictions tracked: %d", n)
+	}
+	c.ResetStats()
+	if r := c.Recall(mem.ClassTransLeaf); r.Evictions != 0 || r.Hist.Total() != 0 {
+		t.Errorf("after ResetStats: %d evictions, %d samples", r.Evictions, r.Hist.Total())
 	}
 }
 

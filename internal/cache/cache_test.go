@@ -296,46 +296,10 @@ func TestPrefetcherWiring(t *testing.T) {
 	}
 }
 
-func TestRecallDistance(t *testing.T) {
-	lower := &fakeLower{latency: 10}
-	// One-set cache to make distances deterministic.
-	c := MustNew(Config{
-		Name: "t", SizeBytes: 128, Ways: 2, Latency: 1,
-		Policy: "lru", TrackRecall: true,
-	}, lower)
-
-	leaf := func(addr mem.Addr) *mem.Request {
-		return &mem.Request{Addr: addr, Kind: mem.Translation, Level: 1, Leaf: true, IP: 3}
-	}
-	c.Access(leaf(0), 0)       // seq 1, fill
-	c.Access(loadReq(64), 10)  // seq 2
-	c.Access(loadReq(128), 20) // seq 3: evicts line 0 (translation)
-	c.Access(loadReq(192), 30) // seq 4: evicts line 64
-	c.Access(leaf(0), 40)      // seq 5: recall of line 0 → distance 5-3 = 2
-	h := c.RecallHistogram(mem.ClassTransLeaf)
-	if h == nil {
-		t.Fatal("no recall histogram")
-	}
-	if h.Total() != 1 {
-		t.Fatalf("recall samples = %d, want 1", h.Total())
-	}
-	if h.Max() != 2 {
-		t.Errorf("recall distance = %d, want 2", h.Max())
-	}
-	// Replay histogram exists and is empty.
-	if rh := c.RecallHistogram(mem.ClassReplay); rh == nil || rh.Total() != 0 {
-		t.Error("replay recall histogram wrong")
-	}
-	c.ResetStats()
-	if c.RecallHistogram(mem.ClassTransLeaf).Total() != 0 {
-		t.Error("ResetStats did not clear recall histogram")
-	}
-}
-
 func TestRecallDisabledReturnsNil(t *testing.T) {
 	c := small(t, Config{}, &fakeLower{latency: 1})
-	if c.RecallHistogram(mem.ClassTransLeaf) != nil {
-		t.Error("histogram present without TrackRecall")
+	if r := c.Recall(mem.ClassTransLeaf); r.Hist != nil || r.Valid() {
+		t.Error("histogram present without EnableRecall")
 	}
 }
 

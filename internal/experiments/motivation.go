@@ -180,7 +180,7 @@ type recallTable struct {
 // share recalled after more).
 type recallSeries struct {
 	suffix string // appended to the workload name in the row label
-	of     func(*system.Result) system.Recall
+	of     func(*system.Result) stats.Recall
 	key    string
 	beyond bool
 }
@@ -228,8 +228,8 @@ var fig5 = &recallTable{
 	title: "Recall distance of leaf translations at the LLC (A) and L2C (B)",
 	first: "series",
 	series: []recallSeries{
-		{suffix: "@LLC", of: func(res *system.Result) system.Recall { return res.LLCRecallTrans }, key: "llcWithin50"},
-		{suffix: "@L2C", of: func(res *system.Result) system.Recall { return res.L2RecallTrans }, key: "l2Within50"},
+		{suffix: "@LLC", of: func(res *system.Result) stats.Recall { return res.LLCRecallTrans }, key: "llcWithin50"},
+		{suffix: "@L2C", of: func(res *system.Result) stats.Recall { return res.L2RecallTrans }, key: "l2Within50"},
 	},
 	notes: []string{
 		"paper: ~30% of translation blocks recall within 50 unique set accesses",
@@ -244,8 +244,8 @@ var fig7 = &recallTable{
 	title: "Recall distance of replay loads at the LLC (A) and L2C (B)",
 	first: "series",
 	series: []recallSeries{
-		{suffix: "@LLC", of: func(res *system.Result) system.Recall { return res.LLCRecallReplay }, key: "llcBeyond50", beyond: true},
-		{suffix: "@L2C", of: func(res *system.Result) system.Recall { return res.L2RecallReplay }},
+		{suffix: "@LLC", of: func(res *system.Result) stats.Recall { return res.LLCRecallReplay }, key: "llcBeyond50", beyond: true},
+		{suffix: "@L2C", of: func(res *system.Result) stats.Recall { return res.L2RecallReplay }},
 	},
 	notes: []string{
 		"paper: >60% of replay blocks have recall distance beyond 50 — unkeepable",

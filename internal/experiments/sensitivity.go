@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"atcsim/internal/stats"
 	"atcsim/internal/system"
 )
 
@@ -33,7 +34,7 @@ var fig18 = &recallTable{
 	title: "Recall distance of translations at the STLB",
 	first: "benchmark",
 	series: []recallSeries{
-		{of: func(res *system.Result) system.Recall { return res.Cores[0].STLBRecall }, key: "beyond50", beyond: true},
+		{of: func(res *system.Result) stats.Recall { return res.Cores[0].STLBRecall }, key: "beyond50", beyond: true},
 	},
 	notes: []string{
 		"paper: >40% of STLB entries have recall distance beyond 50 — bypassing dead entries cannot cover them",

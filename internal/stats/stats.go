@@ -204,9 +204,6 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// RecallBounds are the default recall-distance buckets used by Figs. 5/7/18.
-var RecallBounds = []uint64{10, 25, 50, 100, 200, 500, 1000}
-
 // ServiceDist counts, per hierarchy level, how many requests of interest were
 // serviced there (Fig. 3).
 type ServiceDist struct {

@@ -107,7 +107,7 @@ func TestResultDigestsPinned(t *testing.T) {
 				}
 				return r, o
 			},
-			want:       "bfdfde85eb9e64adf988fc495a47592612d424bbe3e1a6bf27ef09ede0206bd2",
+			want:       "f734e86be43c78f2699a0c8f09c40fdea615956c377b7ca2a0765d45afeed47d",
 			wantCSV:    "dc1d0064fa09b967d5c1aaf001ac9837106b4d12699d2e9c6736ea4c5fb4dea8",
 			wantGauges: "8f149a25d0ed76b8763c576d666e0c4fb1cc1fa53bb4d08853285075f22f9f21",
 		},
@@ -123,20 +123,20 @@ func TestResultDigestsPinned(t *testing.T) {
 				}
 				return r, o
 			},
-			want:    "65b52e2fd4684084793f99ca2b0414d43095b785a54a874dea7291df3dd016c0",
-			wantCSV: "bdfcaf1717f3dc5f563b8decf7e3a659d4b06b78e607ae16675c789a827ccba0",
+			want:    "eb41c972542d85447a98d97c1888af5bcf9de88417844a490a65ea14aa1d9700",
+			wantCSV: "3d3b9ee3d44450d4f8e0f4e163cfe011a524d7b17bdc0f5294f93179e51b84f6",
 		},
 		{
 			name:       "multi4-tempo-heartbeat",
 			run:        func(t *testing.T) (*Result, *observed) { return multi(t, "", true) },
-			want:       "106ec8cd3a5a5a7828b30d931f5b594cc909e94c73ee86550319b17f3a3fe432",
-			wantCSV:    "881cc4130c3d7fe1ad4c3c8704d057eaf0ade64ca6eae874ea8d2006bfd91cf3",
-			wantGauges: "6c060c1d921701c854ca05b32b5154e2594dd3c6e89807dfe4c9c22de75dd54a",
+			want:       "cf73703eb3bac3d85c351672f4996be68fc908ff6abe645fd8bb1696ba0599c0",
+			wantCSV:    "d3647ace20fdd65961d4cb8ea7fcbf7940ae1c63b4506021645496841f22d12b",
+			wantGauges: "b27b3a59ad474f661d106c509d5147c87c41d72777395f9c7c17403c53c5c903",
 		},
 		{
 			name:    "multi4-tempo-heartbeat-queued",
 			run:     func(t *testing.T) (*Result, *observed) { return multi(t, "queued", false) },
-			want:    "c50d3165384d2848a3841fb8f07c7af6fc1feb876c8a0a6bb9123ed1d37a9298",
+			want:    "6868e2c8ec12abf72108e4709e799dbd6ce392d64a320d8196d0ca668697028b",
 			wantCSV: "38e91647c28efee9bd5cc246543ce72e7675d01e72926488c2b73c438231549b",
 		},
 		{
@@ -151,7 +151,7 @@ func TestResultDigestsPinned(t *testing.T) {
 				}
 				return r, nil
 			},
-			want: "78e718e45885e2f9f7e56c9657c185592a01605c64d474f198c739b27d723b38",
+			want: "1347c0a38900be4052d6e57c5b6859766427ca2945bf76a248f8c549cdea953d",
 		},
 		{
 			name: "queued",
@@ -164,7 +164,7 @@ func TestResultDigestsPinned(t *testing.T) {
 				}
 				return r, nil
 			},
-			want: "d2b3739ab6617691420bde0d228dd6713a5fa41b7aaeab1888f4a1243e65135b",
+			want: "d94a06f22474d0cfe94111cad757466f31a3144ff4adb492f702945ac01f34a7",
 		},
 		{
 			name: "smt-analytic",
@@ -175,7 +175,7 @@ func TestResultDigestsPinned(t *testing.T) {
 				}
 				return r, nil
 			},
-			want: "65b52e2fd4684084793f99ca2b0414d43095b785a54a874dea7291df3dd016c0",
+			want: "eb41c972542d85447a98d97c1888af5bcf9de88417844a490a65ea14aa1d9700",
 		},
 		{
 			name: "smt-queued",
@@ -188,7 +188,7 @@ func TestResultDigestsPinned(t *testing.T) {
 				}
 				return r, nil
 			},
-			want: "367ac1629d2923a89f883b4da731fdb3225f01a2e902931def191ab7dc820955",
+			want: "9c064fc0c877dc4ac17719cbfba9e93ba918266b64f0f2f499bd7419f744e16c",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -123,7 +123,10 @@ type parEngine struct {
 	done    chan struct{}
 	workers sync.WaitGroup
 
-	lastTotal int // phaseCount sum at the previous barrier
+	target int // the phase's per-core instruction target
+	// phaseCount sums at the previous barrier: all steps, and steps up to
+	// each core's target.
+	lastStepped, lastMeasured int
 
 	rounds, waves, sharedReqs, skew uint64
 }
@@ -213,7 +216,7 @@ func (p *sharedPortal) Access(req *mem.Request, cycle int64) cache.Result {
 // goroutine, after every coroutine is stopped and the pool joined.
 func (e *parEngine) phase(target int) {
 	s := e.sim
-	e.lastTotal = 0
+	e.target, e.lastStepped, e.lastMeasured = target, 0, 0
 	e.active = true
 	defer e.endPhase()
 	for i, p := range e.portals {
@@ -339,7 +342,7 @@ func (e *parEngine) runRound() {
 	e.rounds++
 
 	lo, hi := int64(-1), int64(-1)
-	total := 0
+	stepped, measured := 0, 0
 	for _, c := range s.cores {
 		d := c.core.NextDispatch()
 		if lo < 0 || d < lo {
@@ -348,12 +351,12 @@ func (e *parEngine) runRound() {
 		if d > hi {
 			hi = d
 		}
-		total += c.phaseCount
+		stepped += c.phaseCount
+		measured += min(c.phaseCount, e.target)
 	}
 	e.skew += uint64(hi - lo)
-	delta := total - e.lastTotal
-	e.lastTotal = total
-	s.barrierTick(delta)
+	s.barrierTick(stepped-e.lastStepped, measured-e.lastMeasured)
+	e.lastStepped, e.lastMeasured = stepped, measured
 }
 
 // resolveWave services every parked request against the real shared path
@@ -392,14 +395,17 @@ func (e *parEngine) statsSnapshot() ParallelStats {
 	}
 }
 
-// barrierTick does the per-instruction bookkeeping — invariant-audit
-// cadence, heartbeat ticks — for delta steps: once per step in
-// the inline unit loop, batched at each round barrier under the engine. The
-// cadence follows instruction counts (deterministic) rather than
-// wall-clock or worker timing.
-func (s *sim) barrierTick(delta int) {
+// barrierTick does the per-instruction bookkeeping for stepped steps, of
+// which measured were taken by threads at or below their target: once per
+// step in the inline unit loop, batched at each round barrier under the
+// engine. The invariant audit follows stepped instructions; heartbeat
+// ticks follow measured ones, the instructions a row counts, so every row
+// but the last holds at least the interval. Both cadences follow
+// instruction counts (deterministic) rather than wall-clock or worker
+// timing.
+func (s *sim) barrierTick(stepped, measured int) {
 	if s.checking {
-		if s.checkCtr += delta; s.checkCtr >= checkStride {
+		if s.checkCtr += stepped; s.checkCtr >= checkStride {
 			s.checkCtr = 0
 			s.auditInvariants()
 		}
@@ -407,7 +413,7 @@ func (s *sim) barrierTick(delta int) {
 	if !s.measuring {
 		return
 	}
-	s.stepped += uint64(delta)
+	s.stepped += uint64(measured)
 	if s.hb != nil && s.stepped-s.ticked >= s.hbEvery {
 		s.heartbeatTick()
 	}

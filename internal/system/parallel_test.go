@@ -442,7 +442,9 @@ func TestParallelCorePanicSurfaces(t *testing.T) {
 // whose threads run past their target (SMT, and 4 cores on the barrier
 // engine), under both timing engines: each thread's row is frozen on the
 // step it reaches the target, so it counts exactly the target and the
-// heartbeat rows sum to the measured instructions. A frozen row must not
+// heartbeat rows sum to the measured instructions. Ticks count measured
+// instructions only, so the run writes at most ⌈measured/interval⌉ rows
+// and every row but the last holds the interval. A frozen row must not
 // share a histogram a running thread still writes; if it did, the stall
 // and recall histograms would outgrow the frozen counts they pair with.
 func TestParallelThreadsStopAtTarget(t *testing.T) {
@@ -463,18 +465,27 @@ func TestParallelThreadsStopAtTarget(t *testing.T) {
 				cfg.Instructions, cfg.Warmup = 40_000, 20_000
 				cfg.Timing = timing
 				cfg.TrackRecall = true
-				hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 10_000)
+				const interval = 10_000
+				hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV, interval)
 				cfg.Telemetry = &telemetry.Hub{Heartbeat: hb}
 				r, err := m.run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				rows := hb.Rows()
 				var insts uint64
-				for _, row := range hb.Rows() {
+				for i, row := range rows {
 					insts += row.Instructions
+					if i < len(rows)-1 && row.Instructions < interval {
+						t.Errorf("heartbeat row %d of %d holds %d instructions, want at least %d", i, len(rows), row.Instructions, interval)
+					}
 				}
-				if want := uint64(len(r.Cores) * cfg.Instructions); insts != want {
-					t.Errorf("heartbeat instructions sum to %d, want %d", insts, want)
+				measured := uint64(len(r.Cores) * cfg.Instructions)
+				if insts != measured {
+					t.Errorf("heartbeat instructions sum to %d, want %d", insts, measured)
+				}
+				if most := (measured + interval - 1) / interval; uint64(len(rows)) > most {
+					t.Errorf("heartbeat wrote %d rows, want at most %d", len(rows), most)
 				}
 				for i := range r.Cores {
 					c := &r.Cores[i]

@@ -33,34 +33,12 @@ type CoreResult struct {
 	STLB          tlb.Stats
 	// STLBRecall is the Fig. 18 recall distribution (empty unless
 	// TrackRecall).
-	STLBRecall Recall
+	STLBRecall stats.Recall
 	// Mechanism names the translation mechanism that serviced this core's
 	// STLB misses; Xlat holds its counters (see xlat.Stats).
 	Mechanism string
 	Xlat      xlat.Stats
 }
-
-// Recall pairs a recall-distance histogram with the eviction count that is
-// its denominator: evicted blocks that were never recalled have infinite
-// recall distance, so fractions must be computed against Evictions, not
-// against the histogram's sample count.
-type Recall struct {
-	Hist      *stats.Histogram
-	Evictions uint64
-}
-
-// Within returns the fraction of evicted blocks recalled within the given
-// distance.
-func (r Recall) Within(bound uint64) float64 {
-	if r.Hist == nil || r.Evictions == 0 {
-		return 0
-	}
-	recalled := float64(r.Hist.FractionAtMost(bound)) * float64(r.Hist.Total())
-	return recalled / float64(r.Evictions)
-}
-
-// Valid reports whether any recall data was collected.
-func (r Recall) Valid() bool { return r.Hist != nil && r.Evictions > 0 }
 
 // STLBMPKI is the paper's headline pressure metric.
 func (c *CoreResult) STLBMPKI() float64 {
@@ -93,10 +71,10 @@ type Result struct {
 
 	// Recall-distance distributions (empty unless TrackRecall). L2 data
 	// comes from the first L2 instance.
-	L2RecallTrans   Recall
-	L2RecallReplay  Recall
-	LLCRecallTrans  Recall
-	LLCRecallReplay Recall
+	L2RecallTrans   stats.Recall
+	L2RecallReplay  stats.Recall
+	LLCRecallTrans  stats.Recall
+	LLCRecallReplay stats.Recall
 
 	// Parallel reports the barrier engine's behavior on a multi-core
 	// machine; nil (and omitted from JSON) for single-core and SMT
@@ -151,7 +129,7 @@ func (s *sim) coreRow(c *coreCtx, cycles int64) CoreResult {
 		PSC:           c.mmu.W.PSCStats(),
 		ReplayService: c.replayService,
 		STLB:          c.mmu.STLB.Stats(),
-		STLBRecall:    Recall{Hist: c.mmu.STLB.RecallHistogram(), Evictions: c.mmu.STLB.RecallEvictions()},
+		STLBRecall:    c.mmu.STLB.Recall(),
 		Mechanism:     c.mmu.Mechanism().Name(),
 		Xlat:          c.mmu.Mechanism().Stats(),
 	}
@@ -188,11 +166,8 @@ func (s *sim) collect() *Result {
 		}
 		r.Parallel = &ps
 	}
-	recall := func(c *cache.Cache, cl mem.Class) Recall {
-		return Recall{Hist: c.RecallHistogram(cl), Evictions: c.RecallEvictions(cl)}
-	}
-	r.L2RecallTrans, r.L2RecallReplay = recall(s.l2s[0], mem.ClassTransLeaf), recall(s.l2s[0], mem.ClassReplay)
-	r.LLCRecallTrans, r.LLCRecallReplay = recall(s.llc, mem.ClassTransLeaf), recall(s.llc, mem.ClassReplay)
+	r.L2RecallTrans, r.L2RecallReplay = s.l2s[0].Recall(mem.ClassTransLeaf), s.l2s[0].Recall(mem.ClassReplay)
+	r.LLCRecallTrans, r.LLCRecallReplay = s.llc.Recall(mem.ClassTransLeaf), s.llc.Recall(mem.ClassReplay)
 	if len(s.queued) > 0 {
 		idx := map[string]int{}
 		for _, q := range s.queued {

@@ -80,7 +80,7 @@ type sim struct {
 	hb        *telemetry.Heartbeat
 	hbEvery   uint64
 	measuring bool
-	stepped   uint64  // measured instructions stepped (all cores)
+	stepped   uint64  // measured instructions stepped (all cores, each to its target)
 	ticked    uint64  // stepped count at the last heartbeat tick
 	lastTick  *Result // live Result at the last heartbeat tick (or Begin)
 
@@ -165,9 +165,7 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 	}
 	channel := dram.NewController(cfg.DRAM)
 
-	llcCfg := cfg.LLC
-	llcCfg.TrackRecall = cfg.TrackRecall
-	llc, err := cache.New(llcCfg, cache.DRAMAdapter{Read: channel.Read, Write: channel.Write})
+	llc, err := cache.New(cfg.LLC, cache.DRAMAdapter{Read: channel.Read, Write: channel.Write})
 	if err != nil {
 		return nil, err
 	}
@@ -218,9 +216,7 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		if s.par != nil {
 			l2Lower = s.par.portal(core)
 		}
-		l2Cfg := cfg.L2
-		l2Cfg.TrackRecall = cfg.TrackRecall
-		l2, err := cache.New(l2Cfg, l2Lower)
+		l2, err := cache.New(cfg.L2, l2Lower)
 		if err != nil {
 			return cc, err
 		}
@@ -295,8 +291,6 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		if cfg.PageWalkers > 0 {
 			walker.SetConcurrentWalks(cfg.PageWalkers)
 		}
-		stlbCfg := cfg.STLB
-		stlbCfg.TrackRecall = cfg.TrackRecall
 		dtlb, err := tlb.New(cfg.DTLB)
 		if err != nil {
 			return nil, err
@@ -305,7 +299,7 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 		if err != nil {
 			return nil, err
 		}
-		stlb, err := tlb.New(stlbCfg)
+		stlb, err := tlb.New(cfg.STLB)
 		if err != nil {
 			return nil, err
 		}
@@ -362,6 +356,16 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 			l1iPath: cc.l1iPath,
 			l1dPath: cc.l1dPath,
 		})
+	}
+
+	if cfg.TrackRecall {
+		s.llc.EnableRecall()
+		for _, l2 := range s.l2s {
+			l2.EnableRecall()
+		}
+		for _, c := range s.cores {
+			c.mmu.STLB.EnableRecall()
+		}
 	}
 
 	// Observability wiring: hooks are nil-safe, so only the enabled
@@ -485,10 +489,12 @@ func (s *sim) step(c *coreCtx) {
 // preserving contention; in the measured phase a thread freezes its row on
 // the step it reaches target. The barrier engine runs each core as a unit
 // to its round's window end. Inline (window math.MaxInt64) the unit is the
-// whole machine: bookkeeping runs per step, and the loop returns on the
-// step where the last thread reaches target, which run then freezes.
+// whole machine: bookkeeping, when enabled, runs per step, and the loop
+// returns on the step where the last thread reaches target, which run then
+// freezes.
 func (s *sim) runUnit(unit []*coreCtx, target int, window int64) {
 	inline := window == math.MaxInt64
+	tick := inline && (s.checking || s.hb != nil)
 	for {
 		pick := unit[0]
 		best := pick.core.NextDispatch()
@@ -502,8 +508,12 @@ func (s *sim) runUnit(unit []*coreCtx, target int, window int64) {
 		}
 		s.step(pick)
 		pick.phaseCount++
-		if inline {
-			s.barrierTick(1)
+		if tick {
+			measured := 0
+			if pick.phaseCount <= target {
+				measured = 1
+			}
+			s.barrierTick(1, measured)
 		}
 		if !pick.done && pick.phaseCount >= target {
 			pick.done = true

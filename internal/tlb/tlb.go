@@ -22,8 +22,6 @@ type Config struct {
 	// HugeEntries sizes the fully-associative 2MB-page array (0 disables
 	// it; only used when the workload maps huge pages).
 	HugeEntries int
-	// TrackRecall enables the eviction/recall-distance histogram (Fig. 18).
-	TrackRecall bool
 }
 
 // Stats counts TLB activity.
@@ -65,15 +63,7 @@ type TLB struct {
 	// huge-page insert so the common no-huge-pages lookup is one branch.
 	huge []hugeEntry
 
-	// recall tracking, mirroring the cache recall tracker. Evicted VPNs of
-	// all sets share one map: a VPN determines its set, so keying by VPN
-	// alone is equivalent to the earlier per-set map-of-maps and avoids one
-	// map header per set.
-	recSeq     []uint64
-	recLast    []mem.Addr
-	recEvict   map[mem.Addr]uint64
-	recHist    *stats.Histogram
-	recEvTotal uint64
+	recall *stats.RecallTracker // nil until EnableRecall
 }
 
 type hugeEntry struct {
@@ -100,12 +90,6 @@ func New(cfg Config) (*TLB, error) {
 	}
 	for i := range t.vpns {
 		t.vpns[i] = invalidVPN
-	}
-	if cfg.TrackRecall {
-		t.recSeq = make([]uint64, sets)
-		t.recLast = make([]mem.Addr, sets)
-		t.recEvict = make(map[mem.Addr]uint64)
-		t.recHist = stats.NewHistogram(stats.RecallBounds...)
 	}
 	return t, nil
 }
@@ -143,19 +127,19 @@ func (t *TLB) SetEvictHook(fn func(vpn, frame mem.Addr)) { t.evictHook = fn }
 // the trace.
 func (t *TLB) SetTracer(tr *telemetry.Tracer) { t.tr = tr }
 
-// ResetStats zeroes counters and replaces the recall histogram, so a
-// histogram handed out earlier keeps its samples.
+// ResetStats zeroes counters and restarts recall tracking.
 func (t *TLB) ResetStats() {
 	t.st = Stats{}
-	if t.recHist != nil {
-		t.recHist = stats.NewHistogram(stats.RecallBounds...)
-	}
-	t.recEvTotal = 0
+	t.recall.Reset()
 }
 
-// RecallHistogram returns the STLB recall-distance histogram, or nil when
-// tracking is disabled.
-func (t *TLB) RecallHistogram() *stats.Histogram { return t.recHist }
+// EnableRecall switches on recall-distance tracking of 4KB entries
+// (Fig. 18), recorded as leaf translations.
+func (t *TLB) EnableRecall() { t.recall = stats.NewRecallTracker(t.sets) }
+
+// Recall returns the recall-distance distribution of evicted 4KB entries;
+// empty until EnableRecall.
+func (t *TLB) Recall() stats.Recall { return t.recall.Recall(mem.ClassTransLeaf) }
 
 func (t *TLB) setOf(vpn mem.Addr) int { return int(vpn) & (t.sets - 1) }
 
@@ -177,7 +161,9 @@ func (t *TLB) Lookup(va mem.Addr) (frame mem.Addr, hit bool) {
 	vpn := mem.PageNumber(va)
 	set := t.setOf(vpn)
 	t.st.Accesses++
-	t.observeRecall(set, vpn)
+	if t.recall != nil {
+		t.recall.Observe(set, vpn)
+	}
 	base := set * t.ways
 	for w := 0; w < t.ways; w++ {
 		if t.vpns[base+w] == vpn {
@@ -218,7 +204,9 @@ func (t *TLB) Insert(va, frame mem.Addr) {
 	i := base + victim
 	if old := t.vpns[i]; old != invalidVPN {
 		t.st.Evictions++
-		t.evictRecall(set, old)
+		if t.recall != nil {
+			t.recall.Evicted(set, old, mem.ClassTransLeaf)
+		}
 		if t.evictHook != nil {
 			t.evictHook(old, t.frames[i])
 		}
@@ -230,33 +218,6 @@ func (t *TLB) Insert(va, frame mem.Addr) {
 	t.clock++
 	t.vpns[i], t.frames[i], t.stamps[i] = vpn, frame, t.clock
 }
-
-func (t *TLB) observeRecall(set int, vpn mem.Addr) {
-	if t.recHist == nil {
-		return
-	}
-	if vpn != t.recLast[set] || t.recSeq[set] == 0 {
-		t.recSeq[set]++
-		t.recLast[set] = vpn
-	}
-	if at, ok := t.recEvict[vpn]; ok {
-		t.recHist.Add(t.recSeq[set] - at)
-		delete(t.recEvict, vpn)
-	}
-}
-
-func (t *TLB) evictRecall(set int, vpn mem.Addr) {
-	if t.recHist == nil {
-		return
-	}
-	t.recEvTotal++
-	t.recEvict[vpn] = t.recSeq[set]
-}
-
-// RecallEvictions returns the number of tracked evictions (the denominator
-// for recall-distance fractions; entries never recalled have infinite
-// distance). Zero when tracking is disabled.
-func (t *TLB) RecallEvictions() uint64 { return t.recEvTotal }
 
 // InsertHuge fills the 2MB-page translation of va (frame is the 2MB-aligned
 // physical base), evicting the LRU huge entry when the array is full. With

@@ -83,33 +83,50 @@ func TestInsertRefreshesExisting(t *testing.T) {
 	}
 }
 
+// TestRecallDistanceAtSTLB drives the Fig. 18 tracker through Lookup and
+// Insert on a one-set TLB. An entry evicted before ResetStats (the end of
+// warmup) must not be counted as a recall after it, since its eviction is
+// not counted.
 func TestRecallDistanceAtSTLB(t *testing.T) {
-	// One-set TLB with recall tracking (Fig. 18 machinery).
-	tl := MustNew(Config{Entries: 2, Ways: 2, TrackRecall: true})
-	tl.Lookup(page(1)) // seq 1, miss
-	tl.Insert(page(1), 0x1000)
-	tl.Lookup(page(2)) // seq 2, miss
-	tl.Insert(page(2), 0x2000)
-	tl.Lookup(page(3)) // seq 3, miss; insert evicts page 1 at seq 3
-	tl.Insert(page(3), 0x3000)
-	tl.Lookup(page(4)) // seq 4
-	tl.Lookup(page(1)) // seq 5 → recall distance 5-3 = 2
-	h := tl.RecallHistogram()
-	if h == nil || h.Total() != 1 {
-		t.Fatalf("recall samples = %v", h)
-	}
-	if h.Max() != 2 {
-		t.Errorf("recall distance = %d, want 2", h.Max())
-	}
-	tl.ResetStats()
-	if tl.RecallHistogram().Total() != 0 {
-		t.Error("ResetStats did not clear histogram")
+	for _, tc := range []struct {
+		name      string
+		reset     bool // ResetStats between the eviction and the recall
+		samples   uint64
+		evictions uint64
+		dist      uint64
+	}{
+		{name: "recalled", samples: 1, evictions: 1, dist: 2},
+		{name: "evicted-before-reset", reset: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tl := MustNew(Config{Entries: 2, Ways: 2})
+			tl.EnableRecall()
+			tl.Lookup(page(1)) // seq 1, miss
+			tl.Insert(page(1), 0x1000)
+			tl.Lookup(page(2)) // seq 2, miss
+			tl.Insert(page(2), 0x2000)
+			tl.Lookup(page(3)) // seq 3, miss; insert evicts page 1 at seq 3
+			tl.Insert(page(3), 0x3000)
+			if tc.reset {
+				tl.ResetStats()
+			}
+			tl.Lookup(page(4)) // seq 4
+			tl.Lookup(page(1)) // seq 5 → recall distance 5-3 = 2
+			r := tl.Recall()
+			if r.Hist.Total() != tc.samples || r.Evictions != tc.evictions {
+				t.Fatalf("%d recall samples for %d evictions, want %d for %d",
+					r.Hist.Total(), r.Evictions, tc.samples, tc.evictions)
+			}
+			if r.Hist.Max() != tc.dist {
+				t.Errorf("recall distance = %d, want %d", r.Hist.Max(), tc.dist)
+			}
+		})
 	}
 }
 
 func TestRecallDisabled(t *testing.T) {
 	tl := MustNew(Config{Entries: 4, Ways: 4})
-	if tl.RecallHistogram() != nil {
+	if r := tl.Recall(); r.Hist != nil || r.Valid() {
 		t.Error("histogram without tracking")
 	}
 }
