@@ -11,6 +11,7 @@ import (
 
 	"atcsim/internal/mem"
 	"atcsim/internal/repl"
+	"atcsim/internal/stats"
 	"atcsim/internal/telemetry"
 	"atcsim/internal/trace"
 	"atcsim/internal/vm"
@@ -497,6 +498,15 @@ func TestParallelThreadsStopAtTarget(t *testing.T) {
 					}
 					if n := c.STLBRecall.Hist.Total(); n > c.STLBRecall.Evictions {
 						t.Errorf("core %d: %d STLB recalls for %d evictions", i, n, c.STLBRecall.Evictions)
+					}
+				}
+				// The L2 recall distributions stop with the first L2's row.
+				for _, rc := range []struct {
+					cl mem.Class
+					r  stats.Recall
+				}{{mem.ClassTransLeaf, r.L2RecallTrans}, {mem.ClassReplay, r.L2RecallReplay}} {
+					if got, want := rc.r.Evictions, r.L2[0].Evictions[rc.cl]; got != want {
+						t.Errorf("L2 %s recall counts %d evictions, L2[0] row %d", rc.cl, got, want)
 					}
 				}
 			})

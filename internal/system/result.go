@@ -47,10 +47,10 @@ func (c *CoreResult) STLBMPKI() float64 {
 
 // Result is the outcome of one simulation run. Each Cores row stops at
 // its thread's own target; on a multi-core machine so do that core's L1D
-// and L2 entries. Everything else stops at the end of the measured phase,
-// after the queued engine's final drain: the L1D and L2 of a single-core
-// or SMT machine, the LLC, DRAM, Queues, Parallel and the recall
-// distributions below.
+// and L2 entries, and core 0's L2 recall distributions. Everything else
+// stops at the end of the measured phase, after the queued engine's final
+// drain: the L1D, L2 and L2 recall of a single-core or SMT machine, the
+// LLC and its recall, DRAM, Queues and Parallel.
 type Result struct {
 	Cfg   Config
 	Cores []CoreResult
@@ -70,7 +70,7 @@ type Result struct {
 	Queues []QueueLevel `json:",omitempty"`
 
 	// Recall-distance distributions (empty unless TrackRecall). L2 data
-	// comes from the first L2 instance.
+	// comes from the first L2 instance and stops with its L2 entry.
 	L2RecallTrans   stats.Recall
 	L2RecallReplay  stats.Recall
 	LLCRecallTrans  stats.Recall
@@ -167,6 +167,9 @@ func (s *sim) collect() *Result {
 		r.Parallel = &ps
 	}
 	r.L2RecallTrans, r.L2RecallReplay = s.l2s[0].Recall(mem.ClassTransLeaf), s.l2s[0].Recall(mem.ClassReplay)
+	if c := s.cores[0]; s.par != nil && c.row != nil {
+		r.L2RecallTrans, r.L2RecallReplay = c.l2Recall[0], c.l2Recall[1]
+	}
 	r.LLCRecallTrans, r.LLCRecallReplay = s.llc.Recall(mem.ClassTransLeaf), s.llc.Recall(mem.ClassReplay)
 	if len(s.queued) > 0 {
 		idx := map[string]int{}

@@ -52,10 +52,12 @@ type coreCtx struct {
 	phaseCount int
 	done       bool
 	baseCycle  int64
-	// row is the thread's measured row (nil until freeze); l1dRow and
-	// l2Row are its private caches' stats under the barrier engine.
+	// row is the thread's measured row (nil until freeze); l1dRow, l2Row
+	// and l2Recall (leaf-translation, replay) are its private caches' stats
+	// under the barrier engine.
 	row           *CoreResult
 	l1dRow, l2Row cache.Stats
+	l2Recall      [2]stats.Recall
 }
 
 // sim is a fully wired machine.
@@ -551,12 +553,18 @@ func (s *sim) privateCaches() []*cache.Cache { return slices.Concat(s.l1is, s.l1
 
 // freeze builds thread c's measured row, with its private caches' stats,
 // and resets the thread's own counters: steps past its target (kept for
-// contention) count into counters no row reads.
+// contention) count into counters no row reads. Under the barrier engine
+// that includes the core's private L2, whose reset hands its recall
+// tracker fresh histograms, so the frozen l2Recall shares none with it.
 func (s *sim) freeze(c *coreCtx) {
 	row := s.coreRow(c, max(c.core.Cycle()-c.baseCycle, 1))
 	c.row = &row
 	c.l1dRow, c.l2Row = c.l1d.Stats(), c.l2.Stats()
+	c.l2Recall = [2]stats.Recall{c.l2.Recall(mem.ClassTransLeaf), c.l2.Recall(mem.ClassReplay)}
 	c.resetStats()
+	if s.par != nil {
+		c.l2.ResetStats()
+	}
 }
 
 // resetStats zeroes the counters one thread owns. Each reset allocates
