@@ -11,14 +11,15 @@ import (
 )
 
 // chaosRules is the canonical 3-fault plan of the acceptance scenario: one
-// crashing run (permanent: multicore's TEMPO mix panics every attempt), one
-// transient I/O-shaped failure that heals after the first attempt (fig17's
-// baseline SMT run), and one on-disk cache entry silently corrupted after
-// its first successful store.
+// crashing run (multicore's TEMPO mix panics on every consultation), one
+// I/O-shaped failure that would heal on a second consultation (fig17's
+// TEMPO SMT run), and one on-disk cache entry silently corrupted after its
+// first successful store. Each run is one attempt, so the healing rule
+// still fails its run.
 func chaosRules() []faultinject.Rule {
 	return []faultinject.Rule{
 		{Site: faultinject.SiteRun, Match: "multi:tempo/", Kind: faultinject.KindPanic},
-		{Site: faultinject.SiteRun, Match: "smt:baseline/", Kind: faultinject.KindTransient, Until: 1},
+		{Site: faultinject.SiteRun, Match: "smt:tempo/", Kind: faultinject.KindIOErr, Until: 1},
 		{Site: faultinject.SiteDiskEntry, Kind: faultinject.KindCorrupt, Times: 1},
 	}
 }
@@ -45,15 +46,17 @@ func chaosSweep(t *testing.T, jobs int, dir string, plan *faultinject.Plan) (*Ru
 }
 
 // TestChaos is the acceptance scenario: a seeded fault plan (panic +
-// transient + corrupt disk entry) injected into a multi-point sweep. The
-// sweep must complete; the transient failure must be retried to success;
-// exactly one point may fail (as a FAILED marker, not an aborted sweep);
-// the report bytes must be identical for any job count; and a resumed sweep
-// must quarantine the corrupt entry and recompute only what is missing.
+// healing I/O error + corrupt disk entry) injected into a multi-point sweep.
+// The sweep must complete; the I/O error must cost its run exactly one
+// attempt and fail its point; both faulted points fail as FAILED markers,
+// not an aborted sweep; the report bytes must be identical for any job
+// count; and a resumed sweep must quarantine the corrupt entry and
+// recompute only what is missing.
 func TestChaos(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	rA, outA := chaosSweep(t, 1, dirA, faultinject.NewPlan(1, chaosRules()...))
-	rB, outB := chaosSweep(t, 8, dirB, faultinject.NewPlan(1, chaosRules()...))
+	planA, planB := faultinject.NewPlan(1, chaosRules()...), faultinject.NewPlan(1, chaosRules()...)
+	rA, outA := chaosSweep(t, 1, dirA, planA)
+	rB, outB := chaosSweep(t, 8, dirB, planB)
 
 	// Byte-identical degradation regardless of -jobs.
 	joinedA, joinedB := strings.Join(outA, ""), strings.Join(outB, "")
@@ -61,53 +64,106 @@ func TestChaos(t *testing.T) {
 		t.Errorf("chaos reports differ between jobs=1 and jobs=8:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", joinedA, joinedB)
 	}
 
-	// Exactly one FAILED point: multicore (its TEMPO run panics every
-	// attempt); fig17 must have healed through retry.
-	if n := strings.Count(joinedA, "FAILED("); n != 1 {
-		t.Errorf("FAILED points = %d, want 1:\n%s", n, joinedA)
+	// Two FAILED points: fig17 (its TEMPO run's single attempt hits the
+	// I/O error) and multicore (its TEMPO run panics).
+	if n := strings.Count(joinedA, "FAILED("); n != 2 {
+		t.Errorf("FAILED points = %d, want 2:\n%s", n, joinedA)
 	}
-	if !strings.Contains(outA[1], "== multicore: FAILED ==") {
-		t.Errorf("multicore did not fail:\n%s", outA[1])
+	if !strings.Contains(outA[0], "== fig17: FAILED ==") || !strings.Contains(outA[0], "io-error") {
+		t.Errorf("fig17 did not fail on the I/O error:\n%s", outA[0])
 	}
-	if !strings.Contains(outA[1], "panic") {
-		t.Errorf("multicore failure reason does not mention the panic:\n%s", outA[1])
+	if !strings.Contains(outA[1], "== multicore: FAILED ==") || !strings.Contains(outA[1], "panic") {
+		t.Errorf("multicore did not fail on the panic:\n%s", outA[1])
 	}
-	if strings.Contains(outA[0], "FAILED") {
-		t.Errorf("fig17 failed instead of retrying to success:\n%s", outA[0])
+	if strings.Contains(joinedA, "attempts=") {
+		t.Errorf("failure reasons still count attempts:\n%s", joinedA)
 	}
 
-	// Health and fault accounting (pass A: 2 SMT runs + multi baseline
-	// succeed, multi TEMPO panics once, the transient costs one retry).
-	for name, r := range map[string]*Runner{"jobs=1": rA, "jobs=8": rB} {
-		h := r.Health()
-		if h.Runs.Load() != 3 || h.Failures.Load() != 1 || h.Panics.Load() != 1 || h.Retries.Load() < 1 {
-			t.Errorf("%s: health runs=%d failures=%d panics=%d retries=%d", name,
-				h.Runs.Load(), h.Failures.Load(), h.Panics.Load(), h.Retries.Load())
+	// Health and fault accounting (pass A: both baselines succeed, both
+	// TEMPO runs fail, one of them by a panic). The I/O rule's identity is
+	// consulted once: one firing, at hit 1, and no second consultation
+	// (which would have healed the run).
+	for name, c := range map[string]struct {
+		r    *Runner
+		plan *faultinject.Plan
+	}{"jobs=1": {rA, planA}, "jobs=8": {rB, planB}} {
+		h := c.r.Health()
+		if h.Runs.Load() != 2 || h.Failures.Load() != 2 || h.Panics.Load() != 1 {
+			t.Errorf("%s: health runs=%d failures=%d panics=%d", name,
+				h.Runs.Load(), h.Failures.Load(), h.Panics.Load())
+		}
+		var io []faultinject.Event
+		for _, ev := range c.plan.Events() {
+			if ev.Kind == faultinject.KindIOErr {
+				io = append(io, ev)
+			}
+		}
+		if len(io) != 1 || io[0].Hit != 1 || !strings.HasPrefix(io[0].ID, "smt:tempo/") {
+			t.Errorf("%s: I/O fault events = %+v, want one at hit 1", name, io)
 		}
 	}
 
-	// Resume on pass A's cache with no faults: the corrupted entry is
-	// quarantined and recomputed, the intact entries are served from disk,
-	// and the previously-failed point now succeeds — with fig17's bytes
-	// unchanged from the degraded pass.
-	rC, outC := chaosSweep(t, 4, dirA, nil)
-	joinedC := strings.Join(outC, "")
-	if strings.Contains(joinedC, "FAILED") {
-		t.Errorf("resumed sweep still has failures:\n%s", joinedC)
+	// Resume on pass A's cache with no faults: the corrupted entry (fig17's
+	// baseline, the first stored) is quarantined and recomputed, the intact
+	// multicore baseline is served from disk, and both failed TEMPO runs
+	// are computed afresh.
+	rC, err := NewRunnerWith(Quick(), Options{Jobs: 4, CacheDir: dirA})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if outC[0] != outA[0] {
-		t.Errorf("fig17 bytes changed across resume:\n--- chaos ---\n%s\n--- resume ---\n%s", outA[0], outC[0])
+	computed := map[string]bool{}
+	rC.OnRun = func(key, name string, runs int) { computed[key+"/"+name] = true }
+	for _, id := range []string{"fig17", "multicore"} {
+		rep, err := ByIDWith(rC, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed != "" {
+			t.Errorf("resumed %s still failed: %s", id, rep.Failed)
+		}
 	}
 	if q := rC.Quarantined(); q != 1 {
 		t.Errorf("Quarantined = %d, want 1", q)
 	}
-	// 3 entries were stored, 1 of them corrupt: resume loads 2, recomputes
-	// the corrupt one plus the never-completed multi TEMPO run.
-	if rC.DiskHits() != 2 || rC.Runs() != 2 {
-		t.Errorf("resume DiskHits = %d, Runs = %d, want 2 and 2", rC.DiskHits(), rC.Runs())
+	if rC.DiskHits() != 1 || rC.Runs() != 3 {
+		t.Errorf("resume DiskHits = %d, Runs = %d, want 1 and 3", rC.DiskHits(), rC.Runs())
 	}
-	if h := rC.Health(); h.Quarantined.Load() != 1 || h.DiskHits.Load() != 2 {
-		t.Errorf("resume health quarantined=%d disk_hits=%d, want 1 and 2", h.Quarantined.Load(), h.DiskHits.Load())
+	for _, id := range []string{"smt:tempo/xalancbmk-xalancbmk", "multi:tempo/xalancbmk-mcf-pr"} {
+		if !computed[id] {
+			t.Errorf("resume did not recompute %s (computed %v)", id, computed)
+		}
+	}
+	if h := rC.Health(); h.Quarantined.Load() != 1 || h.DiskHits.Load() != 1 {
+		t.Errorf("resume health quarantined=%d disk_hits=%d, want 1 and 1", h.Quarantined.Load(), h.DiskHits.Load())
+	}
+}
+
+// TestRunFaultCostsOneAttempt: a SiteRun fault that would heal on its
+// second consultation costs its run exactly one attempt. The request fails
+// with a *RunError, and a later request for the same key — after the
+// single-flight entry re-arms — computes it successfully.
+func TestRunFaultCostsOneAttempt(t *testing.T) {
+	plan := faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SiteRun, Match: "one/xalancbmk", Kind: faultinject.KindIOErr, Until: 1})
+	r, err := NewRunnerWith(engineScale(), Options{Jobs: 1, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = r.RunOne(context.Background(), "one", "xalancbmk", 1, 0, nil)
+	var re *RunError
+	if !errors.As(err, &re) || re.Label != "one" || re.Name != "xalancbmk" {
+		t.Fatalf("faulted run = %v, want a *RunError for one/xalancbmk", err)
+	}
+	if got := plan.Fired(faultinject.KindIOErr); got != 1 || r.Runs() != 0 || r.Health().Failures.Load() != 1 {
+		t.Errorf("after the failure: fired %d, runs %d, failures %d; want 1, 0, 1",
+			got, r.Runs(), r.Health().Failures.Load())
+	}
+	res, src, err := r.RunOne(context.Background(), "one", "xalancbmk", 1, 0, nil)
+	if err != nil || res == nil || src != SourceComputed {
+		t.Fatalf("second request = (%v, %s, %v), want a fresh compute", res != nil, src, err)
+	}
+	if r.Runs() != 1 {
+		t.Errorf("Runs = %d, want 1", r.Runs())
 	}
 }
 
@@ -145,9 +201,9 @@ func TestChaosSimJobsDeterminism(t *testing.T) {
 			serial, parallel)
 	}
 	// The plan must have degraded the sweep the same way TestChaos expects:
-	// one FAILED point (multicore's TEMPO mix), fig17 healed through retry.
-	if n := strings.Count(serial, "FAILED("); n != 1 {
-		t.Errorf("FAILED points = %d, want 1:\n%s", n, serial)
+	// two FAILED points (fig17's and multicore's TEMPO runs).
+	if n := strings.Count(serial, "FAILED("); n != 2 {
+		t.Errorf("FAILED points = %d, want 2:\n%s", n, serial)
 	}
 }
 

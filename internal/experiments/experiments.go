@@ -15,14 +15,14 @@
 // deterministic and single-threaded; concurrency only changes *when* a run
 // executes, never its result).
 //
-// Execution is fault tolerant: every simulation runs under the sweep's
-// context with an optional per-run deadline, transient failures are retried
-// with jittered doubling backoff, and a run that still fails — including a
-// panicking simulation — degrades only the experiments that need it. Those
-// experiments complete as FAILED(reason) reports carrying the failed run's
-// label and benchmark, while the rest of the sweep proceeds; completed
-// results stay in the disk cache, so a canceled or partially-failed sweep
-// resumes instead of recomputing.
+// Execution is fault tolerant: every simulation is one attempt under the
+// sweep's context with an optional per-run deadline (a deterministic
+// simulation that fails would fail the same way again), and a run that
+// fails — including a panicking simulation — degrades only the experiments
+// that need it. Those experiments complete as FAILED(reason) reports
+// carrying the failed run's label and benchmark, while the rest of the
+// sweep proceeds; completed results stay in the disk cache, so a canceled
+// or partially-failed sweep resumes instead of recomputing.
 //
 // Figures 9, 11 and 13 are policy/state diagrams with no measured data;
 // their semantics are unit-tested in internal/repl and internal/cache.
@@ -182,22 +182,21 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// RunError identifies one simulation's permanent failure: which experiment
-// label and benchmark requested it, how many attempts were made, and the
-// final error. When the failure was a crash, Panic holds the recovered
-// panic value (also wrapped inside Err as a *runner.PanicError).
+// RunError identifies one simulation's failure: which experiment label and
+// benchmark requested it, and the error. When the failure was a crash,
+// Panic holds the recovered panic value (also wrapped inside Err as a
+// *runner.PanicError).
 type RunError struct {
-	Label    string
-	Name     string
-	Attempts int
-	Panic    any
-	Err      error
+	Label string
+	Name  string
+	Panic any
+	Err   error
 }
 
 // Error renders a stable, schedule-independent message so FAILED markers
 // derived from it are byte-identical across job counts.
 func (e *RunError) Error() string {
-	return fmt.Sprintf("run %s/%s failed (attempts=%d): %v", e.Label, e.Name, e.Attempts, e.Err)
+	return fmt.Sprintf("run %s/%s failed: %v", e.Label, e.Name, e.Err)
 }
 
 // Unwrap exposes the underlying failure for errors.Is/As chains.
@@ -249,10 +248,10 @@ type Options struct {
 	// directory load it back instead of re-simulating. The directory is
 	// created if missing.
 	CacheDir string
-	// RunTimeout, when positive, bounds each simulation attempt. An attempt
-	// that exceeds it is abandoned and the run fails with a deadline error
-	// (the simulator has no preemption points, so the abandoned attempt
-	// finishes in the background and is discarded).
+	// RunTimeout, when positive, bounds each simulation. A run that exceeds
+	// it is abandoned and fails with a deadline error (the simulator has no
+	// preemption points, so the abandoned simulation finishes in the
+	// background and is discarded).
 	RunTimeout time.Duration
 	// SweepBudget, when positive, bounds the whole sweep: once spent, every
 	// remaining run fails fast with a deadline error.
@@ -267,9 +266,9 @@ type Options struct {
 	// scrape shows the full series set before the first run finishes.
 	Metrics *metrics.Registry
 	// Recorder, when non-nil, receives structured flight-recorder events
-	// (run started/retried/done/failed, panics, fault injections,
-	// quarantines) and is dumped to its sink on every permanent run
-	// failure. See metrics.FlightRecorder.
+	// (run started/done/failed, panics, fault injections,
+	// quarantines) and is dumped to its sink on every run failure. See
+	// metrics.FlightRecorder.
 	Recorder *metrics.FlightRecorder
 }
 
@@ -311,7 +310,7 @@ type Runner struct {
 // NewRunner creates a sequential runner at the given scale (one simulation
 // at a time, no on-disk cache) — the right default for tests and library
 // use. Use NewRunnerWith to run simulations in parallel, persist results,
-// or govern runs with deadlines and retries.
+// or govern runs with deadlines.
 func NewRunner(sc Scale) *Runner {
 	r, err := NewRunnerWith(sc, Options{Jobs: 1})
 	if err != nil {
@@ -382,7 +381,7 @@ func (r *Runner) Scale() Scale { return r.sc }
 // Jobs returns the runner's simulation concurrency bound.
 func (r *Runner) Jobs() int { return r.pool.Jobs() }
 
-// Health returns the sweep's retry/failure counters (never nil).
+// Health returns the sweep's run/failure counters (never nil).
 func (r *Runner) Health() *telemetry.Health { return r.health }
 
 // RunsTable returns the live per-run-key state table (never nil) — the
@@ -445,26 +444,24 @@ func (r *Runner) noteCacheErr(err error) {
 	r.health.DiskErrors.Add(1)
 }
 
-// noteOutcome folds one governed run's outcome into the health counters.
-// A success is counted by ran.
-func (r *Runner) noteOutcome(rr runner.RunResult) {
+// noteFailure folds one governed run's failure into the health counters
+// and returns it as a *RunError. A success is counted by ran.
+func (r *Runner) noteFailure(label, name string, err error) *RunError {
 	h := r.health
-	if rr.Attempts > 1 {
-		h.Retries.Add(int64(rr.Attempts - 1))
-	}
-	if rr.Err == nil {
-		return
-	}
 	h.Failures.Add(1)
-	if rr.Panic != nil {
+	re := &RunError{Label: label, Name: name, Err: err}
+	var pe *runner.PanicError
+	if errors.As(err, &pe) {
 		h.Panics.Add(1)
+		re.Panic = pe.Value
 	}
 	switch {
-	case errors.Is(rr.Err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		h.Timeouts.Add(1)
-	case errors.Is(rr.Err, context.Canceled):
+	case errors.Is(err, context.Canceled):
 		h.Canceled.Add(1)
 	}
+	return re
 }
 
 // TryTraceSeeded returns the trace for a benchmark and seed. At Scale.Seed
@@ -511,20 +508,20 @@ const (
 
 // cached is the engine core every simulation goes through: it derives the
 // canonical run key, consults the in-memory single-flight cache and the
-// optional disk cache, and otherwise executes sim on the worker pool under
-// ctx — with the given per-run deadline, the fixed retry policy and the
-// fault plan — persisting the fresh result. Sweep-driven callers pass the
-// sweep context and runner-wide deadline; service callers thread a
-// per-request context/deadline through instead. A permanent failure
-// (including a captured panic) is returned as a *RunError carrying the
-// label/name run identity; the failed cache entry re-arms, so a later
-// request for the same key retries instead of inheriting the failure.
+// optional disk cache, and otherwise executes sim once on the worker pool
+// under ctx — with the given per-run deadline and the fault plan —
+// persisting the fresh result. Sweep-driven callers pass the sweep context
+// and runner-wide deadline; service callers thread a per-request
+// context/deadline through instead. A failure (including a captured panic)
+// is returned as a *RunError carrying the label/name run identity; the
+// failed cache entry re-arms, so a later request for the same key computes
+// afresh instead of inheriting the failure.
 func (r *Runner) cached(ctx context.Context, timeout time.Duration,
 	label, name, kind string, names []string, seeds []int64,
 	cfg system.Config, sim func() (*system.Result, error)) (*system.Result, RunSource, error) {
 	key, err := runner.NewKey(kind, names, seeds, r.sc.TraceLen, cfg)
 	if err != nil {
-		return nil, SourceComputed, &RunError{Label: label, Name: name, Attempts: 1,
+		return nil, SourceComputed, &RunError{Label: label, Name: name,
 			Err: fmt.Errorf("derive run key: %w", err)}
 	}
 	id := label + "/" + name
@@ -542,52 +539,43 @@ func (r *Runner) cached(ctx context.Context, timeout time.Duration,
 			return fromDisk, nil
 		}
 		src = SourceComputed
+		// One attempt: a context already done refuses the run before it
+		// queues for a pool slot.
 		var out *system.Result
-		attempt := 0
-		rr := runner.Execute(ctx, func(ctx context.Context) error {
-			attempt++
-			r.runsTable.Running(id, attempt)
-			if attempt == 1 {
-				r.recorder.Record(metrics.Event{Kind: metrics.EventRunStarted, Run: id, Attempt: 1})
-			} else {
-				r.recorder.Record(metrics.Event{Kind: metrics.EventRunRetried, Run: id, Attempt: attempt})
-			}
-			var res *system.Result
-			var serr error
+		err := ctx.Err()
+		if err != nil {
+			err = fmt.Errorf("run refused: %w", err)
+		} else {
+			r.runsTable.Running(id)
+			r.recorder.Record(metrics.Event{Kind: metrics.EventRunStarted, Run: id, Attempt: 1})
 			r.pool.Run(func() {
 				// The fault check runs inside the bound, so a deadline or
 				// Cancel cuts an injected stall short like a slow run.
-				res, serr = runner.Bounded(ctx, timeout, func() (*system.Result, error) {
+				out, err = runner.Bounded(ctx, timeout, func() (*system.Result, error) {
 					if ferr := r.faults.Check(faultinject.SiteRun, id); ferr != nil {
 						return nil, ferr
 					}
 					return sim()
 				})
 			})
-			if serr != nil {
-				return serr
+		}
+		if err != nil {
+			re := r.noteFailure(label, name, err)
+			r.runsTable.Failed(id, err.Error())
+			if re.Panic != nil {
+				r.recorder.Recordf(metrics.EventPanic, id, 1, "%v", re.Panic)
 			}
-			out = res
-			return nil
-		})
-		r.noteOutcome(rr)
-		if rr.Err != nil {
-			r.runsTable.Failed(id, rr.Attempts, rr.Err.Error())
-			if rr.Panic != nil {
-				r.recorder.Recordf(metrics.EventPanic, id, rr.Attempts, "%v", rr.Panic)
-			}
-			r.recorder.Recordf(metrics.EventRunFailed, id, rr.Attempts, "%v", rr.Err)
-			// A permanent failure dumps the post-mortem; an unwritable sink
-			// must not turn diagnostics into a second failure.
+			r.recorder.Recordf(metrics.EventRunFailed, id, 1, "%v", err)
+			// A failure dumps the post-mortem; an unwritable sink must not
+			// turn diagnostics into a second failure.
 			_ = r.recorder.DumpToSink()
-			return nil, &RunError{Label: label, Name: name,
-				Attempts: rr.Attempts, Panic: rr.Panic, Err: rr.Err}
+			return nil, re
 		}
-		r.runsTable.Done(id, rr.Attempts)
+		r.runsTable.Done(id)
 		if cfg.CheckInvariants {
-			r.recorder.Recordf(metrics.EventAudit, id, rr.Attempts, "ok")
+			r.recorder.Recordf(metrics.EventAudit, id, 1, "ok")
 		}
-		r.recorder.Record(metrics.Event{Kind: metrics.EventRunDone, Run: id, Attempt: rr.Attempts})
+		r.recorder.Record(metrics.Event{Kind: metrics.EventRunDone, Run: id, Attempt: 1})
 		r.ran(label, name)
 		r.sink.Record(out)
 		if serr := r.disk.Store(key, out); serr != nil {

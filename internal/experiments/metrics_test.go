@@ -79,6 +79,12 @@ func TestMetricsEndpointsAfterSweep(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// Each run is one attempt: no retry series.
+	for _, gone := range []string{"runner_retries_total", `state="retrying"`} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/metrics still exposes %s", gone)
+		}
+	}
 
 	code, body = get("/healthz")
 	if code != 200 || !strings.Contains(body, `"status":"ok"`) {
@@ -92,9 +98,8 @@ func TestMetricsEndpointsAfterSweep(t *testing.T) {
 	var runs struct {
 		Counts map[string]int `json:"counts"`
 		Runs   []struct {
-			Key      string `json:"key"`
-			State    string `json:"state"`
-			Attempts int    `json:"attempts"`
+			Key   string `json:"key"`
+			State string `json:"state"`
 		} `json:"runs"`
 	}
 	if err := json.Unmarshal([]byte(body), &runs); err != nil {
@@ -103,8 +108,11 @@ func TestMetricsEndpointsAfterSweep(t *testing.T) {
 	if runs.Counts["done"] != 2 || len(runs.Runs) != 2 {
 		t.Errorf("/runs = %+v", runs)
 	}
+	if strings.Contains(body, `"attempts"`) {
+		t.Errorf("/runs still carries attempt counts:\n%s", body)
+	}
 	for _, ri := range runs.Runs {
-		if ri.State != "done" || ri.Attempts != 1 || !strings.HasPrefix(ri.Key, "baseline/") {
+		if ri.State != "done" || !strings.HasPrefix(ri.Key, "baseline/") {
 			t.Errorf("run entry = %+v", ri)
 		}
 	}
@@ -116,7 +124,8 @@ func TestMetricsEndpointsAfterSweep(t *testing.T) {
 }
 
 // TestFlightRecorderDeterministicAcrossJobs injects an identity-matched
-// fault plan (one permanent panic, one healing transient) into concurrent
+// fault plan (one panic, one I/O error that would heal on a second
+// consultation) into concurrent
 // sweeps at jobs=1 and jobs=8 and asserts the canonical flight-recorder
 // dumps are byte-identical — events carry no timestamps and fault rules
 // match stable run identities, so the schedule cannot leak in.
@@ -128,7 +137,7 @@ func TestFlightRecorderDeterministicAcrossJobs(t *testing.T) {
 			faultinject.Rule{Site: faultinject.SiteRun, Match: "tempo/pr",
 				Kind: faultinject.KindPanic},
 			faultinject.Rule{Site: faultinject.SiteRun, Match: "baseline/xalancbmk",
-				Kind: faultinject.KindTransient, Until: 1},
+				Kind: faultinject.KindIOErr, Until: 1},
 		)
 		r, err := NewRunnerWith(engineScale(), Options{
 			Jobs: jobs, Faults: plan, Recorder: rec,
@@ -147,7 +156,7 @@ func TestFlightRecorderDeterministicAcrossJobs(t *testing.T) {
 					if label == "tempo" {
 						mod = func(c *system.Config) { c.Apply(system.TEMPO) }
 					}
-					_, _ = r.TryRun(label, w, mod) // tempo/pr fails by design
+					_, _ = r.TryRun(label, w, mod) // tempo/pr and baseline/xalancbmk fail by design
 				}(label, w)
 			}
 		}
@@ -170,11 +179,18 @@ func TestFlightRecorderDeterministicAcrossJobs(t *testing.T) {
 		`"kind":"fault-injected","run":"tempo/pr"`,
 		`"kind":"run-failed","run":"tempo/pr"`,
 		`"kind":"panic","run":"tempo/pr"`,
-		`"kind":"run-retried","run":"baseline/xalancbmk","attempt":2`,
-		`"kind":"run-done","run":"baseline/xalancbmk"`,
+		`"kind":"fault-injected","run":"baseline/xalancbmk","attempt":1`,
+		`"kind":"run-failed","run":"baseline/xalancbmk"`,
+		`"kind":"run-done","run":"baseline/pr"`,
 	} {
 		if !strings.Contains(dumpA, want) {
 			t.Errorf("dump missing %s:\n%s", want, dumpA)
+		}
+	}
+	// One attempt per run: the healing rule fires once and nothing retries.
+	for _, absent := range []string{`"run-retried"`, `"run-done","run":"baseline/xalancbmk"`} {
+		if strings.Contains(dumpA, absent) {
+			t.Errorf("dump holds %s:\n%s", absent, dumpA)
 		}
 	}
 

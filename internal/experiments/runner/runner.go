@@ -2,7 +2,7 @@
 // behind the experiment suite: a worker pool that bounds how many
 // simulations run at once, a keyed in-memory cache with single-flight
 // semantics (concurrent requests for the same run share one execution), a
-// retry executor with deadlines and jittered doubling backoff (run.go),
+// bounded executor that contains panics and enforces deadlines (run.go),
 // and an optional checksummed on-disk result store keyed by canonical
 // run-key hashes so interrupted or overlapping sweeps resume instead of
 // recomputing (disk.go).
@@ -63,8 +63,8 @@ type call[V any] struct {
 // Failures do not poison the cache: a compute that returns an error or
 // panics delivers that failure to the computing caller and to every caller
 // already waiting, then the entry is re-armed (removed), so a later Do for
-// the same key retries the computation instead of replaying the failure
-// forever. Only successful values are memoized.
+// the same key runs the computation again instead of replaying the
+// failure forever. Only successful values are memoized.
 type Cache[V any] struct {
 	mu sync.Mutex
 	m  map[string]*call[V]
@@ -98,7 +98,7 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (val V, fresh bool,
 		cl.panicked = recover()
 		if cl.panicked != nil || cl.err != nil {
 			// Deliver the failure to everyone already waiting, but re-arm
-			// the entry so future callers retry instead of inheriting it.
+			// the entry so future callers recompute instead of inheriting it.
 			c.mu.Lock()
 			delete(c.m, key)
 			c.mu.Unlock()

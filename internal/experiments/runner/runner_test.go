@@ -465,13 +465,11 @@ func TestDiskInjectedFaults(t *testing.T) {
 	)
 	d.SetFaults(plan)
 
-	// First store: injected I/O error, classified retryable.
+	// First store: injected I/O error, wrapped with the entry it hit.
 	err = d.Store(k, fakeResult{IPC: 1.25})
-	if err == nil {
-		t.Fatal("injected store error missing")
-	}
-	if !IsRetryable(err) {
-		t.Errorf("injected I/O error not retryable: %v", err)
+	var fe *faultinject.Error
+	if !errors.As(err, &fe) || fe.Kind != faultinject.KindIOErr {
+		t.Fatalf("injected store error = %v, want an I/O fault", err)
 	}
 	// Second store succeeds but the corrupt-entry rule tampers the payload.
 	if err := d.Store(k, fakeResult{IPC: 1.25}); err != nil {

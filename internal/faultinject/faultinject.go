@@ -6,10 +6,10 @@
 // A plan is a list of rules. Each rule names a hook Site, an identity
 // substring to match (the run label/name or cache-key hash the hook passes),
 // a fault Kind, and firing bounds: Until fires the fault for the first N
-// matching consultations of one identity (the shape of a transient failure
-// that heals after K attempts), Times caps total firings across identities,
-// and Prob gates each firing on a seeded RNG. Rules with neither bound fire
-// on every match.
+// matching consultations of one identity (a failure that heals once the
+// identity has been consulted N times), Times caps total firings across
+// identities, and Prob gates each firing on a seeded RNG. Rules with
+// neither bound fire on every match.
 //
 // Because rules match on stable run identities — not on global arrival
 // order — an injected fault hits the same simulation regardless of the
@@ -30,9 +30,9 @@ type Site string
 
 // Hook sites wired into internal/experiments and its runner.
 const (
-	// SiteRun is consulted once per simulation attempt, inside the
-	// attempt's deadline and before the simulation executes, with the
-	// run's "label/name" identity.
+	// SiteRun is consulted once per simulation, inside the run's deadline
+	// and before the simulation executes, with the run's "label/name"
+	// identity.
 	SiteRun Site = "run"
 	// SiteDiskLoad is consulted by Disk.Load with the run-key hash.
 	SiteDiskLoad Site = "disk.load"
@@ -50,13 +50,11 @@ type Kind int
 const (
 	// KindPanic panics at the hook site, simulating a crashing run.
 	KindPanic Kind = iota
-	// KindTransient returns a retryable error (heals after Until hits).
-	KindTransient
-	// KindPermanent returns a non-retryable error.
+	// KindPermanent returns an error.
 	KindPermanent
 	// KindSlow sleeps Delay at the hook site, simulating a stalled run.
 	KindSlow
-	// KindIOErr returns a retryable error shaped like an I/O failure.
+	// KindIOErr returns an error shaped like an I/O failure.
 	KindIOErr
 	// KindCorrupt (SiteDiskEntry only) corrupts the on-disk cache entry.
 	KindCorrupt
@@ -64,7 +62,6 @@ const (
 
 var kindNames = map[Kind]string{
 	KindPanic:     "panic",
-	KindTransient: "transient",
 	KindPermanent: "permanent",
 	KindSlow:      "slow",
 	KindIOErr:     "io-error",
@@ -88,8 +85,8 @@ type Rule struct {
 	// Kind is the fault injected when the rule fires.
 	Kind Kind
 	// Until, when positive, fires the fault only for the first Until
-	// matching consultations of each identity — a transient failure that
-	// heals on attempt Until+1.
+	// matching consultations of each identity — a failure that heals on
+	// consultation Until+1.
 	Until int
 	// Times, when positive (and Until is zero), caps the rule's total
 	// firings across all identities.
@@ -124,12 +121,6 @@ type Error struct {
 // addresses), so failure reasons derived from it are deterministic.
 func (e *Error) Error() string {
 	return fmt.Sprintf("faultinject: %s at %s %s (hit %d)", e.Kind, e.Site, e.ID, e.Hit)
-}
-
-// Transient reports whether the injected failure is retryable; the runner's
-// retry layer classifies errors through this interface method.
-func (e *Error) Transient() bool {
-	return e.Kind == KindTransient || e.Kind == KindIOErr
 }
 
 // Plan is a live fault plan. All methods are safe for concurrent use and
@@ -216,7 +207,7 @@ func (p *Plan) SetObserver(f func(Event)) {
 
 // Check consults the plan at a hook site. Depending on the first firing
 // rule it may panic (KindPanic), sleep (KindSlow, returning nil), or return
-// an *Error (KindTransient / KindPermanent / KindIOErr). It returns nil when
+// an *Error (KindPermanent / KindIOErr). It returns nil when
 // no rule fires. KindCorrupt rules never fire here — they answer
 // ShouldCorrupt.
 func (p *Plan) Check(site Site, id string) error {

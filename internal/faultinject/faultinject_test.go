@@ -21,22 +21,19 @@ func TestNilPlanIsInert(t *testing.T) {
 }
 
 func TestTransientHealsAfterUntil(t *testing.T) {
-	p := NewPlan(1, Rule{Site: SiteRun, Match: "pr", Kind: KindTransient, Until: 2})
-	for attempt := 1; attempt <= 2; attempt++ {
+	p := NewPlan(1, Rule{Site: SiteRun, Match: "pr", Kind: KindIOErr, Until: 2})
+	for hit := 1; hit <= 2; hit++ {
 		err := p.Check(SiteRun, "baseline/pr")
 		var fe *Error
 		if !errors.As(err, &fe) {
-			t.Fatalf("attempt %d: err = %v", attempt, err)
+			t.Fatalf("consultation %d: err = %v", hit, err)
 		}
-		if !fe.Transient() {
-			t.Fatalf("attempt %d: not transient", attempt)
-		}
-		if fe.Hit != attempt {
-			t.Errorf("attempt %d: hit = %d", attempt, fe.Hit)
+		if fe.Kind != KindIOErr || fe.Hit != hit {
+			t.Errorf("consultation %d: kind %s, hit %d", hit, fe.Kind, fe.Hit)
 		}
 	}
 	if err := p.Check(SiteRun, "baseline/pr"); err != nil {
-		t.Errorf("attempt 3 not healed: %v", err)
+		t.Errorf("consultation 3 not healed: %v", err)
 	}
 	// Distinct identities have independent counters.
 	if err := p.Check(SiteRun, "baseline/pr@7"); err == nil {
@@ -114,7 +111,7 @@ func TestShouldCorrupt(t *testing.T) {
 
 func TestProbabilisticRuleSeeded(t *testing.T) {
 	run := func(seed int64) int {
-		p := NewPlan(seed, Rule{Site: SiteRun, Kind: KindTransient, Prob: 0.5})
+		p := NewPlan(seed, Rule{Site: SiteRun, Kind: KindPermanent, Prob: 0.5})
 		n := 0
 		for i := 0; i < 100; i++ {
 			if p.Check(SiteRun, "x") != nil {
@@ -134,7 +131,7 @@ func TestProbabilisticRuleSeeded(t *testing.T) {
 
 func TestConcurrentChecksRace(t *testing.T) {
 	p := NewPlan(1,
-		Rule{Site: SiteRun, Kind: KindTransient, Until: 3},
+		Rule{Site: SiteRun, Kind: KindIOErr, Until: 3},
 		Rule{Site: SiteDiskEntry, Kind: KindCorrupt, Times: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -148,8 +145,8 @@ func TestConcurrentChecksRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := p.Fired(KindTransient); n != 3 {
-		t.Errorf("transient fired %d, want 3", n)
+	if n := p.Fired(KindIOErr); n != 3 {
+		t.Errorf("io-error fired %d, want 3", n)
 	}
 	if n := p.Fired(KindCorrupt); n != 4 {
 		t.Errorf("corrupt fired %d, want 4", n)

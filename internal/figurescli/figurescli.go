@@ -342,7 +342,7 @@ func newLogger(w io.Writer, lvl slog.Level) *slog.Logger {
 func healthAttrs(r *experiments.Runner) []any {
 	h := r.Health()
 	return []any{
-		"runs", h.Runs.Load(), "retries", h.Retries.Load(),
+		"runs", h.Runs.Load(),
 		"failures", h.Failures.Load(), "panics", h.Panics.Load(),
 		"timeouts", h.Timeouts.Load(), "canceled", h.Canceled.Load(),
 		"disk_hits", h.DiskHits.Load(), "disk_errors", h.DiskErrors.Load(),

@@ -45,8 +45,8 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g.Set(1)
 	h.Observe(2)
 	rt.Queued("a", "h")
-	rt.Running("a", 1)
-	rt.Done("a", 1)
+	rt.Running("a")
+	rt.Done("a")
 	fr.Record(Event{Kind: EventRunStarted})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || fr.Total() != 0 {
 		t.Fatal("nil handles must read as zero")
@@ -170,19 +170,21 @@ func TestJSONLSnapshot(t *testing.T) {
 func TestRunTableLifecycle(t *testing.T) {
 	rt := NewRunTable()
 	rt.Queued("base/mcf", "abc123")
-	rt.Running("base/mcf", 1)
-	rt.Running("base/mcf", 2)
-	rt.Failed("base/mcf", 2, "boom")
+	rt.Running("base/mcf")
+	if rt.Count(StateRunning) != 1 {
+		t.Fatalf("running = %d, want 1", rt.Count(StateRunning))
+	}
+	rt.Failed("base/mcf", "boom")
 	rt.Queued("base/pr", "def456")
-	rt.Running("base/pr", 1)
-	rt.Done("base/pr", 1)
+	rt.Running("base/pr")
+	rt.Done("base/pr")
 	rt.Cached("base/bc")
 
 	runs, counts := rt.Snapshot()
 	if len(runs) != 3 {
 		t.Fatalf("runs = %d, want 3", len(runs))
 	}
-	if runs[0].State != StateFailed || runs[0].Attempts != 2 || runs[0].Error != "boom" {
+	if runs[0].State != StateFailed || runs[0].Error != "boom" {
 		t.Fatalf("failed run = %+v", runs[0])
 	}
 	if runs[1].State != StateDone || runs[2].State != StateCached {
@@ -212,10 +214,10 @@ func TestFlightRecorderRingAndCanonicalOrder(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	fr.Record(Event{Kind: EventRunStarted, Run: "z/b", Attempt: 1})
 	fr.Record(Event{Kind: EventRunStarted, Run: "a/b", Attempt: 1})
-	fr.Record(Event{Kind: EventRunFailed, Run: "a/b", Attempt: 2, Detail: "x"})
-	fr.Record(Event{Kind: EventRunRetried, Run: "a/b", Attempt: 2})
+	fr.Record(Event{Kind: EventRunFailed, Run: "a/b", Attempt: 1, Detail: "x"})
+	fr.Record(Event{Kind: EventFault, Run: "a/b", Attempt: 1})
 	canon := fr.Canonical()
-	want := []EventKind{EventRunStarted, EventRunRetried, EventRunFailed, EventRunStarted}
+	want := []EventKind{EventRunStarted, EventFault, EventRunFailed, EventRunStarted}
 	for i, k := range want {
 		if canon[i].Kind != k {
 			t.Fatalf("canonical[%d] = %+v, want kind %s", i, canon[i], k)

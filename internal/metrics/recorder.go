@@ -15,7 +15,6 @@ type EventKind string
 // Flight-recorder event kinds, in canonical dump order.
 const (
 	EventRunStarted  EventKind = "run-started"
-	EventRunRetried  EventKind = "run-retried"
 	EventRunDone     EventKind = "run-done"
 	EventRunFailed   EventKind = "run-failed"
 	EventPanic       EventKind = "panic"
@@ -28,9 +27,9 @@ const (
 
 // kindRank orders kinds within one run's events in the canonical dump.
 var kindRank = map[EventKind]int{
-	EventRunStarted: 0, EventFault: 1, EventRunRetried: 2, EventDiskError: 3,
-	EventQuarantine: 4, EventAudit: 5, EventRunDone: 6, EventRunFailed: 7,
-	EventPanic: 8, EventSweepCancel: 9,
+	EventRunStarted: 0, EventFault: 1, EventDiskError: 2, EventQuarantine: 3,
+	EventAudit: 4, EventRunDone: 5, EventRunFailed: 6, EventPanic: 7,
+	EventSweepCancel: 8,
 }
 
 // Event is one structured flight-recorder record. Events deliberately carry
@@ -43,7 +42,8 @@ type Event struct {
 	// Run is the run identity ("label/benchmark") the event belongs to, or
 	// "" for sweep-level events.
 	Run string `json:"run,omitempty"`
-	// Attempt is the 1-based attempt number, where applicable.
+	// Attempt is 1 on run events (each run is a single attempt) and the
+	// fault rule's per-identity hit count on fault events; 0 elsewhere.
 	Attempt int `json:"attempt,omitempty"`
 	// Detail is a stable, human-readable elaboration (error text, fault
 	// rule, audit verdict).

@@ -13,16 +13,15 @@ type RunState string
 // Run lifecycle states, in the order a run moves through them. A run served
 // from the on-disk result cache goes straight to StateCached.
 const (
-	StateQueued   RunState = "queued"
-	StateRunning  RunState = "running"
-	StateRetrying RunState = "retrying"
-	StateDone     RunState = "done"
-	StateFailed   RunState = "failed"
-	StateCached   RunState = "cached"
+	StateQueued  RunState = "queued"
+	StateRunning RunState = "running"
+	StateDone    RunState = "done"
+	StateFailed  RunState = "failed"
+	StateCached  RunState = "cached"
 )
 
 // runStates lists every state for snapshot counting.
-var runStates = []RunState{StateQueued, StateRunning, StateRetrying, StateDone, StateFailed, StateCached}
+var runStates = []RunState{StateQueued, StateRunning, StateDone, StateFailed, StateCached}
 
 // RunInfo is the live view of one run, as served by /runs.
 type RunInfo struct {
@@ -32,12 +31,10 @@ type RunInfo struct {
 	Hash string `json:"hash,omitempty"`
 	// State is the current lifecycle state.
 	State RunState `json:"state"`
-	// Attempts is how many attempts have started (0 while queued).
-	Attempts int `json:"attempts"`
 	// ElapsedMS is wall time since the run was first queued, frozen when it
 	// reaches a terminal state.
 	ElapsedMS int64 `json:"elapsed_ms"`
-	// Error is the final failure reason (failed runs only).
+	// Error is the failure reason (failed runs only).
 	Error string `json:"error,omitempty"`
 }
 
@@ -88,25 +85,18 @@ func (t *RunTable) Queued(key, hash string) {
 	e.info.State = StateQueued
 }
 
-// Running marks attempt number attempt (1-based) as executing; attempts
-// after the first show as retrying.
-func (t *RunTable) Running(key string, attempt int) {
+// Running marks a run as executing.
+func (t *RunTable) Running(key string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.entry(key)
-	e.info.Attempts = attempt
-	if attempt > 1 {
-		e.info.State = StateRetrying
-	} else {
-		e.info.State = StateRunning
-	}
+	t.entry(key).info.State = StateRunning
 }
 
 // finish moves a run to a terminal state and freezes its elapsed time.
-func (t *RunTable) finish(key string, state RunState, attempts int, errMsg string) {
+func (t *RunTable) finish(key string, state RunState, errMsg string) {
 	if t == nil {
 		return
 	}
@@ -114,24 +104,19 @@ func (t *RunTable) finish(key string, state RunState, attempts int, errMsg strin
 	defer t.mu.Unlock()
 	e := t.entry(key)
 	e.info.State = state
-	if attempts > e.info.Attempts {
-		e.info.Attempts = attempts
-	}
 	e.info.Error = errMsg
 	e.info.ElapsedMS = t.now().Sub(e.started).Milliseconds()
 	e.frozen = true
 }
 
-// Done marks a run as completed successfully after attempts attempts.
-func (t *RunTable) Done(key string, attempts int) { t.finish(key, StateDone, attempts, "") }
+// Done marks a run as completed successfully.
+func (t *RunTable) Done(key string) { t.finish(key, StateDone, "") }
 
-// Failed marks a run as permanently failed.
-func (t *RunTable) Failed(key string, attempts int, errMsg string) {
-	t.finish(key, StateFailed, attempts, errMsg)
-}
+// Failed marks a run as failed.
+func (t *RunTable) Failed(key, errMsg string) { t.finish(key, StateFailed, errMsg) }
 
 // Cached marks a run as served from the on-disk result cache.
-func (t *RunTable) Cached(key string) { t.finish(key, StateCached, 0, "") }
+func (t *RunTable) Cached(key string) { t.finish(key, StateCached, "") }
 
 // Snapshot returns every run in first-seen order, with live elapsed times
 // computed at call time, plus per-state counts.

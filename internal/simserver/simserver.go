@@ -3,7 +3,8 @@
 // the engine's content-addressed run keys, serves repeated requests from the
 // checksummed on-disk store, single-flights concurrent identical requests
 // onto one execution, and runs misses on the bounded worker pool under the
-// engine's retry/timeout/fault machinery.
+// engine's deadline, panic-containment and fault machinery (one attempt per
+// run).
 //
 // The service wraps that engine in a resilience envelope:
 //
@@ -113,8 +114,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// New builds a Server: the experiment engine (worker pool, caches, retry
-// machinery) plus the service envelope (admission, breakers, metrics). It
+// New builds a Server: the experiment engine (worker pool, caches,
+// deadlines) plus the service envelope (admission, breakers, metrics). It
 // fails only when the cache directory cannot be created.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()

@@ -12,8 +12,6 @@ func (h *Health) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(h.Runs.Load()) }, metrics.L("outcome", "ok"))
 	reg.CounterFunc("runner_runs_total", "Simulations by final outcome.",
 		func() float64 { return float64(h.Failures.Load()) }, metrics.L("outcome", "failed"))
-	reg.CounterFunc("runner_retries_total", "Extra attempts spent on transient failures.",
-		func() float64 { return float64(h.Retries.Load()) })
 	reg.CounterFunc("runner_panics_total", "Failed runs whose final failure was a captured panic.",
 		func() float64 { return float64(h.Panics.Load()) })
 	reg.CounterFunc("runner_timeouts_total", "Failed runs abandoned at their per-run deadline.",

@@ -64,7 +64,6 @@ func TestHealthRegisterMetrics(t *testing.T) {
 	h.RegisterMetrics(reg)
 	h.Runs.Add(7)
 	h.Failures.Add(2)
-	h.Retries.Add(3)
 	h.Quarantined.Add(1)
 
 	got := map[string]float64{}
@@ -74,7 +73,6 @@ func TestHealthRegisterMetrics(t *testing.T) {
 	for name, want := range map[string]float64{
 		`runner_runs_total{outcome="ok"}`:     7,
 		`runner_runs_total{outcome="failed"}`: 2,
-		"runner_retries_total":                3,
 		"runner_quarantined_total":            1,
 		"runner_panics_total":                 0,
 	} {

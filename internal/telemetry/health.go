@@ -3,20 +3,16 @@ package telemetry
 import "sync/atomic"
 
 // Health aggregates sweep-level fault-tolerance counters: how many runs
-// completed, how many were retried, and how every failure was classified.
-// It complements the per-run heartbeat stream with whole-campaign liveness —
-// a long sweep that is silently burning its retry budget shows up here long
-// before it fails. All fields are atomic, so the experiment engine updates
-// them from any worker goroutine without locking; readers load them.
+// completed and how every failure was classified. It complements the
+// per-run heartbeat stream with whole-campaign liveness. All fields are
+// atomic, so the experiment engine updates them from any worker goroutine
+// without locking; readers load them.
 type Health struct {
 	// Runs counts simulations that completed successfully.
 	Runs atomic.Int64
-	// Retries counts extra attempts spent on transient failures (a run
-	// that succeeds on attempt 3 adds 2).
-	Retries atomic.Int64
-	// Failures counts runs that permanently failed (after any retries).
+	// Failures counts runs that failed.
 	Failures atomic.Int64
-	// Panics counts failed runs whose final failure was a captured panic.
+	// Panics counts failed runs whose failure was a captured panic.
 	Panics atomic.Int64
 	// Timeouts counts failed runs abandoned at their per-run deadline.
 	Timeouts atomic.Int64

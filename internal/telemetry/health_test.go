@@ -14,12 +14,12 @@ func TestHealthConcurrentCounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				h.Runs.Add(1)
-				h.Retries.Add(2)
+				h.Failures.Add(2)
 			}
 		}()
 	}
 	wg.Wait()
-	if runs, retries := h.Runs.Load(), h.Retries.Load(); runs != 800 || retries != 1600 {
-		t.Errorf("runs=%d retries=%d, want 800 and 1600", runs, retries)
+	if runs, failures := h.Runs.Load(), h.Failures.Load(); runs != 800 || failures != 1600 {
+		t.Errorf("runs=%d failures=%d, want 800 and 1600", runs, failures)
 	}
 }
