@@ -149,6 +149,7 @@ type Cache struct {
 	meta    []blockMeta
 	payload []mem.Addr // Victima frame per way; nil until EnableTLBBlocks
 	policy  repl.Policy
+	bypass  repl.Bypasser // policy when it can bypass fills, else nil
 	lower   Lower
 	lowerC  *Cache // lower when it is another *Cache: direct-call fast path
 	pf      Prefetcher
@@ -225,6 +226,7 @@ func New(cfg Config, lower Lower) (*Cache, error) {
 	if lc, ok := lower.(*Cache); ok {
 		c.lowerC = lc
 	}
+	c.bypass, _ = pol.(repl.Bypasser)
 	c.evictableFn = func(w int) bool {
 		return c.fillAt[c.victimBase+w] <= c.victimIssued
 	}
@@ -457,7 +459,7 @@ func (c *Cache) Access(req *mem.Request, cycle int64) Result {
 	}
 	res := c.lowerAccess(req, start+c.cfg.Latency)
 	a := c.access(req)
-	if bp, ok := c.policy.(repl.Bypasser); ok && bp.ShouldBypass(a) {
+	if c.bypass != nil && c.bypass.ShouldBypass(a) {
 		// Dead-block bypass (CbPred-style): forward without allocating.
 		c.st.Bypasses++
 	} else {

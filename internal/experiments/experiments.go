@@ -546,9 +546,11 @@ func (r *Runner) cached(ctx context.Context, timeout time.Duration,
 		if err != nil {
 			err = fmt.Errorf("run refused: %w", err)
 		} else {
-			r.runsTable.Running(id)
-			r.recorder.Record(metrics.Event{Kind: metrics.EventRunStarted, Run: id, Attempt: 1})
 			r.pool.Run(func() {
+				// A run waiting for a slot stays queued: it starts running
+				// only once it holds one.
+				r.runsTable.Running(id)
+				r.recorder.Record(metrics.Event{Kind: metrics.EventRunStarted, Run: id, Attempt: 1})
 				// The fault check runs inside the bound, so a deadline or
 				// Cancel cuts an injected stall short like a slow run.
 				out, err = runner.Bounded(ctx, timeout, func() (*system.Result, error) {

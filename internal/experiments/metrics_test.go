@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -10,7 +11,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"atcsim/internal/experiments/runner"
 	"atcsim/internal/faultinject"
 	"atcsim/internal/metrics"
 	"atcsim/internal/system"
@@ -120,6 +123,64 @@ func TestMetricsEndpointsAfterSweep(t *testing.T) {
 	code, body = get("/flightrecorder")
 	if code != 200 || !strings.Contains(body, `"kind":"run-done"`) {
 		t.Errorf("/flightrecorder = %d %q", code, body)
+	}
+}
+
+// TestRunStatesCountSlotHolders submits five runs whose simulations block
+// to a runner at Jobs 2. Only the two runs holding a pool slot may read as
+// running (and have a run-started event); the three waiting for a slot
+// must read as queued.
+func TestRunStatesCountSlotHolders(t *testing.T) {
+	const runs, jobs = 5, 2
+	rec := metrics.NewFlightRecorder(64)
+	r, err := NewRunnerWith(engineScale(), Options{Jobs: jobs, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Cancel()
+	release := make(chan struct{})
+	started := make(chan struct{}, runs)
+	sim := func() (*system.Result, error) {
+		started <- struct{}{}
+		<-release
+		return new(system.Result), nil
+	}
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := fmt.Sprintf("blocked-%d", i)
+			if _, _, err := r.cached(r.ctx, 0, "gauges", name, runner.KindSingle,
+				[]string{name}, []int64{1}, system.DefaultConfig(), sim); err != nil {
+				t.Errorf("run %s: %v", name, err)
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(release)
+
+	for range jobs {
+		<-started
+	}
+	// Wait until every run has entered the table; none can finish.
+	var counts map[metrics.RunState]int
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, counts = r.runsTable.Snapshot()
+		if counts[metrics.StateQueued]+counts[metrics.StateRunning] == runs || time.Now().After(deadline) {
+			break
+		}
+	}
+	if counts[metrics.StateRunning] != jobs || counts[metrics.StateQueued] != runs-jobs {
+		t.Errorf("with %d runs blocked at Jobs %d: %d running, %d queued; want %d and %d",
+			runs, jobs, counts[metrics.StateRunning], counts[metrics.StateQueued], jobs, runs-jobs)
+	}
+	var dump bytes.Buffer
+	if _, err := rec.WriteTo(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(dump.String(), `"kind":"run-started"`); got != jobs {
+		t.Errorf("%d run-started events before any run finished, want %d:\n%s", got, jobs, dump.String())
 	}
 }
 

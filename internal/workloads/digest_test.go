@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"runtime"
 	"testing"
 
 	"atcsim/internal/trace"
@@ -103,11 +104,12 @@ func boolByte(v bool) byte {
 func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 
 // TestBuildGraphMatchesEdgeListReference checks the bucketed builder, at
-// every bucket split from one bucket to one per vertex, against the
-// straightforward construction it replaced — buffer the edge list, then
-// counting-sort it into CSR — on small and degenerate shapes: degree 1,
-// degree 0 (no edges), one vertex, and a sparse shape whose finer splits
-// leave buckets empty.
+// every bucket split from one bucket to one per vertex and at 1, 2, 3 and
+// 7 workers, against the straightforward construction it replaced —
+// buffer the edge list, then counting-sort it into CSR — on small and
+// degenerate shapes: degree 1, degree 0 (no edges), one vertex, a sparse
+// shape whose finer splits leave buckets empty, and edge counts the worker
+// counts do not divide (3 edges over 7 workers leaves some workers none).
 func TestBuildGraphMatchesEdgeListReference(t *testing.T) {
 	for _, c := range []struct {
 		logN, degree int
@@ -117,11 +119,13 @@ func TestBuildGraphMatchesEdgeListReference(t *testing.T) {
 		{10, 1, 3, false}, {6, 0, 9, true}, {8, 1, 11, true}} {
 		wantOffsets, wantEdges := edgeListGraph(c.logN, c.degree, c.seed)
 		for bits := 0; bits <= c.logN; bits++ {
-			offsets, edges := allRows(buildGraph(c.logN, c.degree, c.seed, bits))
-			if digestInt32s(offsets) != digestInt32s(wantOffsets) ||
-				digestInt32s(edges) != digestInt32s(wantEdges) {
-				t.Errorf("buildGraph(%d, %d, %d) with %d bucket bits differs from the edge-list reference",
-					c.logN, c.degree, c.seed, bits)
+			for _, workers := range []int{1, 2, 3, 7} {
+				offsets, edges := allRows(buildGraph(c.logN, c.degree, c.seed, bits, workers))
+				if digestInt32s(offsets) != digestInt32s(wantOffsets) ||
+					digestInt32s(edges) != digestInt32s(wantEdges) {
+					t.Errorf("buildGraph(%d, %d, %d) with %d bucket bits and %d workers differs from the edge-list reference",
+						c.logN, c.degree, c.seed, bits, workers)
+				}
 			}
 		}
 		sawEmpty := false
@@ -134,6 +138,15 @@ func TestBuildGraphMatchesEdgeListReference(t *testing.T) {
 	}
 	if got, want := bucketBits(defaultLogN, defaultDegree), 6; got != want {
 		t.Errorf("bucketBits at the default shape = %d, want %d (512 KiB segments)", got, want)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ m, want int }{
+		{0, 1}, {workerEdges - 1, 1}, {2*workerEdges - 1, 1},
+		{3 * workerEdges, min(3, procs)}, {1 << 23, min(1<<23/workerEdges, procs)},
+	} {
+		if got := buildWorkers(c.m); got != c.want {
+			t.Errorf("buildWorkers(%d) = %d at GOMAXPROCS %d, want %d", c.m, got, procs, c.want)
+		}
 	}
 }
 

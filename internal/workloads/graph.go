@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"runtime"
 	"sync"
 
 	"atcsim/internal/mem"
@@ -71,14 +72,22 @@ const (
 // them from the edge index alone. The sources are split by their high bits
 // into buckets of consecutive vertices, so each bucket's rows are one
 // contiguous segment of the edge array. BuildGraph makes two passes over
-// the stream:
+// the stream, each split across up to GOMAXPROCS workers (buildWorkers);
+// worker k owns the contiguous edge range [k·m/W, (k+1)·m/W):
 //
-//   - Totals: draw each source in stream order (skipping the destination
-//     draw) and count its bucket's edges. A prefix sum over the buckets
-//     gives each segment's start, which is the row start of the bucket's
-//     first vertex.
-//   - Bucket: scan the stream again and write each edge's index at its
-//     bucket's cursor: one sequential write stream per bucket.
+//   - Totals: each worker draws the sources of its range (never the
+//     destinations) and counts them into its own row of a
+//     worker × bucket table. A prefix sum in (bucket, worker) order gives
+//     each segment's start, which is the row start of the bucket's first
+//     vertex, and each worker its own cursor inside each segment.
+//   - Bucket: each worker scans its range again and writes each edge's
+//     index at its own cursor in the edge's bucket: one sequential write
+//     stream per worker and bucket.
+//
+// Inside a segment the workers' slices follow worker order, and each
+// worker writes its range in stream order, so every segment holds its edge
+// indices in stream order whatever the worker count: the output does not
+// depend on W. One worker runs on the calling goroutine.
 //
 // A bucket's rows are finalized the first time a kernel reads one of them.
 // The finalize copies the segment's indices and their sources into scratch
@@ -99,9 +108,10 @@ const (
 // of pr, cc or mis read 2 of the 64), so it pays for few finalizes.
 // Besides the two CSR arrays the graph keeps two scratch buffers the size
 // of the largest segment (about 1/64 of the edges, because sources are
-// uniform), one cursor per vertex of a bucket and one sync.Once per bucket.
+// uniform), one cursor per vertex of a bucket and one sync.Once per bucket;
+// the build's worker × bucket table is dropped when it returns.
 func BuildGraph(logN, degree int, seed int64) *Graph {
-	return buildGraph(logN, degree, seed, bucketBits(logN, degree))
+	return buildGraph(logN, degree, seed, bucketBits(logN, degree), buildWorkers((1<<logN)*degree))
 }
 
 // segmentEdges is the largest average bucket segment: 2^17 int32 edges,
@@ -125,42 +135,80 @@ func bucketBits(logN, degree int) int {
 	return min(b, logN)
 }
 
-// buildGraph is BuildGraph with 2^bits buckets, 0 ≤ bits ≤ logN.
-func buildGraph(logN, degree int, seed int64, bits int) *Graph {
+// workerEdges is the fewest edges worth a build worker of their own: a
+// pass over 2^16 edges takes about a millisecond, far more than starting
+// a goroutine.
+const workerEdges = 1 << 16
+
+// buildWorkers returns how many workers build a graph of m edges: one per
+// GOMAXPROCS, but no more than give each at least workerEdges, and at
+// least one.
+func buildWorkers(m int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), m/workerEdges))
+}
+
+// buildGraph is BuildGraph with 2^bits buckets, 0 ≤ bits ≤ logN, built by
+// workers ≥ 1 workers.
+func buildGraph(logN, degree int, seed int64, bits, workers int) *Graph {
 	n := 1 << logN
 	m := n * degree
 	mask := uint64(n - 1) // n is a power of two: & mask is % n
 	shift := logN - bits
+	buckets := 1 << bits
+	draws := *newRNG(seed)
 
 	// Bucket b holds sources [b<<shift, (b+1)<<shift): the segment
-	// edges[offsets[b<<shift]:offsets[(b+1)<<shift]].
-	cursor := make([]int32, 1<<bits)
-	r := newRNG(seed)
-	for i := 0; i < m; i++ {
-		cursor[(r.next()&mask)>>shift]++
-		r.skip() // the destination draw
-	}
+	// edges[offsets[b<<shift]:offsets[(b+1)<<shift]]. Row k of cursor is
+	// worker k's: its edge count per bucket, then its cursor per segment.
+	cursor := make([]int32, workers*buckets)
+	split(workers, m, func(k, lo, hi int) {
+		counts := cursor[k*buckets : (k+1)*buckets]
+		for i := lo; i < hi; i++ {
+			counts[(draws.at(2*uint64(i))&mask)>>shift]++
+		}
+	})
 	offsets := make([]int32, n+1)
 	start, largest := int32(0), int32(0)
-	for b, count := range cursor {
+	for b := range buckets {
 		offsets[b<<shift] = start
-		cursor[b] = start
-		start += count
-		largest = max(largest, count)
+		first := start
+		for k := b; k < len(cursor); k += buckets {
+			count := cursor[k]
+			cursor[k] = start
+			start += count
+		}
+		largest = max(largest, start-first)
 	}
 	offsets[n] = int32(m)
 
 	edges := make([]int32, m)
-	r = newRNG(seed)
-	for i := 0; i < m; i++ {
-		b := (r.next() & mask) >> shift
-		r.skip()
-		edges[cursor[b]] = int32(i)
-		cursor[b]++
-	}
+	split(workers, m, func(k, lo, hi int) {
+		cur := cursor[k*buckets : (k+1)*buckets]
+		for i := lo; i < hi; i++ {
+			b := (draws.at(2*uint64(i)) & mask) >> shift
+			edges[cur[b]] = int32(i)
+			cur[b]++
+		}
+	})
 	return &Graph{N: n, M: m, offsets: offsets, edges: edges,
-		shift: shift, draws: *newRNG(seed), once: make([]sync.Once, 1<<bits),
+		shift: shift, draws: draws, once: make([]sync.Once, buckets),
 		index: make([]int32, largest), row: make([]int32, largest), cursor: make([]int32, 1<<shift)}
+}
+
+// split calls pass(k, k·m/workers, (k+1)·m/workers) for every worker k at
+// once and returns when all have returned. Worker 0 runs on the calling
+// goroutine, so one worker starts no goroutine.
+func split(workers, m int, pass func(k, lo, hi int)) {
+	var wg sync.WaitGroup
+	for k := 1; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pass(k, k*m/workers, (k+1)*m/workers)
+		}()
+	}
+	pass(0, 0, m/workers)
+	wg.Wait()
 }
 
 // finalize builds the rows of bucket b from its segment of edge indices.

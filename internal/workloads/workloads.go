@@ -129,12 +129,9 @@ func mix(z uint64) uint64 {
 	return z ^ z>>31
 }
 
-// skip advances the stream past one value without computing it: splitmix64
-// is counter-based, so drawing and discarding a value only moves the counter.
-func (r *rng) skip() { r.s += golden }
-
 // at returns the value the k-th next call from here (counting from 0) would
-// draw, without advancing the stream — the counter-based view of skip.
+// draw, without advancing the stream: splitmix64 is counter-based, so any
+// draw is a function of its position alone.
 func (r *rng) at(k uint64) uint64 { return mix(r.s + (k+1)*golden) }
 
 // intn returns a uniform value in [0, n).
