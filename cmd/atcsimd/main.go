@@ -6,7 +6,6 @@
 //	atcsimd -addr localhost:9799 -cache-dir .simcache
 //	atcsimd -addr localhost:9799 -scale quick -jobs 4
 //	atcsimd -addr localhost:9799 -admit-rate 50 -admit-burst 16 -admit-queue 32
-//	atcsimd -addr localhost:9799 -breaker-threshold 3 -breaker-cooldown 10s
 //	atcsimd -addr localhost:9799 -flight-recorder crash.jsonl
 //
 // Submit work with POST /v1/run:
@@ -14,12 +13,14 @@
 //	curl -s localhost:9799/v1/run -d '{"workload":"mcf","seed":1,"enhancement":"tempo"}'
 //
 // The service sheds load with 429 + Retry-After once its admission queue
-// saturates, trips a per-kind circuit breaker on repeated failures, and
-// drains gracefully on SIGINT/SIGTERM: readiness (/readyz) flips to 503,
-// in-flight runs finish (bounded by -drain-grace), the flight recorder is
-// flushed, and the process exits 0. A kill at any instant — even SIGKILL
-// mid-store — leaves no torn cache entries; a restart on the same
-// -cache-dir resumes from every completed result.
+// saturates, answers every repeat of a failed run (a missed deadline or a
+// cancellation aside) with the same 500 without
+// running it again (a run is deterministic), and drains gracefully on
+// SIGINT/SIGTERM: readiness (/readyz) flips to 503, in-flight runs finish
+// (bounded by -drain-grace), the flight recorder is flushed, and the
+// process exits 0. A kill at any instant — even SIGKILL mid-store — leaves
+// no torn cache entries; a restart on the same -cache-dir resumes from
+// every completed result.
 package main
 
 import (
@@ -68,9 +69,6 @@ func run(args []string) (int, error) {
 		admitRate   = fs.Float64("admit-rate", 200, "admission token refill rate in requests/sec")
 		admitBurst  = fs.Int("admit-burst", 64, "admission token-bucket capacity")
 		admitQueue  = fs.Int("admit-queue", 128, "admission waiter-queue bound before shedding with 429")
-		brkWindow   = fs.Int("breaker-window", 8, "circuit-breaker sliding window of run outcomes per kind")
-		brkThresh   = fs.Int("breaker-threshold", 5, "failures within the window that trip a kind's breaker")
-		brkCooldown = fs.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker stays open before half-open probes")
 		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "how long a graceful drain waits for in-flight runs")
 		recorderOut = fs.String("flight-recorder", "", "flight-recorder dump file (written on failures and at drain)")
 		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
@@ -106,17 +104,14 @@ func run(args []string) (int, error) {
 		recorder.SetSink(*recorderOut)
 	}
 	srv, err := simserver.New(simserver.Config{
-		Scale:            sc,
-		Jobs:             *jobs,
-		CacheDir:         *cacheDir,
-		RunTimeout:       *runTimeout,
-		Recorder:         recorder,
-		AdmitRate:        *admitRate,
-		AdmitBurst:       *admitBurst,
-		AdmitQueue:       *admitQueue,
-		BreakerWindow:    *brkWindow,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCooldown,
+		Scale:      sc,
+		Jobs:       *jobs,
+		CacheDir:   *cacheDir,
+		RunTimeout: *runTimeout,
+		Recorder:   recorder,
+		AdmitRate:  *admitRate,
+		AdmitBurst: *admitBurst,
+		AdmitQueue: *admitQueue,
 	})
 	if err != nil {
 		return exitFailed, err

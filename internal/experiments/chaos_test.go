@@ -139,9 +139,10 @@ func TestChaos(t *testing.T) {
 }
 
 // TestRunFaultCostsOneAttempt: a SiteRun fault that would heal on its
-// second consultation costs its run exactly one attempt. The request fails
-// with a *RunError, and a later request for the same key — after the
-// single-flight entry re-arms — computes it successfully.
+// second consultation costs its key exactly one attempt. The request fails
+// with a *RunError, and the failure is memoized: a later request for the
+// same key returns the same *RunError without consulting the plan or
+// running again.
 func TestRunFaultCostsOneAttempt(t *testing.T) {
 	plan := faultinject.NewPlan(1, faultinject.Rule{
 		Site: faultinject.SiteRun, Match: "one/xalancbmk", Kind: faultinject.KindIOErr, Until: 1})
@@ -154,16 +155,36 @@ func TestRunFaultCostsOneAttempt(t *testing.T) {
 	if !errors.As(err, &re) || re.Label != "one" || re.Name != "xalancbmk" {
 		t.Fatalf("faulted run = %v, want a *RunError for one/xalancbmk", err)
 	}
+	res, src, err2 := r.RunOne(context.Background(), "one", "xalancbmk", 1, 0, nil)
+	if res != nil || src != SourceShared || err2 != err {
+		t.Errorf("second request = (%v, %s, %v), want the memoized *RunError %v", res != nil, src, err2, err)
+	}
 	if got := plan.Fired(faultinject.KindIOErr); got != 1 || r.Runs() != 0 || r.Health().Failures.Load() != 1 {
-		t.Errorf("after the failure: fired %d, runs %d, failures %d; want 1, 0, 1",
+		t.Errorf("after two requests: fired %d, runs %d, failures %d; want 1, 0, 1",
 			got, r.Runs(), r.Health().Failures.Load())
 	}
-	res, src, err := r.RunOne(context.Background(), "one", "xalancbmk", 1, 0, nil)
-	if err != nil || res == nil || src != SourceComputed {
-		t.Fatalf("second request = (%v, %s, %v), want a fresh compute", res != nil, src, err)
+}
+
+// TestDeadlineFailureRearms: a run that misses its deadline failed on the
+// caller's deadline, not on its key, so the failure is not memoized — a
+// later request for the same key without the short deadline computes it.
+func TestDeadlineFailureRearms(t *testing.T) {
+	plan := faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SiteRun, Match: "slow/xalancbmk", Kind: faultinject.KindSlow, Until: 1, Delay: 2 * time.Second})
+	r, err := NewRunnerWith(engineScale(), Options{Jobs: 1, Faults: plan})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.Runs() != 1 {
-		t.Errorf("Runs = %d, want 1", r.Runs())
+	_, _, err = r.RunOne(context.Background(), "slow", "xalancbmk", 1, 50*time.Millisecond, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled run = %v, want the deadline error", err)
+	}
+	res, src, err := r.RunOne(context.Background(), "slow", "xalancbmk", 1, 0, nil)
+	if err != nil || res == nil || src != SourceComputed {
+		t.Fatalf("request after the deadline failure = (%v, %s, %v), want a fresh compute", res != nil, src, err)
+	}
+	if r.Runs() != 1 || r.Health().Timeouts.Load() != 1 {
+		t.Errorf("runs %d, timeouts %d; want 1 and 1", r.Runs(), r.Health().Timeouts.Load())
 	}
 }
 

@@ -513,9 +513,11 @@ const (
 // persisting the fresh result. Sweep-driven callers pass the sweep context
 // and runner-wide deadline; service callers thread a per-request
 // context/deadline through instead. A failure (including a captured panic)
-// is returned as a *RunError carrying the label/name run identity; the
-// failed cache entry re-arms, so a later request for the same key computes
-// afresh instead of inheriting the failure.
+// is returned as a *RunError carrying the label/name run identity. The run
+// is deterministic, so the failure is memoized like a result: a later
+// request for the same key gets the same *RunError without running again.
+// Only a failure from the context (cancellation or a deadline) re-arms the
+// key for a later request to compute.
 func (r *Runner) cached(ctx context.Context, timeout time.Duration,
 	label, name, kind string, names []string, seeds []int64,
 	cfg system.Config, sim func() (*system.Result, error)) (*system.Result, RunSource, error) {

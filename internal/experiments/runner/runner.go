@@ -12,9 +12,14 @@
 // length and the fully-resolved machine configuration) and the cache
 // guarantees that one Key maps to at most one execution per process — and,
 // with a Disk attached, at most one execution per cache directory lifetime.
+// A run is deterministic, so its failure is memoized like its result; only
+// a failure caused by the caller's context (cancellation or a deadline)
+// leaves the key to compute again. The disk stores successes only.
 package runner
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"sync"
 )
@@ -60,11 +65,13 @@ type call[V any] struct {
 // same key wait for that computation, and later Dos return the stored value
 // immediately.
 //
-// Failures do not poison the cache: a compute that returns an error or
-// panics delivers that failure to the computing caller and to every caller
-// already waiting, then the entry is re-armed (removed), so a later Do for
-// the same key runs the computation again instead of replaying the
-// failure forever. Only successful values are memoized.
+// Failures are results: a compute is a deterministic function of its key,
+// so an error or panic is memoized like a value and every later Do returns
+// the same error (or re-raises the same panic) without computing again.
+// The one exception is an error wrapping context.Canceled or
+// context.DeadlineExceeded: it depends on the caller's context, not on the
+// key, so it is delivered to the callers already waiting and the entry is
+// re-armed (removed) for the next Do to compute afresh.
 type Cache[V any] struct {
 	mu sync.Mutex
 	m  map[string]*call[V]
@@ -75,8 +82,8 @@ func NewCache[V any]() *Cache[V] {
 	return &Cache[V]{m: make(map[string]*call[V])}
 }
 
-// Do returns the value for key, computing it via compute at most once per
-// cache while the computation succeeds. fresh reports whether this call
+// Do returns the outcome for key, computing it via compute at most once per
+// cache unless it fails on a context error. fresh reports whether this call
 // performed the computation (false for memoization hits and for callers
 // that waited on another goroutine's computation). A compute panic is
 // re-raised in the computing caller and in every waiting caller.
@@ -96,9 +103,9 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (val V, fresh bool,
 
 	defer func() {
 		cl.panicked = recover()
-		if cl.panicked != nil || cl.err != nil {
-			// Deliver the failure to everyone already waiting, but re-arm
-			// the entry so future callers recompute instead of inheriting it.
+		if errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded) {
+			// The caller's context failed, not the key: deliver the failure
+			// to everyone already waiting, but re-arm the entry.
 			c.mu.Lock()
 			delete(c.m, key)
 			c.mu.Unlock()

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -101,53 +102,79 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCachePanicPropagatesAndRearms: the computing caller (and any caller
-// already waiting) sees the panic, but the failure is delivered exactly
-// once per computation — the entry re-arms, so the next Do retries and can
-// succeed. A panicked compute must never poison the key forever.
+// TestCachePanicPropagates: the computing caller sees the panic, and the
+// panic is memoized like a result — the compute runs once, and every later
+// Do re-raises the same panic without computing again.
 func TestCachePanicPropagates(t *testing.T) {
 	c := NewCache[int]()
-	mustPanic := func(f func()) (msg any) {
+	recovered := func(f func()) (msg any) {
 		defer func() { msg = recover() }()
 		f()
 		return nil
 	}
-	if m := mustPanic(func() { c.Do("bad", func() (int, error) { panic("boom") }) }); m != "boom" {
-		t.Fatalf("computing caller recovered %v", m)
+	var computes atomic.Int32
+	for i := 0; i < 3; i++ {
+		m := recovered(func() {
+			c.Do("bad", func() (int, error) {
+				computes.Add(1)
+				panic("boom")
+			})
+		})
+		if m != "boom" {
+			t.Fatalf("Do %d recovered %v, want boom", i, m)
+		}
 	}
-	// The failed entry was re-armed: a later Do retries the computation
-	// instead of replaying the stale panic.
-	v, fresh, err := c.Do("bad", func() (int, error) { return 7, nil })
-	if v != 7 || !fresh || err != nil {
-		t.Fatalf("retry after panic = (%d, fresh=%v, %v), want fresh 7", v, fresh, err)
+	if n := computes.Load(); n != 1 {
+		t.Errorf("panicking compute ran %d times, want 1", n)
 	}
-	// And the successful value is now memoized normally.
-	if v, fresh, _ := c.Do("bad", func() (int, error) { return 0, nil }); v != 7 || fresh {
-		t.Fatalf("memoized after retry = (%d, fresh=%v)", v, fresh)
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
 	}
 }
 
-// TestCacheErrorRearms: compute errors behave like panics — delivered to
-// the computing caller, never memoized.
+// TestCacheErrorRearms: an error is memoized like a value — the compute
+// runs once and later Dos return the same error with fresh=false — except
+// an error from the caller's context (cancellation or a deadline), which
+// re-arms the key so the next Do computes afresh.
 func TestCacheErrorRearms(t *testing.T) {
 	c := NewCache[int]()
-	sentinel := errors.New("transient")
-	if _, _, err := c.Do("k", func() (int, error) { return 0, sentinel }); !errors.Is(err, sentinel) {
-		t.Fatalf("first Do err = %v", err)
+	sentinel := errors.New("permanent")
+	var computes atomic.Int32
+	failing := func() (int, error) {
+		computes.Add(1)
+		return 0, sentinel
 	}
-	if c.Len() != 0 {
-		t.Fatalf("failed entry still resident: Len = %d", c.Len())
+	if _, fresh, err := c.Do("k", failing); !fresh || err != sentinel {
+		t.Fatalf("first Do = (fresh=%v, %v), want a fresh sentinel", fresh, err)
 	}
-	v, fresh, err := c.Do("k", func() (int, error) { return 9, nil })
-	if v != 9 || !fresh || err != nil {
-		t.Fatalf("retry = (%d, fresh=%v, %v)", v, fresh, err)
+	for i := 0; i < 3; i++ {
+		if _, fresh, err := c.Do("k", failing); fresh || err != sentinel {
+			t.Fatalf("memoized Do %d = (fresh=%v, %v), want the sentinel, not fresh", i, fresh, err)
+		}
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("failing compute ran %d times, want 1", n)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
+	}
+
+	for _, ctxErr := range []error{context.Canceled, context.DeadlineExceeded} {
+		key := ctxErr.Error()
+		_, _, err := c.Do(key, func() (int, error) { return 0, fmt.Errorf("run abandoned: %w", ctxErr) })
+		if !errors.Is(err, ctxErr) {
+			t.Fatalf("%s: first Do err = %v", key, err)
+		}
+		v, fresh, err := c.Do(key, func() (int, error) { return 9, nil })
+		if v != 9 || !fresh || err != nil {
+			t.Errorf("%s: Do after the context failure = (%d, fresh=%v, %v), want a fresh 9", key, v, fresh, err)
+		}
 	}
 }
 
 // TestCacheFailureDeliveredToWaiters: goroutines waiting on a computation
-// that fails observe exactly that failure; goroutines arriving after the
-// entry re-arms retry cleanly. Either way nobody hangs and nobody inherits
-// a stale failure on a later call.
+// that fails observe exactly that failure, and so does a caller arriving
+// after it finished — nobody hangs and nobody computes again.
 func TestCacheFailureDeliveredToWaiters(t *testing.T) {
 	c := NewCache[int]()
 	started := make(chan struct{})
@@ -155,11 +182,16 @@ func TestCacheFailureDeliveredToWaiters(t *testing.T) {
 	sentinel := errors.New("boom")
 
 	var wg sync.WaitGroup
-	var sawFailure, retried atomic.Int32
+	var sawFailure, computes atomic.Int32
+	compute := func() (int, error) {
+		computes.Add(1)
+		return 7, nil
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		c.Do("k", func() (int, error) {
+			computes.Add(1)
 			close(started)
 			<-release
 			return 0, sentinel
@@ -173,27 +205,29 @@ func TestCacheFailureDeliveredToWaiters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			arrived.Done()
-			_, fresh, err := c.Do("k", func() (int, error) { return 7, nil })
-			switch {
-			case !fresh && errors.Is(err, sentinel):
-				sawFailure.Add(1) // parked on the failing computation
-			case err == nil:
-				retried.Add(1) // arrived after re-arm, computed or memoized
-			default:
-				t.Errorf("waiter got (fresh=%v, %v)", fresh, err)
+			_, fresh, err := c.Do("k", compute)
+			if fresh || err != sentinel {
+				t.Errorf("waiter got (fresh=%v, %v), want the shared failure", fresh, err)
+				return
 			}
+			sawFailure.Add(1)
 		}()
 	}
 	arrived.Wait()
 	close(release)
 	wg.Wait()
-	if sawFailure.Load()+retried.Load() != 4 {
-		t.Errorf("failures=%d retries=%d, want 4 total", sawFailure.Load(), retried.Load())
+	if n := sawFailure.Load(); n != 4 {
+		t.Errorf("%d of 4 waiters saw the failure", n)
 	}
-	// The failure was not memoized: the key now computes (or holds 7).
-	v, _, err := c.Do("k", func() (int, error) { return 7, nil })
-	if v != 7 || err != nil {
-		t.Errorf("post-failure Do = (%d, %v)", v, err)
+	// A late caller inherits the memoized failure too.
+	if _, fresh, err := c.Do("k", compute); fresh || err != sentinel {
+		t.Errorf("late Do = (fresh=%v, %v), want the memoized failure", fresh, err)
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("compute ran %d times, want 1", n)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 	"time"
 )
 
-// fakeClock is a manually-advanced time source for admission and breaker
-// tests.
+// fakeClock is a manually-advanced time source for admission tests.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time

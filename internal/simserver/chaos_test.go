@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,12 +32,12 @@ func chaosShapes() []RunRequest {
 	return shapes
 }
 
-// submitUntilDone drives one request to completion, re-submitting on 429
-// (after the advertised Retry-After, capped for test speed), on 503
-// breaker refusals and after a 500 run failure (an injected fault fails its
-// run's single attempt; the re-armed key computes on resubmission). It
-// fails the test on any other non-200 outcome.
-func submitUntilDone(t *testing.T, client *http.Client, base string, req RunRequest) RunResponse {
+// submitUntilDone drives one request to a final answer, re-submitting on
+// 429 (after the advertised Retry-After, capped for test speed). A 200 or a
+// 500 is final — a failed run's failure is memoized, so resubmitting it
+// would only answer the same 500 — and any other status fails the test. It
+// returns the final status and body.
+func submitUntilDone(t *testing.T, client *http.Client, base string, req RunRequest) (int, []byte) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
@@ -45,12 +46,8 @@ func submitUntilDone(t *testing.T, client *http.Client, base string, req RunRequ
 		}
 		resp, payload := postWith(t, client, base+"/v1/run", req)
 		switch resp.StatusCode {
-		case http.StatusOK:
-			var rr RunResponse
-			if err := json.Unmarshal(payload, &rr); err != nil {
-				t.Fatalf("decode: %v (%s)", err, payload)
-			}
-			return rr
+		case http.StatusOK, http.StatusInternalServerError:
+			return resp.StatusCode, payload
 		case http.StatusTooManyRequests:
 			// Acceptance: every shed response must carry a Retry-After hint.
 			ra := resp.Header.Get("Retry-After")
@@ -66,8 +63,6 @@ func submitUntilDone(t *testing.T, client *http.Client, base string, req RunRequ
 				wait = 50 * time.Millisecond // honor the hint's spirit, not its tail
 			}
 			time.Sleep(wait)
-		case http.StatusServiceUnavailable, http.StatusInternalServerError:
-			time.Sleep(20 * time.Millisecond)
 		default:
 			t.Fatalf("request %+v: unexpected status %d: %s", req, resp.StatusCode, payload)
 		}
@@ -93,17 +88,16 @@ func postWith(t *testing.T, client *http.Client, url string, body any) (*http.Re
 }
 
 // TestChaosConcurrentLoad is the load-test acceptance gate: 240 concurrent
-// requests over 12 distinct run keys, against a server with seeded
-// healing faults and a tight admission envelope. Exactly one simulation
-// per distinct key may execute; every response for a key must be
-// byte-identical; shed responses must carry Retry-After; everything must
-// eventually succeed.
+// requests over 12 distinct run keys, against a server where every mcf run
+// fails and a tight admission envelope sheds traffic. Each mcf key is
+// consulted once and every response for it is the same 500 body; every
+// other key is computed exactly once and every response for it is
+// byte-identical; shed responses must carry Retry-After.
 func TestChaosConcurrentLoad(t *testing.T) {
 	dir := t.TempDir()
 	faults := faultinject.NewPlan(7,
-		// The first mcf run of each enhancement fails its single attempt;
-		// its waiters resubmit and the re-armed key computes once.
-		faultinject.Rule{Site: faultinject.SiteRun, Match: "mcf", Kind: faultinject.KindIOErr, Until: 1},
+		// Every mcf key fails its one run; its failure is memoized.
+		faultinject.Rule{Site: faultinject.SiteRun, Match: "mcf", Kind: faultinject.KindPermanent},
 		// A few slow runs stretch the in-flight window so coalescing and
 		// queue depth are actually exercised.
 		faultinject.Rule{Site: faultinject.SiteRun, Match: "pr", Kind: faultinject.KindSlow, Until: 1, Delay: 30 * time.Millisecond},
@@ -115,69 +109,107 @@ func TestChaosConcurrentLoad(t *testing.T) {
 		c.AdmitRate = 2000
 		c.AdmitBurst = 32
 		c.AdmitQueue = 64
-		// Every request coalesced onto a failed mcf compute reports the
-		// shared failure, so it may trip its kind's breaker; a short
-		// cooldown lets the resubmissions probe it closed again.
-		c.BreakerCooldown = 50 * time.Millisecond
 	})
 
 	shapes := chaosShapes()
 	const clients = 240
 	client := ts.Client()
+	type answer struct {
+		status int
+		body   []byte
+	}
+	answers := make([][]answer, len(shapes)) // shape index → every answer
 	var mu sync.Mutex
-	results := make(map[string][][]byte) // key → every result payload seen
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rr := submitUntilDone(t, client, ts.URL, shapes[i%len(shapes)])
+			status, body := submitUntilDone(t, client, ts.URL, shapes[i%len(shapes)])
 			mu.Lock()
-			results[rr.Key] = append(results[rr.Key], rr.Result)
+			answers[i%len(shapes)] = append(answers[i%len(shapes)], answer{status, body})
 			mu.Unlock()
 		}(i)
 	}
 	wg.Wait()
 
-	if len(results) != len(shapes) {
-		t.Errorf("distinct keys = %d, want %d", len(results), len(shapes))
-	}
-	total := 0
-	for key, payloads := range results {
-		total += len(payloads)
-		for i := 1; i < len(payloads); i++ {
-			if !bytes.Equal(payloads[0], payloads[i]) {
-				t.Errorf("key %s: response %d differs from response 0", key, i)
+	total, failedKeys := 0, 0
+	results := make(map[string][]byte) // key → result payload
+	for i, shape := range shapes {
+		got := answers[i]
+		total += len(got)
+		wantStatus := http.StatusOK
+		if shape.Workload == "mcf" {
+			wantStatus = http.StatusInternalServerError
+			failedKeys++
+		}
+		for j, a := range got {
+			if a.status != wantStatus {
+				t.Errorf("%+v answer %d: status %d, want %d: %s", shape, j, a.status, wantStatus, a.body)
+			}
+		}
+		if wantStatus == http.StatusInternalServerError {
+			for j := 1; j < len(got); j++ {
+				if !bytes.Equal(got[0].body, got[j].body) {
+					t.Errorf("%+v: 500 body %d differs from body 0:\n%s\n%s", shape, j, got[j].body, got[0].body)
+					break
+				}
+			}
+			continue
+		}
+		var first RunResponse
+		for j, a := range got {
+			var rr RunResponse
+			if err := json.Unmarshal(a.body, &rr); err != nil {
+				t.Fatalf("decode: %v (%s)", err, a.body)
+			}
+			if j == 0 {
+				first = rr
+				results[rr.Key] = rr.Result
+			} else if rr.Key != first.Key || !bytes.Equal(rr.Result, first.Result) {
+				t.Errorf("%+v: response %d differs from response 0", shape, j)
 				break
 			}
 		}
 	}
 	if total != clients {
-		t.Errorf("completed responses = %d, want %d", total, clients)
+		t.Errorf("answered requests = %d, want %d", total, clients)
 	}
-	// Exactly one successful compute per distinct key, regardless of
-	// concurrency, shedding and resubmission.
-	if runs := s.Runner().Runs(); runs != len(shapes) {
-		t.Errorf("Runs() = %d, want exactly %d (one per distinct key)", runs, len(shapes))
+	computedKeys := len(shapes) - failedKeys
+	if len(results) != computedKeys {
+		t.Errorf("distinct computed keys = %d, want %d", len(results), computedKeys)
+	}
+	// One consultation per failing key: the plan fires on every
+	// consultation, so any repeat would fire again.
+	if fired := faults.Fired(faultinject.KindPermanent); fired != failedKeys {
+		t.Errorf("permanent faults fired %d times, want %d (one per mcf key)", fired, failedKeys)
+	}
+	if f := s.Runner().Health().Failures.Load(); f != int64(failedKeys) {
+		t.Errorf("Health.Failures = %d, want %d", f, failedKeys)
+	}
+	// Exactly one compute per other key, regardless of concurrency and
+	// shedding.
+	if runs := s.Runner().Runs(); runs != computedKeys {
+		t.Errorf("Runs() = %d, want exactly %d (one per computed key)", runs, computedKeys)
 	}
 	if q := s.Runner().Quarantined(); q != 0 {
 		t.Errorf("Quarantined() = %d under run-site faults only", q)
 	}
 
 	// Cold vs warm: a fresh server over the same cache directory serves
-	// every shape from disk, byte-identically, with zero computes.
+	// every computed shape from disk, byte-identically, with zero computes.
 	s2, ts2 := newTestServer(t, func(c *Config) { c.CacheDir = dir })
 	for _, shape := range shapes {
+		if shape.Workload == "mcf" {
+			continue // failures are never stored on disk
+		}
 		warm := runOK(t, ts2.URL, shape)
 		if warm.Source != "disk" {
 			t.Errorf("warm %+v: source %q, want disk", shape, warm.Source)
 		}
-		mu.Lock()
-		cold := results[warm.Key]
-		mu.Unlock()
-		if len(cold) == 0 {
+		if cold, ok := results[warm.Key]; !ok {
 			t.Errorf("warm key %s never seen cold", warm.Key)
-		} else if !bytes.Equal(cold[0], warm.Result) {
+		} else if !bytes.Equal(cold, warm.Result) {
 			t.Errorf("warm %+v: result differs from cold run", shape)
 		}
 	}
@@ -186,50 +218,100 @@ func TestChaosConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestChaosBreakerIsolatesPoisonedKind proves one permanently-failing kind
-// trips its own breaker without cutting off healthy kinds.
-func TestChaosBreakerIsolatesPoisonedKind(t *testing.T) {
+// TestChaosPoisonedKeyRunsOnce: a key whose run always fails is run once.
+// Every repeat answers the same 500 body without consulting the fault plan
+// again; another key of the same kind costs its own one run, and a healthy
+// kind computes as usual.
+func TestChaosPoisonedKeyRunsOnce(t *testing.T) {
 	faults := faultinject.NewPlan(11,
 		faultinject.Rule{Site: faultinject.SiteRun, Match: "svc:baseline/mcf", Kind: faultinject.KindPermanent},
 	)
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Faults = faults
-		c.BreakerWindow = 4
-		c.BreakerThreshold = 2
-		c.BreakerCooldown = time.Hour // stays open for the test's lifetime
-	})
+	s, ts := newTestServer(t, func(c *Config) { c.Faults = faults })
 	bad := RunRequest{Workload: "mcf", Seed: 1}
-	sawOpen := false
-	for i := 0; i < 8; i++ {
-		// Distinct seeds defeat result memoization so each request is a
-		// fresh failing run feeding the breaker window.
-		bad.Seed = int64(i + 1)
+	const hits = 6
+	var first []byte
+	for i := 0; i < hits; i++ {
 		resp, payload := post(t, ts.URL+"/v1/run", bad)
-		switch resp.StatusCode {
-		case http.StatusInternalServerError:
-			// A real failed run.
-		case http.StatusServiceUnavailable:
-			sawOpen = true
-			if ra := resp.Header.Get("Retry-After"); ra == "" {
-				t.Error("breaker 503 without Retry-After")
-			}
-		default:
+		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("poisoned request %d: status %d: %s", i, resp.StatusCode, payload)
 		}
-		if sawOpen {
-			break
+		if i == 0 {
+			first = payload
+		} else if !bytes.Equal(payload, first) {
+			t.Errorf("poisoned request %d body differs:\n%s\n%s", i, payload, first)
 		}
 	}
-	if !sawOpen {
-		t.Fatal("breaker never opened for the poisoned kind")
+	if fired := faults.Fired(faultinject.KindPermanent); fired != 1 {
+		t.Errorf("fault consulted %d times over %d requests, want 1", fired, hits)
 	}
-	if got := s.breakers.get("baseline/mcf").State(); got != breakerOpen {
-		t.Errorf("poisoned kind state = %v, want open", got)
+	if f := s.Runner().Health().Failures.Load(); f != 1 {
+		t.Errorf("Health.Failures = %d, want 1", f)
 	}
-	// A healthy kind still flows.
+	if got := s.met.requests[outcomeFailed].Value(); got != hits {
+		t.Errorf("failed outcomes = %d, want %d", got, hits)
+	}
+	// A new key of the failing kind is its own run.
+	bad.Seed = 2
+	if resp, payload := post(t, ts.URL+"/v1/run", bad); resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("second poisoned key: status %d: %s", resp.StatusCode, payload)
+	}
+	if fired := faults.Fired(faultinject.KindPermanent); fired != 2 {
+		t.Errorf("fault fired %d times over two keys, want 2", fired)
+	}
 	healthy := runOK(t, ts.URL, RunRequest{Workload: "xalancbmk", Seed: 1})
 	if healthy.Source != "computed" {
 		t.Errorf("healthy kind source = %q", healthy.Source)
+	}
+}
+
+// TestChaosCoalescedDeadlineFailuresSpareTheKind: six concurrent identical
+// requests with a short timeout coalesce onto one stalled run that misses
+// its deadline. That one failure is the requests' deadline, not the kind's
+// health: another seed of the same kind answers 200, and the failed key
+// itself computes on a later request without the short timeout.
+func TestChaosCoalescedDeadlineFailuresSpareTheKind(t *testing.T) {
+	faults := faultinject.NewPlan(13,
+		faultinject.Rule{Site: faultinject.SiteRun, Match: "svc:baseline/mcf", Kind: faultinject.KindSlow, Until: 1, Delay: 3 * time.Second},
+	)
+	s, ts := newTestServer(t, func(c *Config) { c.Faults = faults })
+	const clients = 6
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	answers := make(chan answer, clients)
+	for i := 0; i < clients; i++ {
+		go func() {
+			resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json",
+				strings.NewReader(`{"workload":"mcf","seed":1,"timeout_ms":500}`))
+			if err != nil {
+				answers <- answer{err: err}
+				return
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			answers <- answer{resp.StatusCode, body, err}
+		}()
+	}
+	for i := 0; i < clients; i++ {
+		a := <-answers
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.status != http.StatusInternalServerError || !bytes.Contains(a.body, []byte("deadline exceeded")) {
+			t.Errorf("stalled request answered %d %s, want the 500 deadline failure", a.status, a.body)
+		}
+	}
+	h := s.Runner().Health()
+	if h.Failures.Load() != 1 || h.Timeouts.Load() != 1 {
+		t.Errorf("failures %d, timeouts %d; want one coalesced deadline failure", h.Failures.Load(), h.Timeouts.Load())
+	}
+	if other := runOK(t, ts.URL, RunRequest{Workload: "mcf", Seed: 2}); other.Source != "computed" {
+		t.Errorf("mcf seed 2 source = %q, want computed", other.Source)
+	}
+	if again := runOK(t, ts.URL, RunRequest{Workload: "mcf", Seed: 1}); again.Source != "computed" {
+		t.Errorf("mcf seed 1 after its deadline failure: source %q, want computed", again.Source)
 	}
 }
 

@@ -6,26 +6,24 @@ import (
 
 // Request outcomes, the label values of simserver_requests_total.
 const (
-	outcomeOK          = "ok"
-	outcomeShed        = "shed"
-	outcomeBreakerOpen = "breaker_open"
-	outcomeDraining    = "draining"
-	outcomeBadRequest  = "bad_request"
-	outcomeFailed      = "failed"
-	outcomeCanceled    = "canceled"
+	outcomeOK         = "ok"
+	outcomeShed       = "shed"
+	outcomeDraining   = "draining"
+	outcomeBadRequest = "bad_request"
+	outcomeFailed     = "failed"
+	outcomeCanceled   = "canceled"
 )
 
 // outcomes lists every label value, so all series exist from the first
 // scrape.
 var outcomes = []string{
-	outcomeOK, outcomeShed, outcomeBreakerOpen, outcomeDraining,
+	outcomeOK, outcomeShed, outcomeDraining,
 	outcomeBadRequest, outcomeFailed, outcomeCanceled,
 }
 
 // serverMetrics holds the service envelope's instrumentation. Every series
-// is registered eagerly at construction (breaker series per kind, lazily on
-// first use of that kind), so a scrape before the first request already
-// shows the full family set.
+// is registered eagerly at construction, so a scrape before the first
+// request already shows the full family set.
 type serverMetrics struct {
 	requests     map[string]metrics.Counter
 	shed         metrics.Counter
@@ -38,8 +36,7 @@ type serverMetrics struct {
 }
 
 // newServerMetrics registers the simserver_* families on reg and wires the
-// live gauges (inflight, queue depth, per-kind breaker state) to the
-// server's state.
+// live gauges (inflight, queue depth) to the server's state.
 func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	m := &serverMetrics{
 		requests: make(map[string]metrics.Counter, len(outcomes)),
@@ -70,16 +67,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	reg.GaugeFunc("simserver_admission_queue_depth",
 		"requests waiting for an admission token",
 		func() float64 { return float64(s.bucket.Waiters()) })
-	s.breakers.onNew = func(kind string, b *breaker) {
-		reg.GaugeFunc("simserver_breaker_state",
-			"circuit breaker position per kind (0 closed, 1 half-open, 2 open)",
-			func() float64 { return float64(b.State()) },
-			metrics.L("kind", kind))
-		reg.CounterFunc("simserver_breaker_trips_total",
-			"circuit breaker trips per kind",
-			func() float64 { return float64(b.Trips()) },
-			metrics.L("kind", kind))
-	}
 	return m
 }
 
@@ -93,8 +80,6 @@ func MetricFamilies() []string {
 		"simserver_computed_total",
 		"simserver_inflight",
 		"simserver_admission_queue_depth",
-		"simserver_breaker_state",
-		"simserver_breaker_trips_total",
 		"simserver_drain_seconds",
 		"simserver_request_seconds",
 	}

@@ -42,7 +42,7 @@ type RunResponse struct {
 	// Key is the content-addressed run key (hex SHA-256 of the canonical
 	// key encoding) — the identity of the cache entry this result lives in.
 	Key string `json:"key"`
-	// Kind is the request's breaker kind (enhancement/workload).
+	// Kind is the request's enhancement/workload pair.
 	Kind string `json:"kind"`
 	// Source reports where the result came from: "computed" (this request
 	// performed the simulation), "disk" (loaded from the on-disk store) or
@@ -99,9 +99,7 @@ func (q *RunRequest) validate() (system.Enhancement, error) {
 	return level, nil
 }
 
-// kind is the circuit-breaker partition this request belongs to. Failures
-// are isolated per (enhancement, workload) pair: a poisoned configuration
-// trips only its own breaker.
+// kind names the request's enhancement/workload pair.
 func (q *RunRequest) kind() string {
 	name := q.Enhancement
 	if name == "" {

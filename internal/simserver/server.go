@@ -21,12 +21,11 @@ import (
 // envelope around one experiment engine. Construct it with New; serve
 // Handler() on any http.Server; stop it with Drain.
 type Server struct {
-	cfg      Config
-	runner   *experiments.Runner
-	reg      *metrics.Registry
-	bucket   *bucket
-	breakers *breakerSet
-	met      *serverMetrics
+	cfg    Config
+	runner *experiments.Runner
+	reg    *metrics.Registry
+	bucket *bucket
+	met    *serverMetrics
 
 	draining  atomic.Bool
 	inflightN atomic.Int64
@@ -208,11 +207,10 @@ type runOutcome struct {
 	err  error
 }
 
-// handleRun is the service core: drain gate, breaker gate, admission,
-// then one governed run on the engine. The computation runs under the
-// service's lifetime context — a client disconnect abandons the response,
-// never the run, because concurrent identical requests may be coalesced
-// onto it.
+// handleRun is the service core: drain gate, admission, then one governed
+// run on the engine. The computation runs under the service's lifetime
+// context — a client disconnect abandons the response, never the run,
+// because concurrent identical requests may be coalesced onto it.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.met.requests[outcomeDraining].Inc()
@@ -224,20 +222,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	level, _ := req.validate()
-	br := s.breakers.get(req.kind())
-	if err := br.Allow(); err != nil {
-		var bo *BreakerOpenError
-		retry := time.Second
-		if errors.As(err, &bo) {
-			bo.Kind = req.kind()
-			retry = bo.RetryAfter
-		}
-		s.met.requests[outcomeBreakerOpen].Inc()
-		writeError(w, http.StatusServiceUnavailable, retry, err)
-		return
-	}
 	if err := s.bucket.Acquire(r.Context()); err != nil {
-		br.Cancel()
 		var shed *ShedError
 		if errors.As(err, &shed) {
 			s.met.requests[outcomeShed].Inc()
@@ -250,7 +235,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !s.beginRequest() {
-		br.Cancel()
 		s.met.requests[outcomeDraining].Inc()
 		writeError(w, http.StatusServiceUnavailable, time.Second, errors.New("draining"))
 		return
@@ -261,7 +245,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.inflight.Done()
 		defer s.inflightN.Add(-1)
-		done <- s.execute(req, level, br)
+		done <- s.execute(req, level)
 	}()
 	select {
 	case o := <-done:
@@ -280,26 +264,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// execute performs one admitted run and reports its outcome to the kind's
-// breaker. Cancellation (the service shutting down mid-run) is not a kind
-// failure and leaves the breaker untouched.
-func (s *Server) execute(req *RunRequest, level system.Enhancement, br *breaker) runOutcome {
+// execute performs one admitted run. A failed run's *RunError is memoized
+// by the engine, so repeats of a failed key answer the same failure
+// without running again.
+func (s *Server) execute(req *RunRequest, level system.Enhancement) runOutcome {
 	key, err := s.runner.KeyFor(req.Workload, req.Seed, req.mod(level))
 	if err != nil {
-		br.Cancel()
 		return runOutcome{err: err}
 	}
 	res, src, err := s.runner.RunOne(nil, req.label(), req.Workload, req.Seed,
 		req.timeout(), req.mod(level))
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			br.Cancel()
-		} else {
-			br.Report(true)
-		}
 		return runOutcome{err: err}
 	}
-	br.Report(false)
 	switch src {
 	case experiments.SourceComputed:
 		s.met.computed.Inc()

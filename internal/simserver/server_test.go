@@ -270,7 +270,7 @@ func TestDrainDeadlineAbandonsSlowRun(t *testing.T) {
 
 func TestMetricsScrapeLintCleanAndComplete(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	// One real run so dynamic (per-kind breaker) series exist too.
+	// One real run so the engine's run series carry live values too.
 	runOK(t, ts.URL, RunRequest{Workload: "pr", Seed: 1, Enhancement: "tempo"})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

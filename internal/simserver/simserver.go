@@ -12,11 +12,11 @@
 //     Requests beyond the burst wait in a bounded queue; once the queue is
 //     full, requests are shed with 429 and a Retry-After hint instead of
 //     piling up until the process falls over.
-//   - Per-kind circuit breakers: permanent run failures are tracked per
-//     request kind (enhancement/workload pair) over a sliding window; a kind
-//     that keeps failing is cut off with 503 until a cooldown elapses, then
-//     probed half-open before full traffic resumes. One poisoned
-//     configuration cannot consume the whole pool.
+//   - Failures are results: a run is deterministic, so the engine memoizes
+//     a failed run's error like a result and every repeat of that key
+//     answers the same 500 without running again. A deadline or
+//     cancellation failure depends on the request, not the key, and leaves
+//     the key to compute on a later request.
 //   - Deadlines: each request's timeout propagates through context into the
 //     engine's bounded execution; client disconnects release the response
 //     without abandoning the shared computation (other waiters may be
@@ -76,16 +76,6 @@ type Config struct {
 	// AdmitQueue bounds how many requests may wait for a token before
 	// further requests are shed with 429. Zero or negative selects 128.
 	AdmitQueue int
-
-	// BreakerWindow is the sliding window of per-kind run outcomes the
-	// breaker inspects. Zero or negative selects 8.
-	BreakerWindow int
-	// BreakerThreshold is how many failures within the window trip the
-	// breaker open. Zero or negative selects 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// half-open probing. Zero or negative selects 5s.
-	BreakerCooldown time.Duration
 }
 
 // withDefaults resolves every zero tunable to its documented default.
@@ -102,21 +92,12 @@ func (c Config) withDefaults() Config {
 	if c.AdmitQueue <= 0 {
 		c.AdmitQueue = 128
 	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 8
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
 	return c
 }
 
 // New builds a Server: the experiment engine (worker pool, caches,
-// deadlines) plus the service envelope (admission, breakers, metrics). It
-// fails only when the cache directory cannot be created.
+// deadlines) plus the service envelope (admission, metrics). It fails only
+// when the cache directory cannot be created.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	reg := metrics.New()
@@ -136,11 +117,6 @@ func New(cfg Config) (*Server, error) {
 		runner: r,
 		reg:    reg,
 		bucket: newBucket(cfg.AdmitRate, cfg.AdmitBurst, cfg.AdmitQueue),
-		breakers: newBreakerSet(breakerConfig{
-			window:    cfg.BreakerWindow,
-			threshold: cfg.BreakerThreshold,
-			cooldown:  cfg.BreakerCooldown,
-		}),
 	}
 	s.met = newServerMetrics(reg, s)
 	return s, nil

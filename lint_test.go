@@ -244,7 +244,7 @@ func TestUsageDocMentionsFlags(t *testing.T) {
 		{"cmd/figures/main.go", "internal/figurescli/figurescli.go",
 			[]string{"-list-mechanisms", "-timing", "-metrics-addr", "-log-level", "-flight-recorder"}},
 		{"cmd/atcsimd/main.go", "cmd/atcsimd/main.go",
-			[]string{"-admit-rate", "-admit-queue", "-breaker-cooldown", "-drain-grace", "-flight-recorder"}},
+			[]string{"-admit-rate", "-admit-queue", "-admit-burst", "-drain-grace", "-flight-recorder"}},
 	} {
 		src, err := os.ReadFile(tool.source)
 		if err != nil {
