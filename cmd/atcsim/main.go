@@ -16,16 +16,14 @@
 //
 //	atcsim -workload pr -trace-out trace.json            # Perfetto trace
 //	atcsim -workload pr -interval-stats hb.csv -interval 10000
-//	atcsim -workload pr -metrics-addr localhost:9797     # live /metrics + /healthz
+//	atcsim -workload pr -metrics-addr localhost:9797     # live /metrics, /healthz, /debug/pprof/
 //	atcsim -workload pr -metrics-log snap.jsonl          # periodic registry snapshots
-//	atcsim -workload pr -pprof-addr localhost:6060 -cpuprofile cpu.pb.gz
+//	atcsim -workload pr -cpuprofile cpu.pb.gz
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -63,8 +61,7 @@ func main() {
 		traceBuf    = flag.Int("trace-buf", telemetry.DefaultBufferEvents, "trace ring-buffer capacity in events (oldest overwritten)")
 		hbOut       = flag.String("interval-stats", "", "stream interval heartbeat stats to this file (.jsonl for JSONL, else CSV)")
 		hbEvery     = flag.Int("interval", 10_000, "heartbeat interval in measured instructions")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics (OpenMetrics) and /healthz on this host:port (port 0 picks one)")
+		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics (OpenMetrics), /healthz and /debug/pprof/ on this host:port (port 0 picks one; bind to localhost, pprof is unauthenticated)")
 		metricsLog  = flag.String("metrics-log", "", "append a JSONL metrics snapshot to this file at every heartbeat interval")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -85,7 +82,7 @@ func main() {
 	}
 	// Each telemetry knob is checked whenever the facility that reads it is
 	// on: every live surface runs on a heartbeat, so it reads -interval too.
-	live := *pprofAddr != "" || *metricsAddr != "" || *metricsLog != ""
+	live := *metricsAddr != "" || *metricsLog != ""
 	if (*hbOut != "" || live) && *hbEvery <= 0 {
 		fail("-interval must be positive, got %d", *hbEvery)
 	}
@@ -139,7 +136,7 @@ func main() {
 		cfg.LLC.Policy = *llcPolicy
 	}
 
-	// Profiling and live-introspection endpoints.
+	// Whole-run CPU profile; live profiles are on -metrics-addr.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -159,15 +156,13 @@ func main() {
 	hub, hbFile := buildHub(*traceOut, *traceBuf, *traceSample, *hbOut, *hbEvery, live)
 	cfg.Telemetry = hub
 
-	// The metrics registry is the single live-introspection surface: it
-	// reaches expvar through PublishExpvar, and its sim_* gauges are set
-	// from the live Result at every heartbeat tick (Config.OnTick) — never
-	// from the per-access hot path.
+	// The metrics registry is the single live-introspection surface: its
+	// sim_* gauges are set from the live Result at every heartbeat tick
+	// (Config.OnTick) — never from the per-access hot path.
 	var mlog *os.File
 	if live {
 		reg := metrics.New()
 		gauges := system.NewLiveGauges(reg)
-		metrics.PublishExpvar("atcsim", reg)
 		if *metricsLog != "" {
 			f, err := os.Create(*metricsLog)
 			if err != nil {
@@ -193,10 +188,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "atcsim: metrics listening on http://%s/metrics\n", addr)
 		}
-	}
-
-	if *pprofAddr != "" {
-		servePprof(*pprofAddr)
 	}
 
 	traceLen := *insts + *warmup
@@ -306,18 +297,6 @@ func buildHub(traceOut string, traceBuf, traceSample int, hbOut string, hbEvery 
 		hub.Heartbeat = telemetry.NewHeartbeat(nil, telemetry.FormatJSONL, hbEvery)
 	}
 	return hub, hbFile
-}
-
-// servePprof exposes net/http/pprof and expvar on addr. Simulation progress
-// appears under the "atcsim" expvar (the published metrics registry) rather
-// than as hand-rolled top-level vars.
-func servePprof(addr string) {
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "atcsim: pprof server: %v\n", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "atcsim: pprof/expvar listening on http://%s/debug/pprof/\n", addr)
 }
 
 // flushTelemetry writes the trace file and closes the heartbeat stream.

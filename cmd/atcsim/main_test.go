@@ -64,7 +64,7 @@ func TestTimingFlagValidation(t *testing.T) {
 
 // TestTelemetryFlagRanges checks that every telemetry knob is range-checked
 // whenever the facility that reads it is on: a live surface (-metrics-log,
-// -metrics-addr, -pprof-addr) runs on a heartbeat and so reads -interval,
+// -metrics-addr) runs on a heartbeat and so reads -interval,
 // and -trace-out reads -trace-sample and -trace-buf. Each bad value exits 1
 // with the flag named, before any file is written or address bound; the
 // same values with their facility off are never read and the run succeeds.
@@ -78,7 +78,6 @@ func TestTelemetryFlagRanges(t *testing.T) {
 		{[]string{"-interval-stats", "h.csv", "-interval", "0"}, "-interval"},
 		{[]string{"-metrics-log", "m.jsonl", "-interval", "0"}, "-interval"},
 		{[]string{"-metrics-addr", "127.0.0.1:0", "-interval", "-5"}, "-interval"},
-		{[]string{"-pprof-addr", "127.0.0.1:0", "-interval", "0"}, "-interval"},
 		{[]string{"-trace-out", "t.json", "-trace-sample", "0"}, "-trace-sample"},
 		{[]string{"-trace-out", "t.json", "-trace-buf", "-1"}, "-trace-buf"},
 		{[]string{"-interval", "0", "-trace-sample", "0", "-trace-buf", "0"}, ""},
@@ -110,7 +109,7 @@ func TestTelemetryFlagRanges(t *testing.T) {
 
 // liveSeries is every series a -metrics-log line must carry.
 var liveSeries = []string{
-	"sim_instructions_done", "sim_instructions_total", "sim_instructions", "sim_cycle",
+	"sim_instructions_total", "sim_instructions", "sim_cycle",
 	`sim_cache_demand_misses{level="l1d"}`, `sim_cache_demand_misses{level="l2"}`,
 	`sim_cache_demand_misses{level="llc"}`,
 	"sim_stlb_accesses", "sim_stlb_misses", "sim_leaf_pte_reads", "sim_leaf_pte_dram",
@@ -122,8 +121,9 @@ var liveSeries = []string{
 // TestLiveMetricsLog runs atcsim with -metrics-log and -interval-stats on a
 // single core and on two cores, and checks the two streams agree: one
 // metrics line per heartbeat row, every sim_* series on every line, the
-// last line's sim_instructions equal to the rows' instruction sum, and the
-// progress pair complete (done == total) at the last tick.
+// last line's sim_instructions equal to the rows' instruction sum, and
+// progress complete (sim_instructions == sim_instructions_total) at the
+// last tick.
 func TestLiveMetricsLog(t *testing.T) {
 	bin := buildAtcsim(t)
 	for _, tc := range []struct {
@@ -180,8 +180,8 @@ func TestLiveMetricsLog(t *testing.T) {
 			if want := 20000 * tc.cores; last["sim_instructions_total"] != want {
 				t.Errorf("sim_instructions_total = %v, want %v", last["sim_instructions_total"], want)
 			}
-			if done, total := last["sim_instructions_done"], last["sim_instructions_total"]; done != total {
-				t.Errorf("last sim_instructions_done = %v, want total %v", done, total)
+			if done, total := last["sim_instructions"], last["sim_instructions_total"]; done != total {
+				t.Errorf("last sim_instructions = %v, want sim_instructions_total %v", done, total)
 			}
 		})
 	}

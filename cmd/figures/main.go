@@ -14,9 +14,10 @@
 //
 // Long sweeps are observable: -progress (with -log-level
 // debug|info|warn|error) logs each simulation to stderr, -metrics-addr
-// serves live /metrics, /runs and /healthz endpoints, -metrics-log streams
-// JSONL registry snapshots, and -flight-recorder captures a structured
-// post-mortem of permanent failures.
+// serves live /metrics, /runs and /healthz endpoints plus net/http/pprof
+// profiles under /debug/pprof/, -metrics-log streams JSONL registry
+// snapshots, and -flight-recorder captures a structured post-mortem of
+// permanent failures.
 //
 //	figures -list
 //	figures -list-mechanisms

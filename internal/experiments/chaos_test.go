@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"atcsim/internal/faultinject"
+	"atcsim/internal/metrics"
 )
 
 // chaosRules is the canonical 3-fault plan of the acceptance scenario: one
@@ -107,7 +108,8 @@ func TestChaos(t *testing.T) {
 	// baseline, the first stored) is quarantined and recomputed, the intact
 	// multicore baseline is served from disk, and both failed TEMPO runs
 	// are computed afresh.
-	rC, err := NewRunnerWith(Quick(), Options{Jobs: 4, CacheDir: dirA})
+	reg := metrics.New()
+	rC, err := NewRunnerWith(Quick(), Options{Jobs: 4, CacheDir: dirA, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +127,21 @@ func TestChaos(t *testing.T) {
 	if q := rC.Quarantined(); q != 1 {
 		t.Errorf("Quarantined = %d, want 1", q)
 	}
+	// The exported series reads the disk store's count, the only one kept,
+	// and sits right after the runner's disk-error series, where it always
+	// has in the exposition order.
+	quarantined, at, after := -1.0, -1, -1
+	for i, s := range reg.Gather() {
+		switch s.Name {
+		case "runner_quarantined_total":
+			quarantined, at = s.Value, i
+		case "runner_disk_errors_total":
+			after = i
+		}
+	}
+	if quarantined != 1 || at != after+1 {
+		t.Errorf("runner_quarantined_total = %v at series %d (disk errors at %d), want 1 right after", quarantined, at, after)
+	}
 	if rC.DiskHits() != 1 || rC.Runs() != 3 {
 		t.Errorf("resume DiskHits = %d, Runs = %d, want 1 and 3", rC.DiskHits(), rC.Runs())
 	}
@@ -132,9 +149,6 @@ func TestChaos(t *testing.T) {
 		if !computed[id] {
 			t.Errorf("resume did not recompute %s (computed %v)", id, computed)
 		}
-	}
-	if h := rC.Health(); h.Quarantined.Load() != 1 || h.DiskHits.Load() != 1 {
-		t.Errorf("resume health quarantined=%d disk_hits=%d, want 1 and 1", h.Quarantined.Load(), h.DiskHits.Load())
 	}
 }
 

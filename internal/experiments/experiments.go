@@ -324,11 +324,25 @@ func NewRunner(sc Scale) *Runner {
 // on-disk result cache, sweep budget, per-run deadline and fault plan. It
 // fails only when the cache directory cannot be created.
 func NewRunnerWith(sc Scale, opts Options) (*Runner, error) {
+	var disk *runner.Disk
+	if opts.CacheDir != "" {
+		var err error
+		if disk, err = runner.NewDisk(opts.CacheDir); err != nil {
+			return nil, err
+		}
+		disk.SetFaults(opts.Faults)
+		disk.OnQuarantine(func(path string) {
+			// filepath.Base keeps the event detail free of the (run-specific)
+			// cache directory, preserving dump determinism.
+			opts.Recorder.Recordf(metrics.EventQuarantine, "", 0, "%s", filepath.Base(path))
+		})
+	}
 	r := &Runner{
 		sc:         sc,
 		pool:       runner.NewPool(opts.Jobs),
 		traces:     runner.NewCache[*trace.Trace](),
 		results:    runner.NewCache[*system.Result](),
+		disk:       disk,
 		runTimeout: opts.RunTimeout,
 		faults:     opts.Faults,
 		health:     new(telemetry.Health),
@@ -337,6 +351,9 @@ func NewRunnerWith(sc Scale, opts Options) (*Runner, error) {
 	}
 	if opts.Metrics != nil {
 		r.health.RegisterMetrics(opts.Metrics)
+		// The disk store owns the quarantine count; Health keeps no copy.
+		opts.Metrics.CounterFunc("runner_quarantined_total", "Corrupt cache entries moved to .bad siblings.",
+			func() float64 { return float64(r.Quarantined()) })
 		r.runsTable.Register(opts.Metrics)
 		r.sink = system.NewMetricsSink(opts.Metrics)
 		if r.recorder != nil {
@@ -356,21 +373,6 @@ func NewRunnerWith(sc Scale, opts Options) (*Runner, error) {
 		r.ctx, r.cancel = context.WithTimeout(context.Background(), opts.SweepBudget)
 	} else {
 		r.ctx, r.cancel = context.WithCancel(context.Background())
-	}
-	if opts.CacheDir != "" {
-		disk, err := runner.NewDisk(opts.CacheDir)
-		if err != nil {
-			r.cancel()
-			return nil, err
-		}
-		disk.SetFaults(opts.Faults)
-		disk.OnQuarantine(func(path string) {
-			r.health.Quarantined.Add(1)
-			// filepath.Base keeps the event detail free of the (run-specific)
-			// cache directory, preserving dump determinism.
-			r.recorder.Recordf(metrics.EventQuarantine, "", 0, "%s", filepath.Base(path))
-		})
-		r.disk = disk
 	}
 	return r, nil
 }

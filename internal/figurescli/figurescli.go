@@ -61,7 +61,7 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 		runTimeout  = fs.Duration("run-timeout", 0, "abandon any single simulation after this long (0 = no limit)")
 		sweepBudget = fs.Duration("sweep-budget", 0, "stop starting new simulations after this long (0 = no limit)")
 		logLevel    = fs.String("log-level", "info", "stderr log verbosity: debug, info, warn or error")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /runs and /flightrecorder on this host:port (port 0 picks one)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, /runs, /flightrecorder and /debug/pprof/ on this host:port (port 0 picks one; bind to localhost, pprof is unauthenticated)")
 		metricsLog  = fs.String("metrics-log", "", "append a JSONL metrics snapshot to this file every second")
 		flightRec   = fs.String("flight-recorder", "", "dump the flight-recorder post-mortem here on permanent run failures (default: <cache-dir>/flight-recorder.jsonl)")
 	)
@@ -141,9 +141,9 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 		}
 	}
 
-	// Observability: the registry backs /metrics, JSONL snapshots and the
-	// expvar export; the flight recorder collects structured events and is
-	// dumped on permanent run failures.
+	// Observability: the registry backs /metrics and JSONL snapshots; the
+	// flight recorder collects structured events and is dumped on permanent
+	// run failures.
 	var reg *metrics.Registry
 	if *metricsAddr != "" || *metricsLog != "" {
 		reg = metrics.New()
@@ -182,9 +182,6 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 			"n", runs, "key", key, "workload", name)
 	}
 
-	if reg != nil {
-		metrics.PublishExpvar("atcsim", reg)
-	}
 	if *metricsAddr != "" {
 		srv := &metrics.Server{
 			Registry: reg,
@@ -197,7 +194,7 @@ func Main(args []string, stdout, stderr io.Writer) (int, error) {
 			return exitUsage, err
 		}
 		log.Info("metrics endpoint listening", "addr", addr,
-			"endpoints", "/metrics /healthz /runs /flightrecorder")
+			"endpoints", "/metrics /healthz /runs /flightrecorder /debug/pprof/")
 	}
 	if *metricsLog != "" {
 		f, err := os.Create(*metricsLog)
@@ -346,7 +343,7 @@ func healthAttrs(r *experiments.Runner) []any {
 		"failures", h.Failures.Load(), "panics", h.Panics.Load(),
 		"timeouts", h.Timeouts.Load(), "canceled", h.Canceled.Load(),
 		"disk_hits", h.DiskHits.Load(), "disk_errors", h.DiskErrors.Load(),
-		"quarantined", h.Quarantined.Load(),
+		"quarantined", r.Quarantined(),
 	}
 }
 

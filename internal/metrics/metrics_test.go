@@ -208,6 +208,20 @@ func TestRunTableLifecycle(t *testing.T) {
 	if payload.Counts["failed"] != 1 || len(payload.Runs) != 3 {
 		t.Fatalf("payload = %+v", payload)
 	}
+
+	// A failed key queued again (a deadline re-arm) moves its one count
+	// from failed to queued.
+	rt.Queued("base/mcf", "abc123")
+	if f, q := rt.Count(StateFailed), rt.Count(StateQueued); f != 0 || q != 1 {
+		t.Fatalf("after re-arm failed=%d queued=%d, want 0 and 1", f, q)
+	}
+	if _, counts := rt.Snapshot(); counts[StateFailed] != 0 || counts[StateQueued] != 1 {
+		t.Fatalf("after re-arm snapshot counts = %v", counts)
+	}
+	// A count walks the entries in place; it never copies the table.
+	if n := testing.AllocsPerRun(100, func() { rt.Count(StateDone) }); n != 0 {
+		t.Fatalf("Count allocates %v times per call, want 0", n)
+	}
 }
 
 func TestFlightRecorderRingAndCanonicalOrder(t *testing.T) {
@@ -296,6 +310,12 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if code, body, _ := get("/flightrecorder"); code != 200 || !strings.Contains(body, "run-started") {
 		t.Fatalf("/flightrecorder code=%d body=%q", code, body)
+	}
+	if code, _, _ := get("/debug/pprof/"); code != 200 {
+		t.Fatalf("/debug/pprof/ code=%d", code)
+	}
+	if code, body, _ := get("/debug/pprof/cmdline"); code != 200 || body == "" {
+		t.Fatalf("/debug/pprof/cmdline code=%d body=%q", code, body)
 	}
 
 	unhealthy := &Server{Registry: r, Healthy: func() bool { return false }}

@@ -144,10 +144,21 @@ func (t *RunTable) Snapshot() ([]RunInfo, map[RunState]int) {
 	return out, counts
 }
 
-// Count returns the number of runs currently in the given state.
+// Count returns the number of runs currently in the given state. It walks
+// the entries under the lock and copies nothing.
 func (t *RunTable) Count(state RunState) int {
-	_, counts := t.Snapshot()
-	return counts[state]
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, e := range t.runs {
+		if e.info.State == state {
+			n++
+		}
+	}
+	return n
 }
 
 // Register exposes per-state run counts as gauges

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -29,8 +30,18 @@ type Server struct {
 //	/healthz        liveness: 200 {"status":"ok"} (503 when Healthy() is false)
 //	/runs           live JSON of per-run-key state (see RunTable)
 //	/flightrecorder canonical JSONL dump of recent structured events
+//	/debug/pprof/   net/http/pprof: index, cmdline, profile, symbol, trace
+//
+// The mux is private: http.DefaultServeMux is never served. A caller that
+// mounts only some of these paths (the sweep service) exposes only those.
+// pprof is unauthenticated, so a listener for this mux belongs on loopback.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", openMetricsContentType)
 		if err := s.Registry.WriteOpenMetrics(w); err != nil {

@@ -26,10 +26,7 @@ var outcomes = []string{
 // request already shows the full family set.
 type serverMetrics struct {
 	requests     map[string]metrics.Counter
-	shed         metrics.Counter
 	dedupShared  metrics.Counter
-	dedupDisk    metrics.Counter
-	computed     metrics.Counter
 	drainSeconds metrics.Gauge
 	latency      *metrics.Histogram
 	reg          *metrics.Registry
@@ -46,20 +43,16 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		m.requests[o] = reg.Counter("simserver_requests_total",
 			"service requests by outcome", metrics.L("outcome", o))
 	}
-	m.shed = reg.Counter("simserver_shed_total",
-		"requests shed by admission control (429)")
+	// Only the shared source is the service's own: sheds, fresh computes
+	// and disk hits are already requests_total{outcome="shed"},
+	// runner_runs_total{outcome="ok"} and runner_disk_hits_total.
 	m.dedupShared = reg.Counter("simserver_deduped_total",
 		"requests served without a fresh compute, by source",
 		metrics.L("source", "shared"))
-	m.dedupDisk = reg.Counter("simserver_deduped_total",
-		"requests served without a fresh compute, by source",
-		metrics.L("source", "disk"))
-	m.computed = reg.Counter("simserver_computed_total",
-		"requests that performed a fresh simulation")
 	m.drainSeconds = reg.Gauge("simserver_drain_seconds",
 		"wall time the last graceful drain took")
 	m.latency = reg.NewHistogram("simserver_request_seconds",
-		"admitted request latency",
+		"latency of /v1/run requests answered 200",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30})
 	reg.GaugeFunc("simserver_inflight",
 		"requests admitted and not yet answered",
@@ -75,9 +68,7 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 func MetricFamilies() []string {
 	return []string{
 		"simserver_requests_total",
-		"simserver_shed_total",
 		"simserver_deduped_total",
-		"simserver_computed_total",
 		"simserver_inflight",
 		"simserver_admission_queue_depth",
 		"simserver_drain_seconds",

@@ -226,7 +226,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		var shed *ShedError
 		if errors.As(err, &shed) {
 			s.met.requests[outcomeShed].Inc()
-			s.met.shed.Inc()
 			writeError(w, http.StatusTooManyRequests, shed.RetryAfter, err)
 			return
 		}
@@ -249,12 +248,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}()
 	select {
 	case o := <-done:
-		s.met.latency.Observe(time.Since(start).Seconds())
 		if o.err != nil {
 			s.met.requests[outcomeFailed].Inc()
 			writeError(w, http.StatusInternalServerError, 0, o.err)
 			return
 		}
+		s.met.latency.Observe(time.Since(start).Seconds())
 		s.met.requests[outcomeOK].Inc()
 		writeJSON(w, http.StatusOK, o.resp)
 	case <-r.Context().Done():
@@ -277,12 +276,7 @@ func (s *Server) execute(req *RunRequest, level system.Enhancement) runOutcome {
 	if err != nil {
 		return runOutcome{err: err}
 	}
-	switch src {
-	case experiments.SourceComputed:
-		s.met.computed.Inc()
-	case experiments.SourceDisk:
-		s.met.dedupDisk.Inc()
-	case experiments.SourceShared:
+	if src == experiments.SourceShared {
 		s.met.dedupShared.Inc()
 	}
 	raw, err := json.Marshal(res)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"atcsim/internal/experiments"
+	"atcsim/internal/faultinject"
 	"atcsim/internal/metrics"
 )
 
@@ -272,33 +273,63 @@ func TestMetricsScrapeLintCleanAndComplete(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	// One real run so the engine's run series carry live values too.
 	runOK(t, ts.URL, RunRequest{Workload: "pr", Seed: 1, Enhancement: "tempo"})
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	exposition, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if problems := metrics.Lint(exposition); len(problems) != 0 {
+	_, exposition := get(t, ts.URL+"/metrics")
+	if problems := metrics.Lint([]byte(exposition)); len(problems) != 0 {
 		t.Errorf("exposition lint problems:\n%s", strings.Join(problems, "\n"))
 	}
 	for _, family := range MetricFamilies() {
-		if !bytes.Contains(exposition, []byte(family)) {
+		if !strings.Contains(exposition, family) {
 			t.Errorf("family %s missing from /metrics", family)
 		}
 	}
 	// The diagnostics endpoints are mounted.
 	for _, path := range []string{"/runs", "/flightrecorder"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
+		if code, _ := get(t, ts.URL+path); code != http.StatusOK {
+			t.Errorf("GET %s = %d", path, code)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s = %d", path, resp.StatusCode)
+	}
+	// Profiles are not: the service port serves only the routes it names.
+	if code, _ := get(t, ts.URL+"/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("GET /debug/pprof/ = %d, want 404", code)
+	}
+}
+
+// get fetches url and returns the status and body.
+func get(t *testing.T, url string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestRequestSecondsObservesOnly200s: simserver_request_seconds is the
+// latency of /v1/run requests answered 200, so failed runs leave it empty
+// while simserver_requests_total counts each of them.
+func TestRequestSecondsObservesOnly200s(t *testing.T) {
+	faults := faultinject.NewPlan(17,
+		faultinject.Rule{Site: faultinject.SiteRun, Match: "svc:baseline/mcf", Kind: faultinject.KindPermanent},
+	)
+	_, ts := newTestServer(t, func(c *Config) { c.Faults = faults })
+	for i := 0; i < 3; i++ {
+		resp, payload := post(t, ts.URL+"/v1/run", RunRequest{Workload: "mcf", Seed: 1})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, payload)
+		}
+	}
+	_, exposition := get(t, ts.URL+"/metrics")
+	for _, line := range []string{
+		"simserver_request_seconds_count 0",
+		`simserver_requests_total{outcome="failed"} 3`,
+	} {
+		if !strings.Contains(exposition, "\n"+line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
 		}
 	}
 }

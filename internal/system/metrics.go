@@ -289,11 +289,9 @@ var sinkFamilies = []family{
 
 // liveFamilies is the LiveGauges schema, in exposition order. A live
 // Result's Instructions is each core's target, and a thread's counters
-// freeze on the step it reaches that target, so done reaches total exactly
-// when the last thread finishes.
+// freeze on the step it reaches that target, so sim_instructions reaches
+// sim_instructions_total exactly when the last thread finishes.
 var liveFamilies = []family{
-	coreScalar("sim_instructions_done", "Instructions simulated so far (coarse, for liveness).",
-		func(c *CoreResult) uint64 { return c.CPU.Instructions }),
 	coreScalar("sim_instructions_total", "Instructions this run will simulate.",
 		func(c *CoreResult) uint64 { return c.Instructions }),
 	coreScalar("sim_instructions", "Measured instructions stepped so far (live run).",

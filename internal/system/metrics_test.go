@@ -246,7 +246,6 @@ func TestLiveGauges(t *testing.T) {
 	}
 	for name, want := range map[string]float64{
 		"sim_instructions":                      16_000,
-		"sim_instructions_done":                 16_000,
 		"sim_instructions_total":                20_000,
 		"sim_cycle":                             5_000,
 		`sim_cache_demand_misses{level="l1d"}`:  42,

@@ -17,8 +17,8 @@ import (
 // heartbeat) and live gauges must leave the Result bit-identical to the
 // bare run, on a single core, an SMT pair and a 4-core machine under both
 // timing engines. Threads that keep running past their target count no
-// further, so the progress gauge done equals the measured sim_instructions
-// at every tick, never exceeds total, and reaches it at the last tick.
+// further, so the progress gauge sim_instructions never exceeds
+// sim_instructions_total and reaches it at the last tick.
 func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 	mcf := buildTrace(t, "mcf", 90_000)
 	traces := parTraces(t, 20_000)
@@ -54,14 +54,13 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 			}
 			reg := metrics.New()
 			gauges := NewLiveGauges(reg)
-			var done, total, stepped []float64
+			var total, stepped []float64
 			obs.OnTick = func(r *Result) {
 				gauges.Publish(r)
 				series := map[string]float64{}
 				for _, s := range reg.Gather() {
 					series[s.Name] = s.Value
 				}
-				done = append(done, series["sim_instructions_done"])
 				total = append(total, series["sim_instructions_total"])
 				stepped = append(stepped, series["sim_instructions"])
 			}
@@ -81,18 +80,18 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 			if len(hub.Heartbeat.Rows()) == 0 {
 				t.Error("heartbeat recorded nothing")
 			}
-			if len(done) != len(hub.Heartbeat.Rows()) {
-				t.Fatalf("OnTick fired %d times for %d heartbeat rows", len(done), len(hub.Heartbeat.Rows()))
+			if len(stepped) != len(hub.Heartbeat.Rows()) {
+				t.Fatalf("OnTick fired %d times for %d heartbeat rows", len(stepped), len(hub.Heartbeat.Rows()))
 			}
 			want := float64(traced.TotalInstructions()) // target × threads
-			for i := range done {
-				if total[i] != want || done[i] != stepped[i] || done[i] > total[i] {
-					t.Errorf("tick %d: progress done = %v, sim_instructions = %v, total = %v; want done == sim_instructions <= total = %v",
-						i, done[i], stepped[i], total[i], want)
+			for i := range stepped {
+				if total[i] != want || stepped[i] > total[i] {
+					t.Errorf("tick %d: sim_instructions = %v, total = %v; want sim_instructions <= total = %v",
+						i, stepped[i], total[i], want)
 				}
 			}
-			if last := len(done) - 1; done[last] != total[last] {
-				t.Errorf("last tick: progress done = %v, want total %v", done[last], total[last])
+			if last := len(stepped) - 1; stepped[last] != total[last] {
+				t.Errorf("last tick: sim_instructions = %v, want total %v", stepped[last], total[last])
 			}
 		})
 	}

@@ -5,8 +5,7 @@ import "atcsim/internal/metrics"
 // RegisterMetrics exposes the Health counters on a metrics registry as
 // runner_* counter series. The registry reads the same atomics the engine
 // bumps — there is no second copy of the counters, so Health and /metrics
-// can never disagree (this view also reaches expvar via
-// metrics.PublishExpvar, replacing the old ad-hoc expvar publishing).
+// can never disagree.
 func (h *Health) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("runner_runs_total", "Simulations by final outcome.",
 		func() float64 { return float64(h.Runs.Load()) }, metrics.L("outcome", "ok"))
@@ -22,6 +21,4 @@ func (h *Health) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(h.DiskHits.Load()) })
 	reg.CounterFunc("runner_disk_errors_total", "Disk-cache read/write failures (never fatal).",
 		func() float64 { return float64(h.DiskErrors.Load()) })
-	reg.CounterFunc("runner_quarantined_total", "Corrupt cache entries moved to .bad siblings.",
-		func() float64 { return float64(h.Quarantined.Load()) })
 }

@@ -64,7 +64,6 @@ func TestHealthRegisterMetrics(t *testing.T) {
 	h.RegisterMetrics(reg)
 	h.Runs.Add(7)
 	h.Failures.Add(2)
-	h.Quarantined.Add(1)
 
 	got := map[string]float64{}
 	for _, s := range reg.Gather() {
@@ -73,7 +72,6 @@ func TestHealthRegisterMetrics(t *testing.T) {
 	for name, want := range map[string]float64{
 		`runner_runs_total{outcome="ok"}`:     7,
 		`runner_runs_total{outcome="failed"}`: 2,
-		"runner_quarantined_total":            1,
 		"runner_panics_total":                 0,
 	} {
 		if got[name] != want {

@@ -24,6 +24,4 @@ type Health struct {
 	// DiskErrors counts on-disk cache read/write failures (never fatal —
 	// the result is recomputed or kept in memory only).
 	DiskErrors atomic.Int64
-	// Quarantined counts corrupt cache entries moved to ".bad" siblings.
-	Quarantined atomic.Int64
 }
