@@ -520,18 +520,27 @@ const (
 // request for the same key gets the same *RunError without running again.
 // Only a failure from the context (cancellation or a deadline) re-arms the
 // key for a later request to compute.
+//
+// The run's id in the /runs table, the flight recorder and fault rules is
+// label/name. A sweep's label/name picks one run, but a service's covers
+// every seed, mechanism and timing its clients ask for, so a keyed run
+// (RunOne) appends the run-key hash: label/name@hash.
 func (r *Runner) cached(ctx context.Context, timeout time.Duration,
-	label, name, kind string, names []string, seeds []int64,
+	label, name string, keyed bool, kind string, names []string, seeds []int64,
 	cfg system.Config, sim func() (*system.Result, error)) (*system.Result, RunSource, error) {
 	key, err := runner.NewKey(kind, names, seeds, r.sc.TraceLen, cfg)
 	if err != nil {
 		return nil, SourceComputed, &RunError{Label: label, Name: name,
 			Err: fmt.Errorf("derive run key: %w", err)}
 	}
+	hash := key.Hash()
 	id := label + "/" + name
+	if keyed {
+		id += "@" + hash
+	}
 	src := SourceShared // overwritten when this call's compute closure runs
-	res, _, err := r.results.Do(key.Hash(), func() (*system.Result, error) {
-		r.runsTable.Queued(id, key.Hash())
+	res, _, err := r.results.Do(hash, func() (*system.Result, error) {
+		r.runsTable.Queued(id, hash)
 		fromDisk := new(system.Result)
 		if ok, lerr := r.disk.Load(key, fromDisk); lerr != nil {
 			r.noteCacheErr(lerr) // unreadable/undecodable entry: recompute below
@@ -632,7 +641,7 @@ func (r *Runner) runSeeded(label, name string, seed int64, mod func(*system.Conf
 
 // trySeeded is the error-returning core of Run/runSeeded.
 func (r *Runner) trySeeded(label, name string, seed int64, mod func(*system.Config)) (*system.Result, error) {
-	res, _, err := r.runOne(r.ctx, r.runTimeout, label, name, seed, mod)
+	res, _, err := r.runOne(r.ctx, r.runTimeout, label, name, seed, false, mod)
 	return res, err
 }
 
@@ -657,6 +666,7 @@ func (r *Runner) KeyFor(name string, seed int64, mod func(*system.Config)) (runn
 // context into runner.Bounded. The returned RunSource reports whether this
 // request computed the result, loaded it from disk, or coalesced onto a
 // shared execution. Failures come back as a *RunError; nothing aborts.
+// Its /runs id is label/name@hash, so each run key has its own entry.
 func (r *Runner) RunOne(ctx context.Context, label, name string, seed int64,
 	timeout time.Duration, mod func(*system.Config)) (*system.Result, RunSource, error) {
 	if ctx == nil {
@@ -665,17 +675,18 @@ func (r *Runner) RunOne(ctx context.Context, label, name string, seed int64,
 	if timeout <= 0 {
 		timeout = r.runTimeout
 	}
-	return r.runOne(ctx, timeout, label, name, seed, mod)
+	return r.runOne(ctx, timeout, label, name, seed, true, mod)
 }
 
-// runOne is the shared single-core core behind trySeeded and RunOne.
+// runOne is the shared single-core core behind trySeeded and RunOne; keyed
+// runs carry their run-key hash in their id (see cached).
 func (r *Runner) runOne(ctx context.Context, timeout time.Duration,
-	label, name string, seed int64, mod func(*system.Config)) (*system.Result, RunSource, error) {
+	label, name string, seed int64, keyed bool, mod func(*system.Config)) (*system.Result, RunSource, error) {
 	cfg := r.baseConfig()
 	if mod != nil {
 		mod(&cfg)
 	}
-	return r.cached(ctx, timeout, label, name, runner.KindSingle, []string{name}, []int64{seed}, cfg,
+	return r.cached(ctx, timeout, label, name, keyed, runner.KindSingle, []string{name}, []int64{seed}, cfg,
 		func() (*system.Result, error) {
 			tr, err := r.TryTraceSeeded(name, seed)
 			if err != nil {

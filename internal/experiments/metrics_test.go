@@ -151,7 +151,7 @@ func TestRunStatesCountSlotHolders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			name := fmt.Sprintf("blocked-%d", i)
-			if _, _, err := r.cached(r.ctx, 0, "gauges", name, runner.KindSingle,
+			if _, _, err := r.cached(r.ctx, 0, "gauges", name, false, runner.KindSingle,
 				[]string{name}, []int64{1}, system.DefaultConfig(), sim); err != nil {
 				t.Errorf("run %s: %v", name, err)
 			}

@@ -34,7 +34,7 @@ func (r *Runner) runMix(kind string, mix []string, e system.Enhancement) *system
 		cfg.Warmup /= 2
 	}
 	cfg.Apply(e)
-	res, _, err := r.cached(r.ctx, r.runTimeout, kind+":"+e.String(), strings.Join(mix, "-"),
+	res, _, err := r.cached(r.ctx, r.runTimeout, kind+":"+e.String(), strings.Join(mix, "-"), false,
 		kind, mix, []int64{r.sc.Seed}, cfg,
 		func() (*system.Result, error) {
 			traces := make([]*trace.Trace, len(mix))

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -221,6 +222,26 @@ func TestRunTableLifecycle(t *testing.T) {
 	// A count walks the entries in place; it never copies the table.
 	if n := testing.AllocsPerRun(100, func() { rt.Count(StateDone) }); n != 0 {
 		t.Fatalf("Count allocates %v times per call, want 0", n)
+	}
+}
+
+// TestRunTableRequeueRestartsClock: a key queued again after a terminal
+// state (a deadline re-arm) is a new run, so /runs must not show the old
+// run's frozen elapsed time or its error next to the live state.
+func TestRunTableRequeueRestartsClock(t *testing.T) {
+	rt := NewRunTable()
+	clock := time.Unix(0, 0)
+	rt.now = func() time.Time { return clock }
+	rt.Queued("svc/pr", "abc")
+	clock = clock.Add(100 * time.Millisecond)
+	rt.Failed("svc/pr", "deadline")
+	rt.Queued("svc/pr", "abc")
+	rt.Running("svc/pr")
+	clock = clock.Add(time.Second)
+	runs, _ := rt.Snapshot()
+	want := RunInfo{Key: "svc/pr", Hash: "abc", State: StateRunning, ElapsedMS: 1000}
+	if len(runs) != 1 || runs[0] != want {
+		t.Fatalf("runs = %+v, want [%+v]", runs, want)
 	}
 }
 

@@ -25,7 +25,8 @@ var runStates = []RunState{StateQueued, StateRunning, StateDone, StateFailed, St
 
 // RunInfo is the live view of one run, as served by /runs.
 type RunInfo struct {
-	// Key is the run's experiment identity ("label/benchmark").
+	// Key is the run's experiment identity ("label/benchmark"; a service
+	// run appends "@" and its hash, one entry per run key).
 	Key string `json:"key"`
 	// Hash is the canonical run-key hash (the disk-cache identity).
 	Hash string `json:"hash,omitempty"`
@@ -73,7 +74,9 @@ func (t *RunTable) entry(key string) *runEntry {
 	return e
 }
 
-// Queued marks a run as queued with its canonical hash.
+// Queued marks a run as queued with its canonical hash. Queuing a key
+// that reached a terminal state (a deadline re-arm) starts a new run: its
+// clock restarts and the old error clears.
 func (t *RunTable) Queued(key, hash string) {
 	if t == nil {
 		return
@@ -81,6 +84,10 @@ func (t *RunTable) Queued(key, hash string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e := t.entry(key)
+	if e.frozen {
+		e.info.ElapsedMS, e.info.Error = 0, ""
+		e.started, e.frozen = t.now(), false
+	}
 	e.info.Hash = hash
 	e.info.State = StateQueued
 }

@@ -108,8 +108,9 @@ func (q *RunRequest) kind() string {
 	return name + "/" + q.Workload
 }
 
-// label is the engine run label requests carry (progress output, flight
-// recorder, /runs table).
+// label is the engine run label requests carry (progress output, run
+// errors); the engine appends the workload and the run-key hash to name
+// the run in the flight recorder and the /runs table.
 func (q *RunRequest) label() string {
 	name := q.Enhancement
 	if name == "" {

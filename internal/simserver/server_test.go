@@ -176,6 +176,33 @@ func TestRunSourceTransitions(t *testing.T) {
 	}
 }
 
+// TestRunsTableOneEntryPerKey: three seeds of one enhancement/workload are
+// three run keys, so /runs lists three entries, each under its own key's
+// hash, and counts three done runs.
+func TestRunsTableOneEntryPerKey(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	keys := map[string]bool{}
+	for seed := int64(1); seed <= 3; seed++ {
+		keys[runOK(t, ts.URL, RunRequest{Workload: "pr", Seed: seed}).Key] = true
+	}
+	_, body := get(t, ts.URL+"/runs")
+	var payload struct {
+		Counts map[metrics.RunState]int `json:"counts"`
+		Runs   []metrics.RunInfo        `json:"runs"`
+	}
+	if err := json.Unmarshal([]byte(body), &payload); err != nil {
+		t.Fatalf("/runs is not JSON: %v", err)
+	}
+	if len(payload.Runs) != 3 || payload.Counts[metrics.StateDone] != 3 {
+		t.Fatalf("/runs = %d entries, counts %v; want 3 entries, done:3", len(payload.Runs), payload.Counts)
+	}
+	for _, run := range payload.Runs {
+		if !keys[run.Hash] || run.Key != "svc:baseline/pr@"+run.Hash {
+			t.Errorf("/runs entry %+v does not name one of the requested keys", run)
+		}
+	}
+}
+
 func TestHealthzAndReadyzSplit(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	get := func(path string) int {

@@ -62,8 +62,9 @@ func prefault(pt *vm.PageTable, tr *trace.Trace) error {
 	ipPage, dataPage := ^mem.Addr(0), ^mem.Addr(0) // no page number is all ones
 	for i := range tr.Insts {
 		in := &tr.Insts[i]
-		if p := mem.PageNumber(in.IP); p != ipPage {
-			if _, err := pt.Translate(in.IP); err != nil {
+		ip := mem.Addr(in.IP)
+		if p := mem.PageNumber(ip); p != ipPage {
+			if _, err := pt.Translate(ip); err != nil {
 				return err
 			}
 			ipPage = p

@@ -231,7 +231,7 @@ func TestPrefaultMatchesPerInstruction(t *testing.T) {
 	traces := parTraces(t, 20_000)
 	perInst := func(pt *vm.PageTable, tr *trace.Trace) error {
 		for _, in := range tr.Insts {
-			if _, err := pt.Translate(in.IP); err != nil {
+			if _, err := pt.Translate(mem.Addr(in.IP)); err != nil {
 				return err
 			}
 			if in.Op == trace.OpLoad || in.Op == trace.OpStore {
@@ -272,7 +272,7 @@ func TestPrefaultMatchesPerInstruction(t *testing.T) {
 		}
 		for i, tr := range traces {
 			for _, in := range tr.Insts {
-				vas := []mem.Addr{in.IP}
+				vas := []mem.Addr{mem.Addr(in.IP)}
 				if in.Op == trace.OpLoad || in.Op == trace.OpStore {
 					vas = append(vas, in.Addr)
 				}

@@ -101,7 +101,7 @@ type ParallelStats struct {
 	// least-advanced core clocks at the barrier — the cost ceiling of the
 	// lockstep windows.
 	SkewCycles uint64
-	// TraceRefills counts per-core trace ring-buffer refills (see
+	// TraceRefills counts per-core trace block starts (see
 	// trace.Cursor); it scales with instructions executed, not with
 	// SimJobs.
 	TraceRefills uint64

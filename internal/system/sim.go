@@ -23,10 +23,8 @@ import (
 type coreCtx struct {
 	id int
 	tr *trace.Trace
-	// cur streams the trace through a fixed per-core ring buffer
-	// (trace.CursorBlock instructions per refill): each core reads its own
-	// resident window instead of sharing one big instruction slice, which
-	// matters once cores step on separate goroutines.
+	// cur streams the trace in place, trace.CursorBlock instructions per
+	// block (one refill each).
 	cur    *trace.Cursor
 	core   *cpu.Core
 	bp     *cpu.Perceptron
@@ -392,16 +390,17 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 // step executes one instruction on core c.
 func (s *sim) step(c *coreCtx) {
 	in := c.cur.Next() // replays the trace cyclically
+	ip := mem.Addr(in.IP)
 
 	d := c.core.NextDispatch()
 
 	// Instruction fetch on line transitions; pipelined fetch hides the L1I
 	// hit latency, so only the excess stalls the frontend.
-	if il := mem.LineAddr(in.IP); il != c.lastIL {
+	if il := mem.LineAddr(ip); il != c.lastIL {
 		c.lastIL = il
-		tr, err := c.mmu.TranslateInstr(in.IP, in.IP, d)
+		tr, err := c.mmu.TranslateInstr(ip, ip, d)
 		if err == nil {
-			c.req = mem.Request{Addr: tr.PA, VAddr: in.IP, IP: in.IP, Kind: mem.IFetch, Core: c.id}
+			c.req = mem.Request{Addr: tr.PA, VAddr: ip, IP: ip, Kind: mem.IFetch, Core: c.id}
 			res := c.l1iPath.Access(&c.req, tr.Ready)
 			if eff := res.Ready - s.cfg.L1I.Latency; eff > d {
 				c.core.FrontendStall(eff)
@@ -417,7 +416,7 @@ func (s *sim) step(c *coreCtx) {
 
 	case trace.OpBranch:
 		c.core.CountBranch()
-		if !c.bp.Update(uint64(in.IP), in.Taken) {
+		if !c.bp.Update(uint64(ip), in.Taken) {
 			c.core.Mispredict(d + exec)
 		}
 		c.core.Dispatch(cpu.Entry{Complete: d + exec})
@@ -428,15 +427,15 @@ func (s *sim) step(c *coreCtx) {
 			// Pointer chase: the address comes from the previous load.
 			issueAt = c.lastLoadDone
 		}
-		s.tracer.BeginSample(c.id, "load", in.IP, in.Addr, issueAt)
-		tr, err := c.mmu.Translate(in.Addr, in.IP, issueAt)
+		s.tracer.BeginSample(c.id, "load", ip, in.Addr, issueAt)
+		tr, err := c.mmu.Translate(in.Addr, ip, issueAt)
 		if err != nil {
 			s.tracer.EndSample("load", d+exec)
 			c.core.Dispatch(cpu.Entry{Complete: d + exec})
 			return
 		}
 		c.req = mem.Request{
-			Addr: tr.PA, VAddr: in.Addr, IP: in.IP,
+			Addr: tr.PA, VAddr: in.Addr, IP: ip,
 			Kind: mem.Load, IsReplay: tr.STLBMiss, Core: c.id,
 		}
 		issue := tr.Ready
@@ -462,15 +461,15 @@ func (s *sim) step(c *coreCtx) {
 		})
 
 	case trace.OpStore:
-		s.tracer.BeginSample(c.id, "store", in.IP, in.Addr, d)
-		tr, err := c.mmu.Translate(in.Addr, in.IP, d)
+		s.tracer.BeginSample(c.id, "store", ip, in.Addr, d)
+		tr, err := c.mmu.Translate(in.Addr, ip, d)
 		if err != nil {
 			s.tracer.EndSample("store", d+exec)
 			c.core.Dispatch(cpu.Entry{Complete: d + exec})
 			return
 		}
 		c.req = mem.Request{
-			Addr: tr.PA, VAddr: in.Addr, IP: in.IP,
+			Addr: tr.PA, VAddr: in.Addr, IP: ip,
 			Kind: mem.Store, IsReplay: tr.STLBMiss, Core: c.id,
 		}
 		c.l1dPath.Access(&c.req, tr.Ready)

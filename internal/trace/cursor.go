@@ -1,23 +1,20 @@
 package trace
 
-// CursorBlock is the number of instructions a Cursor copies into its ring
-// buffer per refill. One refill per 1024 steps keeps the amortized copy cost
-// well under a nanosecond per instruction while giving each consumer a small
-// private working window — in the parallel engine every core reads its own
-// ring instead of sharing (and false-sharing) one big instruction slice.
+// CursorBlock is the number of instructions a Cursor hands out per block.
+// Each block start counts as one refill, the
+// sim_parallel_trace_refills_total metric source.
 const CursorBlock = 1024
 
-// Cursor streams a trace's instructions through a fixed-size ring buffer,
-// replaying the trace cyclically like the simulation engine requires. The
-// buffer is allocated once at construction; steady-state iteration performs
-// zero allocations. A Cursor is single-consumer and not safe for concurrent
-// use; give each core its own.
+// Cursor streams a trace's instructions in CursorBlock-sized blocks,
+// replaying the trace cyclically like the simulation engine requires. It
+// reads the trace in place: nothing is copied, so a cursor adds no per-core
+// buffer and iteration performs zero allocations. The trace is only read,
+// so cores stepping on separate goroutines may share one. A Cursor is
+// single-consumer and not safe for concurrent use; give each core its own.
 type Cursor struct {
 	src     []Inst
-	buf     []Inst
-	pos     int // next unread index in buf
-	n       int // valid instructions in buf
-	next    int // next source index to refill from
+	pos     int // next source index to read
+	end     int // end of the current block
 	refills uint64
 }
 
@@ -27,39 +24,31 @@ func NewCursor(t *Trace) *Cursor {
 	if len(t.Insts) == 0 {
 		panic("trace: NewCursor on empty trace " + t.Name)
 	}
-	n := CursorBlock
-	if len(t.Insts) < n {
-		n = len(t.Insts)
-	}
-	return &Cursor{src: t.Insts, buf: make([]Inst, n)}
+	return &Cursor{src: t.Insts}
 }
 
 // Next returns the next instruction, wrapping to the start of the trace
-// when it ends. The returned pointer stays valid until the buffered block
-// is exhausted (at most CursorBlock further calls); callers must not retain
-// it across steps.
+// when it ends. The pointer is into the trace itself: callers must not
+// modify the instruction.
 func (c *Cursor) Next() *Inst {
-	if c.pos == c.n {
+	if c.pos == c.end {
 		c.refill()
 	}
-	in := &c.buf[c.pos]
+	in := &c.src[c.pos]
 	c.pos++
 	return in
 }
 
-// refill copies the next block from the source trace into the ring. The
-// block near the end of the trace may be short; the next refill wraps to
-// the start.
+// refill starts the next block. The block near the end of the trace may be
+// short; the next refill wraps to the start.
 func (c *Cursor) refill() {
-	if c.next == len(c.src) {
-		c.next = 0
+	if c.pos == len(c.src) {
+		c.pos = 0
 	}
-	n := copy(c.buf, c.src[c.next:])
-	c.next += n
-	c.pos, c.n = 0, n
+	c.end = min(c.pos+CursorBlock, len(c.src))
 	c.refills++
 }
 
-// Refills returns how many block copies the cursor has performed — the
+// Refills returns how many blocks the cursor has started — the
 // sim_parallel_trace_refills_total metric source.
 func (c *Cursor) Refills() uint64 { return c.refills }

@@ -27,10 +27,11 @@ func buildTest(t *testing.T, name string, n int) *Trace {
 	return b.Build()
 }
 
-// TestCursorMatchesDirectIteration pins the cursor's contract: streaming
-// through the fixed ring buffer yields exactly the cyclic replay sequence
-// the engine's direct indexing produced, across block boundaries and
-// wrap-around, including traces shorter than one block.
+// TestCursorMatchesDirectIteration pins the cursor's contract: it hands out
+// the trace's own instructions, in place, in exactly the cyclic replay
+// sequence of direct indexing, across block boundaries and wrap-around,
+// including traces shorter than one block. A block (one refill) starts
+// every CursorBlock instructions and at every wrap.
 func TestCursorMatchesDirectIteration(t *testing.T) {
 	for _, n := range []int{1, 7, CursorBlock - 1, CursorBlock, CursorBlock + 1, 2*CursorBlock + 513} {
 		tr := buildTest(t, "cursor", n)
@@ -39,28 +40,32 @@ func TestCursorMatchesDirectIteration(t *testing.T) {
 		}
 		cur := NewCursor(tr)
 		pos := 0
+		var refills uint64
 		steps := 3*n + 17
 		if steps < 4*CursorBlock {
 			steps = 4 * CursorBlock
 		}
 		for i := 0; i < steps; i++ {
-			got := cur.Next()
-			want := &tr.Insts[pos]
-			if *got != *want {
-				t.Fatalf("n=%d step %d: cursor %+v, direct %+v", n, i, *got, *want)
+			if pos%CursorBlock == 0 {
+				refills++
+			}
+			if got := cur.Next(); got != &tr.Insts[pos] {
+				t.Fatalf("n=%d step %d: cursor %+v is not &Insts[%d]", n, i, *got, pos)
+			}
+			if cur.Refills() != refills {
+				t.Fatalf("n=%d step %d: %d refills, want %d", n, i, cur.Refills(), refills)
 			}
 			if pos++; pos == len(tr.Insts) {
 				pos = 0
 			}
 		}
-		if cur.Refills() == 0 {
-			t.Fatalf("n=%d: no refills recorded", n)
-		}
 	}
 }
 
 // TestCursorSteadyStateAllocs pins the zero-allocation property of the
-// streaming hot path: Next never touches the heap after construction.
+// streaming hot path: Next never touches the heap after construction. Each
+// run of CursorBlock steps over this 1.5-block trace starts a block, and
+// every other run wraps.
 func TestCursorSteadyStateAllocs(t *testing.T) {
 	tr := buildTest(t, "alloc", 3*CursorBlock/2)
 	cur := NewCursor(tr)

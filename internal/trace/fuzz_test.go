@@ -33,6 +33,7 @@ func FuzzTraceRead(f *testing.F) {
 	f.Add([]byte("ATCTRC01"))
 	f.Add([]byte("not a trace"))
 	f.Add(buf.Bytes()[:buf.Len()-3]) // truncated record
+	f.Add(ipTooWideTrace(f))         // ip 1<<32: rejected, not truncated
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
@@ -66,7 +67,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		tr := &Trace{Name: name}
 		for i, b := range raw {
 			tr.Insts = append(tr.Insts, Inst{
-				IP:    mem.Addr(0x400000 + 4*i),
+				IP:    uint32(0x400000 + 4*i),
 				Op:    OpClass(b % 4),
 				Addr:  mem.Addr(b) << 6,
 				Taken: b&0x10 != 0,

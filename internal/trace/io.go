@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"atcsim/internal/mem"
 )
@@ -19,6 +20,9 @@ import (
 //	count   uint64
 //	records: ip uint64, addr uint64, op uint8, flags uint8 (bit0 taken, bit1 dep)
 //	        ×count
+//
+// The record keeps 8 bytes for ip, but Inst holds a 32-bit IP: Read rejects
+// a record whose ip is at or above 4 GiB instead of truncating it.
 
 var traceMagic = [8]byte{'A', 'T', 'C', 'T', 'R', 'C', '0', '1'}
 
@@ -103,7 +107,11 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		t.Insts = append(t.Insts, Inst{})
 		in := &t.Insts[len(t.Insts)-1]
-		in.IP = mem.Addr(binary.LittleEndian.Uint64(rec[0:]))
+		ip := binary.LittleEndian.Uint64(rec[0:])
+		if ip > math.MaxUint32 {
+			return nil, fmt.Errorf("trace: record %d: ip %#x is not below 4 GiB", i, ip)
+		}
+		in.IP = uint32(ip)
 		in.Addr = mem.Addr(binary.LittleEndian.Uint64(rec[8:]))
 		op := OpClass(rec[16])
 		if op > OpBranch {

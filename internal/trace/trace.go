@@ -35,12 +35,15 @@ func (o OpClass) String() string {
 	return "unknown"
 }
 
-// Inst is one dynamic instruction.
+// Inst is one dynamic instruction: 16 bytes, so a trace costs 16 B per
+// instruction. Addr leads so the 32-bit IP packs with the one-byte fields.
 type Inst struct {
-	// IP is the instruction pointer (static code location).
-	IP mem.Addr
 	// Addr is the virtual data address for loads and stores.
 	Addr mem.Addr
+	// IP is the instruction pointer (static code location). Code lives in
+	// the low 4 GiB, so it is stored in 32 bits; consumers zero-extend it
+	// with mem.Addr(in.IP).
+	IP uint32
 	// Op is the instruction class.
 	Op OpClass
 	// Taken is the branch outcome for OpBranch.
@@ -95,7 +98,7 @@ func (t *Trace) Stats() Stats {
 // once and Build hands that array to the trace without copying it.
 type Builder struct {
 	name   string
-	ipBase mem.Addr
+	ipBase uint32
 	insts  []Inst // cap is the limit
 }
 
@@ -129,7 +132,7 @@ func (b *Builder) Len() int { return len(b.insts) }
 // ip converts a small static site label into a distinct instruction
 // pointer. Distinct sites get distinct IPs, which is what IP-signature
 // policies (SHiP, Hawkeye, IPCP) key on.
-func (b *Builder) ip(site int) mem.Addr { return b.ipBase + mem.Addr(site)*8 }
+func (b *Builder) ip(site int) uint32 { return b.ipBase + uint32(site)*8 }
 
 func (b *Builder) emit(i Inst) {
 	if b.Full() {

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"atcsim/internal/mem"
 )
@@ -125,4 +128,30 @@ func TestTraceReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(raw[:len(raw)-3])); err == nil {
 		t.Error("truncated trace accepted")
 	}
+	// An ip at or above 4 GiB is an error naming its record, never a
+	// truncated IP.
+	if _, err := Read(bytes.NewReader(ipTooWideTrace(t))); err == nil || !strings.Contains(err.Error(), "record 1:") {
+		t.Errorf("ip 1<<32: err = %v, want an error naming record 1", err)
+	}
+}
+
+// TestInstIs16Bytes pins the in-memory instruction size: a trace costs
+// 16 B per instruction, the largest memory a single-core run holds.
+func TestInstIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 16 {
+		t.Fatalf("Sizeof(Inst) = %d, want 16", got)
+	}
+}
+
+// ipTooWideTrace encodes a two-record trace whose second record's ip is
+// 1<<32, one past what Inst's 32-bit IP can hold.
+func ipTooWideTrace(t testing.TB) []byte {
+	tr := &Trace{Name: "wide", Insts: []Inst{{IP: 0x400000, Op: OpALU}, {IP: 0x400008, Op: OpALU}}}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[len(raw)-recordBytes:], 1<<32)
+	return raw
 }
