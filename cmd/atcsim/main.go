@@ -60,7 +60,7 @@ func main() {
 		traceSample = flag.Int("trace-sample", telemetry.DefaultSampleEvery, "trace one in N memory instructions")
 		traceBuf    = flag.Int("trace-buf", telemetry.DefaultBufferEvents, "trace ring-buffer capacity in events (oldest overwritten)")
 		hbOut       = flag.String("interval-stats", "", "stream interval heartbeat stats to this file (.jsonl for JSONL, else CSV)")
-		hbEvery     = flag.Int("interval", 10_000, "heartbeat interval in measured instructions")
+		tickEvery   = flag.Int("interval", 10_000, "heartbeat interval in measured instructions")
 		metricsAddr = flag.String("metrics-addr", "", "serve live /metrics (OpenMetrics), /healthz and /debug/pprof/ on this host:port (port 0 picks one; bind to localhost, pprof is unauthenticated)")
 		metricsLog  = flag.String("metrics-log", "", "append a JSONL metrics snapshot to this file at every heartbeat interval")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -81,10 +81,10 @@ func main() {
 		fail("-stlb must be positive, got %d", *stlb)
 	}
 	// Each telemetry knob is checked whenever the facility that reads it is
-	// on: every live surface runs on a heartbeat, so it reads -interval too.
+	// on: every live surface is a tick consumer, so it reads -interval too.
 	live := *metricsAddr != "" || *metricsLog != ""
-	if (*hbOut != "" || live) && *hbEvery <= 0 {
-		fail("-interval must be positive, got %d", *hbEvery)
+	if (*hbOut != "" || live) && *tickEvery <= 0 {
+		fail("-interval must be positive, got %d", *tickEvery)
 	}
 	if *traceOut != "" && *traceSample <= 0 {
 		fail("-trace-sample must be positive, got %d", *traceSample)
@@ -151,34 +151,51 @@ func main() {
 		}()
 	}
 
-	// Telemetry hub: each facility only exists when requested, so the
-	// default run carries a nil hub and a pristine hot path.
-	hub, hbFile := buildHub(*traceOut, *traceBuf, *traceSample, *hbOut, *hbEvery, live)
-	cfg.Telemetry = hub
+	// Observers only exist when requested, so the default run carries no
+	// tracer, no tick hook and a pristine hot path.
+	if *traceOut != "" {
+		cfg.Tracer = telemetry.NewTracer(*traceBuf, *traceSample)
+	}
+
+	// Every interval observer is one consumer of Config.OnTick, which the
+	// simulator calls every -interval measured instructions — never from
+	// the per-access hot path. Each exists only when its flag asks for it.
+	var ticks []func(*atcsim.Result)
+	var hb *telemetry.Heartbeat
+	var hbFile *os.File
+	if *hbOut != "" {
+		f, err := os.Create(*hbOut)
+		if err != nil {
+			fail("%v", err)
+		}
+		format := telemetry.FormatCSV
+		if strings.HasSuffix(*hbOut, ".jsonl") || strings.HasSuffix(*hbOut, ".json") {
+			format = telemetry.FormatJSONL
+		}
+		hb, hbFile = telemetry.NewHeartbeat(f, format), f
+		ticks = append(ticks, system.HeartbeatTick(hb))
+	}
 
 	// The metrics registry is the single live-introspection surface: its
-	// sim_* gauges are set from the live Result at every heartbeat tick
-	// (Config.OnTick) — never from the per-access hot path.
+	// sim_* gauges are set from the live Result at every tick, before
+	// -metrics-log snapshots them.
 	var mlog *os.File
 	if live {
 		reg := metrics.New()
-		gauges := system.NewLiveGauges(reg)
+		ticks = append(ticks, system.NewLiveGauges(reg).Publish)
 		if *metricsLog != "" {
 			f, err := os.Create(*metricsLog)
 			if err != nil {
 				fail("metrics-log: %v", err)
 			}
 			mlog = f
-		}
-		seq := 0 // OnTick runs on the single simulator goroutine
-		cfg.OnTick = func(r *atcsim.Result) {
-			gauges.Publish(r)
-			if mlog != nil {
+			seq := 0 // ticks run on the single simulator goroutine
+			ticks = append(ticks, func(*atcsim.Result) {
 				if err := reg.WriteJSONLSnapshot(mlog, seq); err != nil {
 					fail("metrics-log: %v", err)
 				}
 				seq++
-			}
+			})
 		}
 		if *metricsAddr != "" {
 			srv := &metrics.Server{Registry: reg}
@@ -187,6 +204,14 @@ func main() {
 				fail("%v", err)
 			}
 			fmt.Fprintf(os.Stderr, "atcsim: metrics listening on http://%s/metrics\n", addr)
+		}
+	}
+	if len(ticks) > 0 {
+		cfg.TickEvery = *tickEvery
+		cfg.OnTick = func(r *atcsim.Result) {
+			for _, tick := range ticks {
+				tick(r)
+			}
 		}
 	}
 
@@ -237,7 +262,7 @@ func main() {
 		}
 	}
 
-	flushTelemetry(hub, hbFile, *traceOut)
+	flushTelemetry(cfg.Tracer, *traceOut, hb, hbFile)
 	if mlog != nil {
 		if err := mlog.Close(); err != nil {
 			fail("metrics-log: %v", err)
@@ -267,44 +292,9 @@ func main() {
 	report(res)
 }
 
-// buildHub assembles the telemetry hub from the observability flags; it
-// returns nil when nothing was requested. Live observation rides the
-// heartbeat cadence, so live without -interval-stats gets a writer-less
-// heartbeat. The returned file is the open heartbeat stream (closed by
-// flushTelemetry).
-func buildHub(traceOut string, traceBuf, traceSample int, hbOut string, hbEvery int, live bool) (*telemetry.Hub, *os.File) {
-	if traceOut == "" && hbOut == "" && !live {
-		return nil, nil
-	}
-	hub := &telemetry.Hub{}
-	if traceOut != "" {
-		hub.Tracer = telemetry.NewTracer(traceBuf, traceSample)
-	}
-	var hbFile *os.File
-	if hbOut != "" {
-		f, err := os.Create(hbOut)
-		if err != nil {
-			fail("%v", err)
-		}
-		format := telemetry.FormatCSV
-		if strings.HasSuffix(hbOut, ".jsonl") || strings.HasSuffix(hbOut, ".json") {
-			format = telemetry.FormatJSONL
-		}
-		hub.Heartbeat = telemetry.NewHeartbeat(f, format, hbEvery)
-		hbFile = f
-	}
-	if live && hub.Heartbeat == nil {
-		hub.Heartbeat = telemetry.NewHeartbeat(nil, telemetry.FormatJSONL, hbEvery)
-	}
-	return hub, hbFile
-}
-
 // flushTelemetry writes the trace file and closes the heartbeat stream.
-func flushTelemetry(hub *telemetry.Hub, hbFile *os.File, traceOut string) {
-	if hub == nil {
-		return
-	}
-	if tr := hub.Tracer; tr != nil && traceOut != "" {
+func flushTelemetry(tr *telemetry.Tracer, traceOut string, hb *telemetry.Heartbeat, hbFile *os.File) {
+	if tr != nil {
 		f, err := os.Create(traceOut)
 		if err != nil {
 			fail("%v", err)
@@ -318,7 +308,7 @@ func flushTelemetry(hub *telemetry.Hub, hbFile *os.File, traceOut string) {
 		fmt.Fprintf(os.Stderr, "atcsim: wrote %d trace events (%d sampled requests, %d dropped) to %s\n",
 			len(tr.Events()), tr.Sampled(), tr.Dropped(), traceOut)
 	}
-	if hb := hub.Heartbeat; hb != nil && hbFile != nil {
+	if hb != nil {
 		if err := hb.Err(); err != nil {
 			fail("interval-stats: %v", err)
 		}

@@ -9,11 +9,11 @@ import (
 	"atcsim/internal/workloads"
 )
 
-// benchSim runs the full simulator with an optional telemetry hub. The
-// off/on pair guards the hot path: with hub == nil every hook must reduce to
-// a nil check, so the "Off" variant must stay at the seed's throughput and
-// allocation profile.
-func benchSim(b *testing.B, hub func() *telemetry.Hub) {
+// benchSim runs the full simulator with optional observers attached by
+// observe. The off/on pair guards the hot path: with observe == nil every
+// hook must reduce to a nil or zero check, so the "Off" variant must stay
+// at the seed's throughput and allocation profile.
+func benchSim(b *testing.B, observe func(*system.Config)) {
 	b.Helper()
 	s, err := workloads.ByName("mcf")
 	if err != nil {
@@ -26,8 +26,8 @@ func benchSim(b *testing.B, hub func() *telemetry.Hub) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if hub != nil {
-			cfg.Telemetry = hub()
+		if observe != nil {
+			observe(&cfg)
 		}
 		if _, err := system.Run(cfg, tr); err != nil {
 			b.Fatal(err)
@@ -43,11 +43,10 @@ func BenchmarkSimTelemetryOff(b *testing.B) { benchSim(b, nil) }
 // BenchmarkSimTelemetryOn measures the cost of the full observability stack
 // (tracer at the default sampling rate, heartbeat).
 func BenchmarkSimTelemetryOn(b *testing.B) {
-	benchSim(b, func() *telemetry.Hub {
-		return &telemetry.Hub{
-			Tracer:    telemetry.NewTracer(telemetry.DefaultBufferEvents, telemetry.DefaultSampleEvery),
-			Heartbeat: telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 10_000),
-		}
+	benchSim(b, func(cfg *system.Config) {
+		cfg.Tracer = telemetry.NewTracer(telemetry.DefaultBufferEvents, telemetry.DefaultSampleEvery)
+		cfg.TickEvery = 10_000
+		cfg.OnTick = system.HeartbeatTick(telemetry.NewHeartbeat(nil, telemetry.FormatCSV))
 	})
 }
 

@@ -20,6 +20,7 @@ package dram
 
 import (
 	"atcsim/internal/mem"
+	"atcsim/internal/stats"
 	"atcsim/internal/telemetry"
 )
 
@@ -58,11 +59,15 @@ type Stats struct {
 	// ReadLatencySum/ReadLatencyMax track request-to-data delays.
 	ReadLatencySum uint64
 	ReadLatencyMax uint64
-	RowHits        uint64
-	RowClosed      uint64
-	RowMisses      uint64
-	TEMPOIssued    uint64
-	BusyCycles     uint64 // data-bus occupancy booked
+	// RowHits, RowClosed and RowMisses count the row-buffer outcome of
+	// every access (reads and writebacks): an open-row hit, a closed
+	// (precharged) bank, a conflict with another open row. They sum to
+	// Reads + Writes.
+	RowHits     uint64
+	RowClosed   uint64
+	RowMisses   uint64
+	TEMPOIssued uint64
+	BusyCycles  uint64 // data-bus occupancy booked
 }
 
 // AvgReadLatency returns the mean observed read latency.
@@ -71,6 +76,12 @@ func (s *Stats) AvgReadLatency() float64 {
 		return 0
 	}
 	return float64(s.ReadLatencySum) / float64(s.Reads)
+}
+
+// RowHitRate returns the share of row outcomes — one per access, read or
+// writeback — that found their row open, or 0 before any access.
+func (s *Stats) RowHitRate() float64 {
+	return stats.Ratio(s.RowHits, s.RowHits+s.RowClosed+s.RowMisses)
 }
 
 // slotter books bounded service capacity per time bucket, insensitive to

@@ -125,13 +125,7 @@ var ablationScatter = &grid{
 func contiguous(c *system.Config) { c.NoScatterFrames = true }
 
 // rowHit is a run's DRAM row-buffer hit rate.
-var rowHit = unpaired(func(res *system.Result) float64 {
-	tot := res.DRAM.RowHits + res.DRAM.RowClosed + res.DRAM.RowMisses
-	if tot == 0 {
-		return 0
-	}
-	return float64(res.DRAM.RowHits) / float64(tot)
-})
+var rowHit = unpaired(func(res *system.Result) float64 { return res.DRAM.RowHitRate() })
 
 // ablationTHawkeye runs the T-policy ladder with Hawkeye as the LLC
 // baseline instead of SHiP — the paper's secondary configuration.

@@ -10,7 +10,7 @@
 //     single atomic words bumped with one instruction and zero heap
 //     allocations; simulator-internal counters stay plain uint64 fields and
 //     are folded into the registry only at snapshot boundaries (end of run,
-//     heartbeat tick) — never per access.
+//     simulator tick) — never per access.
 //   - Everything is nil-safe. A nil *Counter, *Gauge, *Histogram, *RunTable
 //     or *FlightRecorder is a no-op, so components hold possibly-nil handles
 //     and skip instrumentation with one predictable branch.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -242,6 +243,58 @@ func TestRunTableRequeueRestartsClock(t *testing.T) {
 	want := RunInfo{Key: "svc/pr", Hash: "abc", State: StateRunning, ElapsedMS: 1000}
 	if len(runs) != 1 || runs[0] != want {
 		t.Fatalf("runs = %+v, want [%+v]", runs, want)
+	}
+}
+
+// TestRunTableCapsFinishedEntries keeps a queued and a running key from
+// the start while maxFinishedRuns+1000 other keys finish: the table must
+// hold both live keys plus the latest maxFinishedRuns finished entries, in
+// first-seen order.
+func TestRunTableCapsFinishedEntries(t *testing.T) {
+	rt := NewRunTable()
+	rt.Queued("live/waiting", "q")
+	rt.Queued("live/running", "r")
+	rt.Running("live/running")
+	n := maxFinishedRuns + 1000
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("svc/%d", i)
+		switch i % 3 {
+		case 0:
+			rt.Queued(key, "h")
+			rt.Running(key)
+			rt.Done(key)
+		case 1:
+			rt.Queued(key, "h")
+			rt.Failed(key, "boom")
+		default:
+			rt.Cached(key)
+		}
+	}
+	runs, counts := rt.Snapshot()
+	if len(runs) != 2+maxFinishedRuns {
+		t.Fatalf("table holds %d entries, want %d", len(runs), 2+maxFinishedRuns)
+	}
+	if runs[0].Key != "live/waiting" || runs[0].State != StateQueued ||
+		runs[1].Key != "live/running" || runs[1].State != StateRunning {
+		t.Fatalf("live entries = %+v, %+v", runs[0], runs[1])
+	}
+	for i, r := range runs[2:] {
+		if want := fmt.Sprintf("svc/%d", n-maxFinishedRuns+i); r.Key != want {
+			t.Fatalf("finished entry %d is %q, want %q", i, r.Key, want)
+		}
+	}
+	if got := counts[StateDone] + counts[StateFailed] + counts[StateCached]; got != maxFinishedRuns {
+		t.Fatalf("counts = %v, want %d finished", counts, maxFinishedRuns)
+	}
+	if rt.Count(StateQueued) != 1 || rt.Count(StateRunning) != 1 {
+		t.Fatalf("live counts: queued %d, running %d", rt.Count(StateQueued), rt.Count(StateRunning))
+	}
+
+	// A re-armed key is live again: the next finish drops nothing.
+	rt.Queued(fmt.Sprintf("svc/%d", n-1), "h")
+	rt.Done("svc/new")
+	if runs, _ := rt.Snapshot(); len(runs) != 3+maxFinishedRuns {
+		t.Fatalf("after a re-arm the table holds %d entries, want %d", len(runs), 3+maxFinishedRuns)
 	}
 }
 

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -46,16 +48,24 @@ type runEntry struct {
 	frozen  bool
 }
 
-// RunTable tracks the live state of every run key a sweep has touched —
-// the data behind the /runs endpoint. All methods are nil-safe and cheap
-// (one mutex, no allocation on state transitions), but this is runner-rate
-// machinery, not per-request: it is updated a handful of times per
-// simulation, never on the simulated memory path.
+// maxFinishedRuns bounds the finished (done, failed or cached) entries a
+// RunTable keeps. It sits above a full sweep's 583 runs, so a sweep's
+// /runs lists every run, while a long-lived service's table stops growing.
+const maxFinishedRuns = 4096
+
+// RunTable tracks the live state of the run keys a sweep has touched — the
+// data behind the /runs endpoint. It keeps every queued or running entry
+// and the latest maxFinishedRuns finished ones: past that, each finish
+// drops the oldest finished entry in first-seen order. All methods are
+// nil-safe and cheap (one mutex, no allocation on state transitions), but
+// this is runner-rate machinery, not per-request: it is updated a handful
+// of times per simulation, never on the simulated memory path.
 type RunTable struct {
-	mu    sync.Mutex
-	runs  map[string]*runEntry
-	order []string
-	now   func() time.Time // test seam
+	mu       sync.Mutex
+	runs     map[string]*runEntry
+	order    []string
+	finished int              // entries in a terminal state
+	now      func() time.Time // test seam
 }
 
 // NewRunTable creates an empty run table.
@@ -87,6 +97,7 @@ func (t *RunTable) Queued(key, hash string) {
 	if e.frozen {
 		e.info.ElapsedMS, e.info.Error = 0, ""
 		e.started, e.frozen = t.now(), false
+		t.finished--
 	}
 	e.info.Hash = hash
 	e.info.State = StateQueued
@@ -113,7 +124,16 @@ func (t *RunTable) finish(key string, state RunState, errMsg string) {
 	e.info.State = state
 	e.info.Error = errMsg
 	e.info.ElapsedMS = t.now().Sub(e.started).Milliseconds()
+	if e.frozen {
+		return
+	}
 	e.frozen = true
+	if t.finished++; t.finished > maxFinishedRuns {
+		i := slices.IndexFunc(t.order, func(k string) bool { return t.runs[k].frozen })
+		delete(t.runs, t.order[i])
+		t.order = slices.Delete(t.order, i, i+1)
+		t.finished--
+	}
 }
 
 // Done marks a run as completed successfully.
@@ -173,9 +193,10 @@ func (t *RunTable) Count(state RunState) int {
 // deliberately NOT runner_runs: that is already the OpenMetrics family name
 // of the runner_runs_total counter, and one family cannot be both kinds.
 func (t *RunTable) Register(r *Registry) {
+	help := fmt.Sprintf("Number of run keys per lifecycle state; finished (done, failed, cached) keys are capped at the latest %d.", maxFinishedRuns)
 	for _, s := range runStates {
 		state := s
-		r.GaugeFunc("runner_run_states", "Number of run keys per lifecycle state.",
+		r.GaugeFunc("runner_run_states", help,
 			func() float64 { return float64(t.Count(state)) }, L("state", string(state)))
 	}
 }

@@ -2,6 +2,10 @@
 // tables, cache hierarchy, prefetchers and DRAM — and runs instruction
 // traces through it. It is the layer the public atcsim API and the
 // experiment runners sit on.
+//
+// A run is observed through Config.Tracer and Config.OnTick, a live Result
+// every Config.TickEvery measured instructions; the heartbeat file
+// (HeartbeatTick) and live gauges (LiveGauges) are OnTick consumers.
 package system
 
 import (
@@ -154,21 +158,25 @@ type Config struct {
 	// audits into the cache path.
 	CheckInvariants bool
 
-	// Telemetry, when non-nil, attaches the observability layer (sampled
-	// request-lifecycle tracer, interval heartbeat) to the run. Telemetry
-	// is a pure observer: simulated timing is bit-identical with or
-	// without it. Excluded from JSON results.
-	Telemetry *telemetry.Hub `json:"-"`
+	// Tracer, when non-nil, records sampled request lifecycles from every
+	// level of the run. It is a pure observer: simulated timing is
+	// bit-identical with or without it. Excluded from JSON results.
+	Tracer *telemetry.Tracer `json:"-"`
 
-	// OnTick, when non-nil, receives a live Result at every tick of
-	// Telemetry.Heartbeat, on the simulator goroutine. It has no cadence
-	// of its own, so Validate rejects it without a heartbeat. A live
-	// Result comes from the same collect as the final one: frozen rows for
+	// TickEvery is OnTick's period in measured instructions, summed over
+	// all threads. Validate rejects an OnTick without a positive period.
+	TickEvery int `json:"-"`
+
+	// OnTick, when non-nil, is the simulator's one periodic observation
+	// hook: it receives a live Result, on the simulator goroutine, every
+	// TickEvery measured instructions and once more for the final partial
+	// interval, so its ticks cover the whole measured phase. A live Result
+	// comes from the same collect as the final one: frozen rows for
 	// threads past their target, counters so far for running ones, with
 	// Cycles their current cycle since measurement start (unclamped). It
-	// is only valid during the call. This is the hook
-	// behind live sim_* gauges (LiveGauges) and periodic metric
-	// snapshots. Excluded from JSON.
+	// is only valid during the call. The heartbeat file (HeartbeatTick),
+	// live sim_* gauges (LiveGauges) and periodic metric snapshots are its
+	// consumers; a caller composes them into one func. Excluded from JSON.
 	OnTick func(*Result) `json:"-"`
 
 	// SimJobs caps the worker goroutines the deterministic barrier engine
@@ -262,8 +270,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("system: unknown timing model %q (have %s)",
 			c.Timing, strings.Join(TimingModels(), ", "))
 	}
-	if c.OnTick != nil && c.Telemetry.HeartbeatOrNil() == nil {
-		return fmt.Errorf("system: OnTick needs a Telemetry.Heartbeat to tick it")
+	if c.OnTick != nil && c.TickEvery <= 0 {
+		return fmt.Errorf("system: OnTick needs a positive TickEvery, got %d", c.TickEvery)
 	}
 	return nil
 }

@@ -24,16 +24,18 @@ type observed struct {
 // TestTelemetryDoesNotPerturbTiming checks its value exactly.
 var progressTotal = regexp.MustCompile(`"sim_instructions_total":[^,}]*,`)
 
-// observe attaches a heartbeat streaming CSV every `every` instructions
-// and, when gauges is set, live sim_* gauges snapshotted into JSONL at
-// each tick.
+// observe ticks every `every` measured instructions into a heartbeat
+// streaming CSV and, when gauges is set, live sim_* gauges snapshotted into
+// JSONL.
 func (o *observed) observe(cfg *Config, every int, gauges bool) {
-	cfg.Telemetry = &telemetry.Hub{Heartbeat: telemetry.NewHeartbeat(&o.csv, telemetry.FormatCSV, every)}
+	heartbeat := HeartbeatTick(telemetry.NewHeartbeat(&o.csv, telemetry.FormatCSV))
+	cfg.TickEvery, cfg.OnTick = every, heartbeat
 	if gauges {
 		reg := metrics.New()
 		g := NewLiveGauges(reg)
 		seq := 0
 		cfg.OnTick = func(r *Result) {
+			heartbeat(r)
 			g.Publish(r)
 			var line bytes.Buffer
 			reg.WriteJSONLSnapshot(&line, seq)
@@ -100,7 +102,7 @@ func TestResultDigestsPinned(t *testing.T) {
 				cfg.Apply(TEMPO)
 				o := &observed{}
 				o.observe(&cfg, 10_000, true)
-				cfg.Telemetry.Tracer = telemetry.NewTracer(1<<12, 8)
+				cfg.Tracer = telemetry.NewTracer(1<<12, 8)
 				r, err := Run(cfg, buildTrace(t, "pr", 90_000))
 				if err != nil {
 					t.Fatal(err)

@@ -25,8 +25,9 @@ type MetricsSink struct {
 
 // LiveGauges maps the live Results of one running simulation
 // (Config.OnTick) onto sim_* gauges of a registry, so a scrape mid-run
-// sees heartbeat-fresh values without touching the per-access path. Its
-// schema is liveFamilies, declared with the same helpers as the sink's.
+// sees values as fresh as the last tick without touching the per-access
+// path. Its schema is liveFamilies, declared with the same helpers as the
+// sink's.
 type LiveGauges struct {
 	gauges []metrics.Gauge // liveFamilies' series, family by family
 }
@@ -234,11 +235,11 @@ var sinkFamilies = []family{
 		func(r *Result) uint64 { return r.DRAM.Reads }),
 	scalar("dram_writes_total", "DRAM write requests serviced.",
 		func(r *Result) uint64 { return r.DRAM.Writes }),
-	scalar("dram_row_hits_total", "DRAM reads hitting an open row buffer.",
+	scalar("dram_row_hits_total", "DRAM accesses (reads and writebacks) hitting an open row buffer.",
 		func(r *Result) uint64 { return r.DRAM.RowHits }),
-	scalar("dram_row_closed_total", "DRAM reads to a closed (precharged) bank.",
+	scalar("dram_row_closed_total", "DRAM accesses (reads and writebacks) to a closed (precharged) bank.",
 		func(r *Result) uint64 { return r.DRAM.RowClosed }),
-	scalar("dram_row_misses_total", "DRAM reads conflicting with a different open row.",
+	scalar("dram_row_misses_total", "DRAM accesses (reads and writebacks) conflicting with a different open row.",
 		func(r *Result) uint64 { return r.DRAM.RowMisses }),
 	scalar("dram_tempo_prefetches_total", "TEMPO translation-triggered prefetches issued.",
 		func(r *Result) uint64 { return r.DRAM.TEMPOIssued }),

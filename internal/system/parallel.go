@@ -44,7 +44,7 @@ const parallelWindow = 2048
 //
 // The schedule never depends on SimJobs, so this gate cannot change results.
 func poolSafe(cfg Config) bool {
-	return cfg.Telemetry.TracerOrNil() == nil && xlat.CoreLocal(cfg.Mechanism) &&
+	return cfg.Tracer == nil && xlat.CoreLocal(cfg.Mechanism) &&
 		(cfg.L1DPrefetcher == "" || cfg.L1DPrefetcher == "none")
 }
 
@@ -399,9 +399,9 @@ func (e *parEngine) statsSnapshot() ParallelStats {
 // barrierTick does the per-instruction bookkeeping for stepped steps, of
 // which measured were taken by threads at or below their target: once per
 // step in the inline unit loop, batched at each round barrier under the
-// engine. The invariant audit follows stepped instructions; heartbeat
-// ticks follow measured ones, the instructions a row counts, so every row
-// but the last holds at least the interval. Both cadences follow
+// engine. The invariant audit follows stepped instructions; OnTick
+// follows measured ones, the instructions a heartbeat row counts, so every
+// row but the last holds at least TickEvery. Both cadences follow
 // instruction counts (deterministic) rather than wall-clock or worker
 // timing.
 func (s *sim) barrierTick(stepped, measured int) {
@@ -415,7 +415,7 @@ func (s *sim) barrierTick(stepped, measured int) {
 		return
 	}
 	s.stepped += uint64(measured)
-	if s.hb != nil && s.stepped-s.ticked >= s.hbEvery {
-		s.heartbeatTick()
+	if s.cfg.OnTick != nil && s.stepped-s.ticked >= uint64(s.cfg.TickEvery) {
+		s.tick()
 	}
 }

@@ -123,7 +123,7 @@ func TestParallelPoolGate(t *testing.T) {
 		{"victima", func(c *Config) { c.Mechanism = "victima" }},
 		{"ipcp", func(c *Config) { c.L1DPrefetcher = "ipcp" }},
 		{"traced", func(c *Config) {
-			c.Telemetry = &telemetry.Hub{Tracer: telemetry.NewTracer(1024, 64)}
+			c.Tracer = telemetry.NewTracer(1024, 64)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,7 +162,7 @@ func TestParallelTracerAttribution(t *testing.T) {
 	cfg.Instructions = 8_000
 	cfg.Warmup = 2_000
 	tr := telemetry.NewTracer(1<<17, 8)
-	cfg.Telemetry = &telemetry.Hub{Tracer: tr}
+	cfg.Tracer = tr
 	if _, err := RunMulti(cfg, traces); err != nil {
 		t.Fatal(err)
 	}
@@ -467,8 +467,8 @@ func TestParallelThreadsStopAtTarget(t *testing.T) {
 				cfg.Timing = timing
 				cfg.TrackRecall = true
 				const interval = 10_000
-				hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV, interval)
-				cfg.Telemetry = &telemetry.Hub{Heartbeat: hb}
+				hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV)
+				cfg.TickEvery, cfg.OnTick = interval, HeartbeatTick(hb)
 				r, err := m.run(cfg)
 				if err != nil {
 					t.Fatal(err)

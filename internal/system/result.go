@@ -45,6 +45,11 @@ func (c *CoreResult) STLBMPKI() float64 {
 	return stats.MPKI(c.MMU.STLBMisses, c.Instructions)
 }
 
+// DTLBMPKI is the first-level data TLB's misses per kilo-instruction.
+func (c *CoreResult) DTLBMPKI() float64 {
+	return stats.MPKI(c.MMU.DTLBMisses, c.Instructions)
+}
+
 // Result is the outcome of one simulation run. Each Cores row stops at
 // its thread's own target; on a multi-core machine so do that core's L1D
 // and L2 entries, and core 0's L2 recall distributions. Everything else
@@ -139,8 +144,8 @@ func (s *sim) coreRow(c *coreCtx, cycles int64) CoreResult {
 // it is the only reader of the components' Stats. Per-core rows are placed
 // by canonical core index, not iteration order, so the Result is identical
 // however the scheduler ordered the cores. A finished thread contributes
-// its frozen row; a running one (a live Result, taken mid-phase for the
-// heartbeat) its counters so far, with Cycles up to its current cycle.
+// its frozen row; a running one (a live Result, taken mid-phase for
+// Config.OnTick) its counters so far, with Cycles up to its current cycle.
 func (s *sim) collect() *Result {
 	r := &Result{Cfg: s.cfg, LLC: s.llc.Stats(), DRAM: s.channel.Stats()}
 	r.Cores = make([]CoreResult, len(s.cores))

@@ -74,15 +74,12 @@ type sim struct {
 	// drain. Empty under analytic timing.
 	queued []*cache.Queued
 
-	// Observability (all nil/false when telemetry is disabled; the phase
+	// Observability (nil when disabled, as is Config.OnTick; the phase
 	// loop then pays one predictable branch per instruction).
 	tracer    *telemetry.Tracer
-	hb        *telemetry.Heartbeat
-	hbEvery   uint64
 	measuring bool
-	stepped   uint64  // measured instructions stepped (all cores, each to its target)
-	ticked    uint64  // stepped count at the last heartbeat tick
-	lastTick  *Result // live Result at the last heartbeat tick (or Begin)
+	stepped   uint64 // measured instructions stepped (all cores, each to its target)
+	ticked    uint64 // stepped count at the last tick
 
 	// Invariant auditing (Config.CheckInvariants or the atcsim_invariants
 	// build tag): every checkStride instructions the structural state of
@@ -370,9 +367,7 @@ func build(cfg Config, traces []*trace.Trace, shareCoreCaches bool) (*sim, error
 
 	// Observability wiring: hooks are nil-safe, so only the enabled
 	// facilities cost anything.
-	s.tracer = cfg.Telemetry.TracerOrNil()
-	s.hb = cfg.Telemetry.HeartbeatOrNil()
-	s.hbEvery = uint64(s.hb.Every())
+	s.tracer = cfg.Tracer
 	if s.tracer != nil {
 		s.llc.SetTracer(s.tracer)
 		s.channel.SetTracer(s.tracer)
@@ -495,7 +490,7 @@ func (s *sim) step(c *coreCtx) {
 // freezes.
 func (s *sim) runUnit(unit []*coreCtx, target int, window int64) {
 	inline := window == math.MaxInt64
-	tick := inline && (s.checking || s.hb != nil)
+	perStep := inline && (s.checking || s.cfg.OnTick != nil)
 	for {
 		pick := unit[0]
 		best := pick.core.NextDispatch()
@@ -509,7 +504,7 @@ func (s *sim) runUnit(unit []*coreCtx, target int, window int64) {
 		}
 		s.step(pick)
 		pick.phaseCount++
-		if tick {
+		if perStep {
 			measured := 0
 			if pick.phaseCount <= target {
 				measured = 1
@@ -592,95 +587,12 @@ func (s *sim) resetStats() {
 	}
 }
 
-// heartbeatTick builds a live Result, streams the interval row since the
-// last tick and hands the Result to Config.OnTick. Both ride the heartbeat
-// cadence, so live observation costs nothing between ticks.
-func (s *sim) heartbeatTick() {
-	cur := s.collect()
-	s.hb.Tick(intervalRow(s.lastTick, cur))
-	if s.cfg.OnTick != nil {
-		s.cfg.OnTick(cur)
-	}
-	s.lastTick = cur
+// tick hands a live Result to Config.OnTick. A consumer that reports
+// intervals (HeartbeatTick) keeps its own previous totals, so the
+// simulator holds nothing between ticks.
+func (s *sim) tick() {
+	s.cfg.OnTick(s.collect())
 	s.ticked = s.stepped
-}
-
-// rowSums are the run-wide totals of the counters a heartbeat row reads.
-type rowSums struct {
-	cycle                                    int64
-	insts, stlbAcc, stlbMiss, leaf, leafDRAM uint64
-	rowHits, rowOps                          uint64
-	miss                                     [mem.LvlDRAM][mem.NumClasses]uint64
-	stalls                                   [cpu.NumStallClasses]uint64
-}
-
-// sumRow totals the counters of one live Result over its cores and cache
-// instances.
-func sumRow(r *Result) rowSums {
-	t := rowSums{cycle: lastCycle(r)}
-	for i := range r.Cores {
-		c := &r.Cores[i]
-		t.insts += c.CPU.Instructions
-		t.stlbAcc += c.MMU.STLBAccesses
-		t.stlbMiss += c.MMU.STLBMisses
-		t.leaf += c.Walker.LeafService.Total()
-		t.leafDRAM += c.Walker.LeafService.Count[mem.LvlDRAM]
-		for k, n := range c.CPU.StallCycles {
-			t.stalls[k] += n
-		}
-	}
-	forLevels(r, func(li int, st *cache.Stats) {
-		for cl, n := range st.Miss {
-			t.miss[li][cl] += n
-		}
-	})
-	t.rowHits = r.DRAM.RowHits
-	t.rowOps = r.DRAM.RowHits + r.DRAM.RowClosed + r.DRAM.RowMisses
-	return t
-}
-
-// intervalRow derives the heartbeat row between two live Results of one
-// run: each counter's growth, as MPKI over the instructions retired in
-// between or as a ratio of grown counts.
-func intervalRow(prev, cur *Result) telemetry.Row {
-	a, b := sumRow(prev), sumRow(cur)
-	insts := b.insts - a.insts
-	misses := func(lvl mem.Level, classes ...mem.Class) uint64 {
-		var n uint64
-		for _, cl := range classes {
-			n += b.miss[lvl][cl] - a.miss[lvl][cl]
-		}
-		return n
-	}
-	demandMPKI := func(lvl mem.Level) float64 {
-		return stats.MPKI(misses(lvl, mem.ClassNonReplay, mem.ClassReplay), insts)
-	}
-	stlbMisses := b.stlbMiss - a.stlbMiss
-	leaf, leafDRAM := b.leaf-a.leaf, b.leafDRAM-a.leafDRAM
-	cycles := b.cycle - a.cycle
-	return telemetry.Row{
-		EndCycle:     b.cycle,
-		Cycles:       cycles,
-		Instructions: insts,
-		IPC:          cpu.IPC(insts, cycles),
-
-		L1DMPKI:       demandMPKI(mem.LvlL1D),
-		L2MPKI:        demandMPKI(mem.LvlL2),
-		LLCMPKI:       demandMPKI(mem.LvlLLC),
-		LLCReplayMPKI: stats.MPKI(misses(mem.LvlLLC, mem.ClassReplay), insts),
-		LLCLeafMPKI:   stats.MPKI(misses(mem.LvlLLC, mem.ClassTransLeaf), insts),
-
-		STLBMissRate: stats.Ratio(stlbMisses, b.stlbAcc-a.stlbAcc),
-		STLBMPKI:     stats.MPKI(stlbMisses, insts),
-		TransHitRate: stats.Ratio(leaf-leafDRAM, leaf),
-
-		StallTranslation: b.stalls[cpu.StallTranslation] - a.stalls[cpu.StallTranslation],
-		StallReplay:      b.stalls[cpu.StallReplay] - a.stalls[cpu.StallReplay],
-		StallNonReplay:   b.stalls[cpu.StallNonReplay] - a.stalls[cpu.StallNonReplay],
-		StallOther:       b.stalls[cpu.StallOther] - a.stalls[cpu.StallOther],
-
-		DRAMRowHitRate: stats.Ratio(b.rowHits-a.rowHits, b.rowOps-a.rowOps),
-	}
 }
 
 // runPhase runs one warmup/measurement phase of target instructions per
@@ -706,19 +618,13 @@ func (s *sim) run() *Result {
 	for _, c := range s.cores {
 		c.baseCycle = c.core.Cycle()
 	}
-	if s.hb != nil {
-		// Measurement-start baseline: the first interval row differences
-		// against freshly reset counters.
-		s.hb.Begin()
-		s.lastTick = s.collect()
-	}
 	s.measuring = true
 	s.runPhase(s.cfg.Instructions)
 	s.measuring = false
-	if s.hb != nil && s.stepped > s.ticked {
-		// Flush the final partial interval, so the rows cover the whole
+	if s.cfg.OnTick != nil && s.stepped > s.ticked {
+		// The final partial interval, so the ticks cover the whole
 		// measured phase.
-		s.heartbeatTick()
+		s.tick()
 	}
 	// Flush in-flight queue entries so collected stats (fills, writebacks,
 	// backpressure counters) cover every measured request.

@@ -45,10 +45,12 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(bad, workloads.Stream(1000, 1)); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	bad = cfg
-	bad.OnTick = func(*Result) {}
-	if _, err := Run(bad, workloads.Stream(1000, 1)); err == nil {
-		t.Error("OnTick without a heartbeat accepted")
+	for _, every := range []int{0, -1} {
+		bad = cfg
+		bad.OnTick, bad.TickEvery = func(*Result) {}, every
+		if _, err := Run(bad, workloads.Stream(1000, 1)); err == nil {
+			t.Errorf("OnTick with TickEvery %d accepted", every)
+		}
 	}
 }
 
@@ -236,6 +238,23 @@ func TestMultiCoreRun(t *testing.T) {
 	}
 	if _, err := RunMulti(cfg, nil); err == nil {
 		t.Error("empty mix accepted")
+	}
+}
+
+// Every DRAM access, read or posted writeback, has one row-buffer outcome,
+// so the three row counters sum to Reads + Writes.
+func TestDRAMRowOutcomesCountEveryAccess(t *testing.T) {
+	r, err := Run(quickCfg(), buildTrace(t, "cc", 80_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := r.DRAM
+	if d.Writes == 0 {
+		t.Fatal("run posted no writebacks")
+	}
+	if got, want := d.RowHits+d.RowClosed+d.RowMisses, d.Reads+d.Writes; got != want {
+		t.Errorf("row outcomes %d (hits %d, closed %d, misses %d), want reads %d + writes %d = %d",
+			got, d.RowHits, d.RowClosed, d.RowMisses, d.Reads, d.Writes, want)
 	}
 }
 

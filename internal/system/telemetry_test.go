@@ -13,10 +13,10 @@ import (
 	"atcsim/internal/telemetry"
 )
 
-// Telemetry must be a pure observer: attaching the full hub (tracer +
-// heartbeat) and live gauges must leave the Result bit-identical to the
-// bare run, on a single core, an SMT pair and a 4-core machine under both
-// timing engines. Threads that keep running past their target count no
+// Telemetry must be a pure observer: attaching the tracer and an OnTick
+// composed of the heartbeat and live gauges must leave the Result
+// bit-identical to the bare run, on a single core, an SMT pair and a
+// 4-core machine under both timing engines. Threads that keep running past their target count no
 // further, so the progress gauge sim_instructions never exceeds
 // sim_instructions_total and reaches it at the last tick.
 func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
@@ -48,14 +48,15 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 			}
 
 			obs := cfg
-			obs.Telemetry = &telemetry.Hub{
-				Tracer:    telemetry.NewTracer(1<<12, 8),
-				Heartbeat: telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 2_000),
-			}
+			obs.Tracer = telemetry.NewTracer(1<<12, 8)
+			hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV)
+			heartbeat := HeartbeatTick(hb)
 			reg := metrics.New()
 			gauges := NewLiveGauges(reg)
 			var total, stepped []float64
+			obs.TickEvery = 2_000
 			obs.OnTick = func(r *Result) {
+				heartbeat(r)
 				gauges.Publish(r)
 				series := map[string]float64{}
 				for _, s := range reg.Gather() {
@@ -73,15 +74,14 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 			}
 
 			// The observer actually observed something.
-			hub := obs.Telemetry
-			if hub.Tracer.Sampled() == 0 || len(hub.Tracer.Events()) == 0 {
+			if obs.Tracer.Sampled() == 0 || len(obs.Tracer.Events()) == 0 {
 				t.Error("tracer recorded nothing")
 			}
-			if len(hub.Heartbeat.Rows()) == 0 {
+			if len(hb.Rows()) == 0 {
 				t.Error("heartbeat recorded nothing")
 			}
-			if len(stepped) != len(hub.Heartbeat.Rows()) {
-				t.Fatalf("OnTick fired %d times for %d heartbeat rows", len(stepped), len(hub.Heartbeat.Rows()))
+			if len(stepped) != len(hb.Rows()) {
+				t.Fatalf("OnTick fired %d times for %d heartbeat rows", len(stepped), len(hb.Rows()))
 			}
 			want := float64(traced.TotalInstructions()) // target × threads
 			for i := range stepped {
@@ -101,15 +101,15 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 // to the configured total and end cycles match the final result.
 func TestHeartbeatReconcilesWithResult(t *testing.T) {
 	cfg := quickCfg() // 60_000 measured instructions
-	hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV, 10_000)
-	cfg.Telemetry = &telemetry.Hub{Heartbeat: hb}
+	hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV)
+	cfg.TickEvery, cfg.OnTick = 10_000, HeartbeatTick(hb)
 	res, err := Run(cfg, buildTrace(t, "pr", 90_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rows := hb.Rows()
-	if want := cfg.Instructions / hb.Every(); len(rows) != want {
+	if want := cfg.Instructions / cfg.TickEvery; len(rows) != want {
 		t.Fatalf("got %d heartbeat rows, want %d", len(rows), want)
 	}
 	var insts uint64
@@ -149,7 +149,7 @@ func TestHeartbeatReconcilesWithResult(t *testing.T) {
 func TestRunProducesLoadableChromeTrace(t *testing.T) {
 	cfg := quickCfg()
 	tr := telemetry.NewTracer(1<<14, 16)
-	cfg.Telemetry = &telemetry.Hub{Tracer: tr}
+	cfg.Tracer = tr
 	if _, err := Run(cfg, buildTrace(t, "pr", 90_000)); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestIntervalRowArithmetic(t *testing.T) {
 	cur.l1dMiss[mem.ClassTransLeaf] = 500 // excluded from demand
 	cur.llcMiss[mem.ClassReplay], cur.llcMiss[mem.ClassTransLeaf] = 8, 4
 
-	r := intervalRow(prev.result(), cur.result())
+	r := intervalRow(sumRow(prev.result()), sumRow(cur.result()))
 	approx := func(name string, got, want float64) {
 		t.Helper()
 		if math.Abs(got-want) > 1e-9 {
@@ -239,7 +239,7 @@ func TestIntervalRowArithmetic(t *testing.T) {
 }
 
 func TestIntervalRowZeroDenominators(t *testing.T) {
-	empty := rowCounters{}.result()
+	empty := sumRow(rowCounters{}.result())
 	r := intervalRow(empty, empty)
 	for name, v := range map[string]float64{
 		"IPC": r.IPC, "L1DMPKI": r.L1DMPKI, "STLBMissRate": r.STLBMissRate,

@@ -15,8 +15,7 @@ import (
 // monotonically from zero.
 func TestHeartbeatJSONLFieldPresence(t *testing.T) {
 	var buf bytes.Buffer
-	hb := NewHeartbeat(&buf, FormatJSONL, 1000)
-	hb.Begin()
+	hb := NewHeartbeat(&buf, FormatJSONL)
 	for i := 1; i <= 4; i++ {
 		hb.Tick(Row{
 			EndCycle:     int64(i) * 2000,

@@ -49,47 +49,26 @@ const CSVHeader = "interval,end_cycle,cycles,instructions,ipc," +
 	"stall_translation,stall_replay,stall_nonreplay,stall_other," +
 	"dram_row_hit_rate"
 
-// Heartbeat numbers the interval rows the simulator derives every Every()
-// instructions, streams them to an optional writer and retains them for
-// programmatic access. Like the tracer it is a pure observer.
+// Heartbeat numbers interval rows, streams them to an optional writer and
+// retains them for programmatic access. It has no cadence of its own: rows
+// arrive from whatever ticks it (system.HeartbeatTick, on the simulator's
+// Config.OnTick). Like the tracer it is a pure observer.
 type Heartbeat struct {
-	every  int
 	w      io.Writer
 	format Format
 	rows   []Row
 	err    error
 }
 
-// NewHeartbeat creates a heartbeat ticking every `every` instructions
-// (non-positive falls back to 100_000). w may be nil to only retain rows
-// in memory.
-func NewHeartbeat(w io.Writer, format Format, every int) *Heartbeat {
-	if every <= 0 {
-		every = 100_000
-	}
-	return &Heartbeat{every: every, w: w, format: format}
+// NewHeartbeat creates a heartbeat streaming to w in format; w may be nil
+// to only retain rows in memory.
+func NewHeartbeat(w io.Writer, format Format) *Heartbeat {
+	return &Heartbeat{w: w, format: format}
 }
 
-// Every returns the tick period in instructions.
-func (h *Heartbeat) Every() int {
-	if h == nil {
-		return 0
-	}
-	return h.every
-}
-
-// Begin emits the CSV header at the start of the measured phase.
-func (h *Heartbeat) Begin() {
-	if h == nil {
-		return
-	}
-	if h.w != nil && h.format == FormatCSV {
-		_, err := fmt.Fprintln(h.w, CSVHeader)
-		h.setErr(err)
-	}
-}
-
-// Tick numbers the next interval row, then retains and streams it.
+// Tick numbers the next interval row, then retains and streams it. A CSV
+// stream gets its header with the first row, so a heartbeat that never
+// ticks writes nothing.
 func (h *Heartbeat) Tick(row Row) {
 	if h == nil {
 		return
@@ -112,6 +91,10 @@ func (h *Heartbeat) write(r Row) {
 		}
 		h.setErr(err)
 	default:
+		if r.Index == 0 {
+			_, err := fmt.Fprintln(h.w, CSVHeader)
+			h.setErr(err)
+		}
 		_, err := fmt.Fprintf(h.w,
 			"%d,%d,%d,%d,%.6f,%.4f,%.4f,%.4f,%.4f,%.4f,%.6f,%.4f,%.6f,%d,%d,%d,%d,%.6f\n",
 			r.Index, r.EndCycle, r.Cycles, r.Instructions, r.IPC,

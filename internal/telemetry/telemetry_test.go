@@ -28,10 +28,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Sampled() != 0 || tr.Dropped() != 0 || tr.Events() != nil || tr.Now() != 0 {
 		t.Fatal("nil tracer retained state")
 	}
-	var hub *Hub
-	if hub.TracerOrNil() != nil || hub.HeartbeatOrNil() != nil {
-		t.Fatal("nil hub returned a facility")
-	}
 }
 
 func TestTracerSampling(t *testing.T) {
@@ -212,10 +208,14 @@ func TestWriteChromeTraceNilAndEmpty(t *testing.T) {
 	}
 }
 
+// A CSV heartbeat writes its header with its first row: one that never
+// ticks leaves its stream empty.
 func TestHeartbeatCSV(t *testing.T) {
 	var buf bytes.Buffer
-	hb := NewHeartbeat(&buf, FormatCSV, 1000)
-	hb.Begin()
+	hb := NewHeartbeat(&buf, FormatCSV)
+	if buf.Len() != 0 || hb.Err() != nil {
+		t.Fatalf("heartbeat wrote %q before its first tick", buf.String())
+	}
 	hb.Tick(Row{EndCycle: 500, Cycles: 500, Instructions: 1000, IPC: 2})
 	hb.Tick(Row{EndCycle: 1000, Cycles: 500, Instructions: 1000, IPC: 2})
 	if err := hb.Err(); err != nil {
@@ -248,8 +248,7 @@ func TestHeartbeatCSV(t *testing.T) {
 
 func TestHeartbeatJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	hb := NewHeartbeat(&buf, FormatJSONL, 500)
-	hb.Begin()
+	hb := NewHeartbeat(&buf, FormatJSONL)
 	hb.Tick(Row{EndCycle: 250, Cycles: 250, Instructions: 500})
 	hb.Tick(Row{Index: 9, EndCycle: 700, Cycles: 450, Instructions: 500}) // renumbered to 1
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -269,9 +268,8 @@ func TestHeartbeatJSONL(t *testing.T) {
 
 func TestNilHeartbeat(t *testing.T) {
 	var hb *Heartbeat
-	hb.Begin()
 	hb.Tick(Row{Instructions: 5})
-	if hb.Rows() != nil || hb.Err() != nil || hb.Every() != 0 {
+	if hb.Rows() != nil || hb.Err() != nil {
 		t.Fatal("nil heartbeat retained state")
 	}
 }

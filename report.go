@@ -19,8 +19,7 @@ func WriteReport(w io.Writer, res *Result) {
 		c := &res.Cores[i]
 		fmt.Fprintf(w, "core %d (%s): IPC %.4f over %d cycles\n", i, c.Workload, c.IPC, c.Cycles)
 		fmt.Fprintf(w, "  STLB MPKI %.2f (misses %d), DTLB MPKI %.2f\n",
-			c.STLBMPKI(), c.MMU.STLBMisses,
-			1000*float64(c.MMU.DTLBMisses)/float64(c.Instructions))
+			c.STLBMPKI(), c.MMU.STLBMisses, c.DTLBMPKI())
 		fmt.Fprintf(w, "  ROB head stalls: translation %d, replay %d, non-replay %d cycles\n",
 			c.CPU.StallCycles[cpu.StallTranslation],
 			c.CPU.StallCycles[cpu.StallReplay],
