@@ -315,7 +315,7 @@ func flushTelemetry(tr *telemetry.Tracer, traceOut string, hb *telemetry.Heartbe
 		if err := hbFile.Close(); err != nil {
 			fail("interval-stats: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "atcsim: wrote %d heartbeat rows to %s\n", len(hb.Rows()), hbFile.Name())
+		fmt.Fprintf(os.Stderr, "atcsim: wrote %d heartbeat rows to %s\n", hb.Count(), hbFile.Name())
 	}
 }
 

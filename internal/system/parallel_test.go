@@ -467,13 +467,13 @@ func TestParallelThreadsStopAtTarget(t *testing.T) {
 				cfg.Timing = timing
 				cfg.TrackRecall = true
 				const interval = 10_000
-				hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV)
-				cfg.TickEvery, cfg.OnTick = interval, HeartbeatTick(hb)
+				tick, heartbeatRows := collectRows(t)
+				cfg.TickEvery, cfg.OnTick = interval, tick
 				r, err := m.run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows := hb.Rows()
+				rows := heartbeatRows()
 				var insts uint64
 				for i, row := range rows {
 					insts += row.Instructions

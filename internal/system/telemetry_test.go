@@ -77,11 +77,11 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 			if obs.Tracer.Sampled() == 0 || len(obs.Tracer.Events()) == 0 {
 				t.Error("tracer recorded nothing")
 			}
-			if len(hb.Rows()) == 0 {
+			if hb.Count() == 0 {
 				t.Error("heartbeat recorded nothing")
 			}
-			if len(stepped) != len(hb.Rows()) {
-				t.Fatalf("OnTick fired %d times for %d heartbeat rows", len(stepped), len(hb.Rows()))
+			if len(stepped) != hb.Count() {
+				t.Fatalf("OnTick fired %d times for %d heartbeat rows", len(stepped), hb.Count())
 			}
 			want := float64(traced.TotalInstructions()) // target × threads
 			for i := range stepped {
@@ -97,18 +97,38 @@ func TestTelemetryDoesNotPerturbTiming(t *testing.T) {
 	}
 }
 
+// collectRows returns an OnTick consumer that feeds a heartbeat streaming
+// JSONL into a buffer, and a function that decodes the rows streamed so
+// far. The heartbeat keeps no rows, so tests read them back the way a
+// heartbeat file's reader would.
+func collectRows(t *testing.T) (tick func(*Result), rows func() []telemetry.Row) {
+	var buf bytes.Buffer
+	tick = HeartbeatTick(telemetry.NewHeartbeat(&buf, telemetry.FormatJSONL))
+	return tick, func() []telemetry.Row {
+		var out []telemetry.Row
+		for dec := json.NewDecoder(bytes.NewReader(buf.Bytes())); dec.More(); {
+			var r telemetry.Row
+			if err := dec.Decode(&r); err != nil {
+				t.Fatalf("heartbeat row %d: %v", len(out), err)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+}
+
 // Heartbeat rows must partition the measured phase: instruction counts sum
 // to the configured total and end cycles match the final result.
 func TestHeartbeatReconcilesWithResult(t *testing.T) {
 	cfg := quickCfg() // 60_000 measured instructions
-	hb := telemetry.NewHeartbeat(nil, telemetry.FormatCSV)
-	cfg.TickEvery, cfg.OnTick = 10_000, HeartbeatTick(hb)
+	tick, heartbeatRows := collectRows(t)
+	cfg.TickEvery, cfg.OnTick = 10_000, tick
 	res, err := Run(cfg, buildTrace(t, "pr", 90_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rows := hb.Rows()
+	rows := heartbeatRows()
 	if want := cfg.Instructions / cfg.TickEvery; len(rows) != want {
 		t.Fatalf("got %d heartbeat rows, want %d", len(rows), want)
 	}

@@ -50,31 +50,31 @@ const CSVHeader = "interval,end_cycle,cycles,instructions,ipc," +
 	"dram_row_hit_rate"
 
 // Heartbeat numbers interval rows, streams them to an optional writer and
-// retains them for programmatic access. It has no cadence of its own: rows
+// counts them; it keeps no row. It has no cadence of its own: rows
 // arrive from whatever ticks it (system.HeartbeatTick, on the simulator's
 // Config.OnTick). Like the tracer it is a pure observer.
 type Heartbeat struct {
 	w      io.Writer
 	format Format
-	rows   []Row
+	count  int // rows ticked so far
 	err    error
 }
 
 // NewHeartbeat creates a heartbeat streaming to w in format; w may be nil
-// to only retain rows in memory.
+// to only count rows.
 func NewHeartbeat(w io.Writer, format Format) *Heartbeat {
 	return &Heartbeat{w: w, format: format}
 }
 
-// Tick numbers the next interval row, then retains and streams it. A CSV
+// Tick numbers the next interval row, then counts and streams it. A CSV
 // stream gets its header with the first row, so a heartbeat that never
 // ticks writes nothing.
 func (h *Heartbeat) Tick(row Row) {
 	if h == nil {
 		return
 	}
-	row.Index = len(h.rows)
-	h.rows = append(h.rows, row)
+	row.Index = h.count
+	h.count++
 	h.write(row)
 }
 
@@ -112,12 +112,12 @@ func (h *Heartbeat) setErr(err error) {
 	}
 }
 
-// Rows returns every interval row produced so far.
-func (h *Heartbeat) Rows() []Row {
+// Count returns how many interval rows have ticked so far.
+func (h *Heartbeat) Count() int {
 	if h == nil {
-		return nil
+		return 0
 	}
-	return h.rows
+	return h.count
 }
 
 // Err returns the first stream-write error, if any.

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -234,12 +235,14 @@ func TestHeartbeatCSV(t *testing.T) {
 			t.Fatalf("row %d has %d columns, want %d: %q", i, got, wantCols, ln)
 		}
 	}
-	rows := hb.Rows()
-	if len(rows) != 2 || rows[0].Instructions != 1000 || rows[1].Instructions != 1000 {
-		t.Fatalf("rows = %+v", rows)
+	if n := hb.Count(); n != 2 {
+		t.Fatalf("Count() = %d, want 2", n)
 	}
-	if rows[0].Index != 0 || rows[1].Index != 1 {
-		t.Fatalf("row indices = %d,%d", rows[0].Index, rows[1].Index)
+	for i, ln := range lines[1:] {
+		cols := strings.Split(ln, ",")
+		if cols[0] != strconv.Itoa(i) || cols[3] != "1000" {
+			t.Fatalf("row %d = %q, want interval %d with 1000 instructions", i, ln, i)
+		}
 	}
 	if want := "1,1000,500,1000,2.000000,"; !strings.HasPrefix(lines[2], want) {
 		t.Fatalf("row 1 = %q, want prefix %q", lines[2], want)
@@ -269,7 +272,7 @@ func TestHeartbeatJSONL(t *testing.T) {
 func TestNilHeartbeat(t *testing.T) {
 	var hb *Heartbeat
 	hb.Tick(Row{Instructions: 5})
-	if hb.Rows() != nil || hb.Err() != nil {
+	if hb.Count() != 0 || hb.Err() != nil {
 		t.Fatal("nil heartbeat retained state")
 	}
 }

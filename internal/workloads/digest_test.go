@@ -110,7 +110,11 @@ func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 // degenerate shapes: degree 1, degree 0 (no edges), one vertex, a sparse
 // shape whose finer splits leave buckets empty, and edge counts the worker
 // counts do not divide (3 edges over 7 workers leaves some workers none).
+// Before its rows are read, each build's regions must decode to their
+// buckets' indices with no byte written past them, and the builds together
+// must pack gaps below 256, of 256 and more, and multiples of 256.
 func TestBuildGraphMatchesEdgeListReference(t *testing.T) {
+	var gaps packedStats // packed gaps by class, over every build
 	for _, c := range []struct {
 		logN, degree int
 		seed         int64
@@ -120,7 +124,16 @@ func TestBuildGraphMatchesEdgeListReference(t *testing.T) {
 		wantOffsets, wantEdges := edgeListGraph(c.logN, c.degree, c.seed)
 		for bits := 0; bits <= c.logN; bits++ {
 			for _, workers := range []int{1, 2, 3, 7} {
-				offsets, edges := allRows(buildGraph(c.logN, c.degree, c.seed, bits, workers))
+				g := buildGraph(c.logN, c.degree, c.seed, bits, workers)
+				s := packed(g, func(int) bool { return true })
+				if s.bad != 0 || s.dirty != 0 {
+					t.Errorf("buildGraph(%d, %d, %d) with %d bucket bits and %d workers: %d gaps decode wrong, %d nonzero bytes past the packed ones",
+						c.logN, c.degree, c.seed, bits, workers, s.bad, s.dirty)
+				}
+				gaps.short += s.short
+				gaps.long += s.long
+				gaps.round += s.round
+				offsets, edges := allRows(g)
 				if digestInt32s(offsets) != digestInt32s(wantOffsets) ||
 					digestInt32s(edges) != digestInt32s(wantEdges) {
 					t.Errorf("buildGraph(%d, %d, %d) with %d bucket bits and %d workers differs from the edge-list reference",
@@ -135,6 +148,12 @@ func TestBuildGraphMatchesEdgeListReference(t *testing.T) {
 		if c.emptyBucket && !sawEmpty {
 			t.Errorf("shape (%d, %d, %d) leaves no bucket empty at any split", c.logN, c.degree, c.seed)
 		}
+	}
+	// The one-vertex buckets at logN 14 leave gaps near 2^14, some of them
+	// multiples of 256.
+	if gaps.short == 0 || gaps.long == 0 || gaps.round == 0 {
+		t.Errorf("gaps below 256, of 256 and more, and multiples of 256 must all occur: %d, %d, %d",
+			gaps.short, gaps.long, gaps.round)
 	}
 	if got, want := bucketBits(defaultLogN, defaultDegree), 6; got != want {
 		t.Errorf("bucketBits at the default shape = %d, want %d (512 KiB segments)", got, want)
